@@ -10,9 +10,10 @@ timestamps appear anywhere).
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,12 @@ def cmd_saliency(args) -> int:
 
 # -- scoring ---------------------------------------------------------------------
 
+def _blur_params(sigma: float) -> M.BlurParams:
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigurationError(f"--sigma must be a finite number >= 0, got {sigma!r}")
+    return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
+
+
 def _score_recording(sal_maps, fix_maps, pool_total, blur, rng_seed):
     """pool_total is the fixation-count map summed over the negative-pool scope;
     each frame's negatives are pool_total minus its own counts."""
@@ -214,12 +221,12 @@ def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
 
 
 def cmd_metrics(args) -> int:
+    blur = _blur_params(args.sigma)
     sal_dir = Path(args.saliency)
     sal_files = sorted(sal_dir.glob("sal_*.raw"))
     if not sal_files:
         raise DataFormatError(f"{args.saliency}: no sal_*.raw files")
     records = P.load_fixations_csv(args.fixations)
-    blur = M.BlurParams(sigma=args.sigma, radius=M.blur_radius_for(args.sigma))
 
     sal_maps, fix_maps = [], []
     rejected = 0
@@ -278,10 +285,17 @@ def _args_from_manifest(path: str, out: str):
         raise DataFormatError(f"{path}: unsupported manifest schema")
     if data.get("command") != "eval":
         raise DataFormatError(f"{path}: not an eval manifest")
+    entry = data.get("model")
+    if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
+            and isinstance(entry.get("config"), dict)):
+        raise DataFormatError(f"{path}: manifest needs model.label and model.config")
+    unknown = sorted(set(entry["config"]) - {f.name for f in fields(models.ModelConfig)})
+    if unknown:
+        raise DataFormatError(f"{path}: unknown model.config key(s): {', '.join(unknown)}")
     ns = argparse.Namespace()
-    cfg = models.ModelConfig(**data["model"]["config"]).validate()
+    cfg = models.ModelConfig(**entry["config"]).validate()
     ns.manifest_config = cfg
-    ns.manifest_label = data["model"]["label"]
+    ns.manifest_label = entry["label"]
     ns.weights = data.get("weights")
     ns.seed = data.get("seed", 0)
     ns.game = data.get("game", "unlabeled")
@@ -312,8 +326,8 @@ def cmd_eval(args) -> int:
     if not eff.recording:
         raise ConfigurationError("eval needs at least one recording")
 
+    blur = _blur_params(eff.sigma)
     model = load_model(cfg, eff.weights, eff.seed)
-    blur = M.BlurParams(sigma=eff.sigma, radius=M.blur_radius_for(eff.sigma))
 
     # Load everything up front so a corrupt input aborts before outputs exist.
     recordings = []

@@ -250,12 +250,12 @@ class Model:
     plan: ModelPlan
     params: dict[str, np.ndarray]
     _finite: Optional[bool] = field(default=None, repr=False, compare=False)
-
-    def _kernel(self, lp: LayerPlan) -> T.ConvKernel:
-        return T.ConvKernel(lp.spec.kernel, lp.spec.kernel, lp.in_channels,
-                            lp.spec.out_channels, lp.spec.stride, lp.spec.padding,
-                            weights=self.params[f"{lp.name}.weight"],
-                            bias=self.params[f"{lp.name}.bias"])
+    # Conv kernels by layer name and float64 (weight, bias) of the dense
+    # layers, built at the first forward like _finite: params edited before
+    # then count, edits after it do not.
+    _kernels: Optional[dict[str, T.ConvKernel]] = field(default=None, repr=False, compare=False)
+    _dense: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = field(
+        default=None, repr=False, compare=False)
 
     def _check_weights(self) -> None:
         if self._finite is None:
@@ -263,10 +263,25 @@ class Model:
         if not self._finite:
             raise EvaluationError("model weights contain NaN or Inf")
 
+    def _prepare(self) -> None:
+        if self._kernels is not None:
+            return
+        layers = list(self.plan.block_layers) + [lp for ap in self.plan.attentions
+                                                 for lp in ap.layers]
+        kernels = {lp.name: T.ConvKernel(lp.spec.kernel, lp.spec.kernel, lp.in_channels,
+                                         lp.spec.out_channels, lp.spec.stride, lp.spec.padding,
+                                         weights=self.params[f"{lp.name}.weight"],
+                                         bias=self.params[f"{lp.name}.bias"])
+                   for lp in layers}
+        self._dense = {name: (self.params[f"{name}.weight"].astype(np.float64),
+                              self.params[f"{name}.bias"].astype(np.float64))
+                       for name in ("fc", "policy", "value")}
+        self._kernels = kernels
+
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
         for lp in ap.layers:
-            a = T.conv2d(a, self._kernel(lp))
+            a = T.conv2d(a, self._kernels[lp.name])
             a = T.apply_activation(a, lp.spec.activation)
         if ap.post == "softmax-mean":
             a = T.spatial_softmax(a)
@@ -284,6 +299,7 @@ class Model:
     def forward(self, obs: np.ndarray) -> ModelOutput:
         """Evaluate one 84x84x4 observation with values in [0, 1]."""
         self._check_weights()
+        self._prepare()
         cfg = self.config
         x = np.asarray(obs)
         if x.shape != (INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS):
@@ -302,7 +318,7 @@ class Model:
         maps: list[tuple[str, np.ndarray]] = []
         features = None
         for i, lp in enumerate(self.plan.block_layers, start=1):
-            x = T.conv2d(x, self._kernel(lp))
+            x = T.conv2d(x, self._kernels[lp.name])
             ap = by_layer.get(i)
             # final_relu=False drops the activation right before an attention
             # read point, so the module (and the gate) sees pre-activation values.
@@ -318,9 +334,9 @@ class Model:
                 x = x * alpha  # broadcast: one gate value scales all channels
 
         vec = x.reshape(-1) if cfg.readout == "flatten" else T.spatial_sum_pool(x)
-        emb = T.relu(T.linear(vec, self.params["fc.weight"], self.params["fc.bias"]))
-        logits = T.linear(emb, self.params["policy.weight"], self.params["policy.bias"])
-        value = float(T.linear(emb, self.params["value.weight"], self.params["value.bias"])[0])
+        emb = T.relu(T.linear(vec, *self._dense["fc"]))
+        logits = T.linear(emb, *self._dense["policy"])
+        value = float(T.linear(emb, *self._dense["value"])[0])
         return ModelOutput(features=features, attention_maps=maps, embedding=emb,
                            policy_logits=logits, value=value)
 

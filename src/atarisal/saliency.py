@@ -110,6 +110,8 @@ def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
     data = np.fromfile(path, dtype="<f4")
     if data.size != width * height:
         raise DataFormatError(f"{path}: {data.size} values, sidecar implies {width * height}")
+    if not np.isfinite(data).all():
+        raise DataFormatError(f"{path}: saliency contains NaN or Inf")
     return data.reshape(height, width).astype(np.float32)
 
 

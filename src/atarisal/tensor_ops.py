@@ -4,17 +4,28 @@ Pipeline code stores float32; every kernel here accumulates dot products in
 float64 and casts the result back to the input's dtype, so integer-valued
 fixtures stay exact and float64 inputs (used by the gradient checker) keep
 full precision. All functions are pure and safe to call concurrently.
+
+conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
+input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
+kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
+A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
+row), which bounds memory and keeps each GEMM operand cache-sized.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
 # Overflow-safe branch point for the softplus family.
 SOFTPLUS_CUTOFF = 30.0
+
+# Byte cap of one conv2d patch block (float64 im2col rows).
+PATCH_BLOCK_BYTES = 4 * 2**20
 
 _LN2 = float(np.log(2.0))
 
@@ -52,6 +63,14 @@ class ConvKernel:
             _require(tuple(self.bias.shape) == (self.out_channels,),
                      f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
+    @cached_property
+    def gemm_weights(self) -> np.ndarray:
+        """The weights as the (kh*kw*in, out) float64 matrix conv2d multiplies
+        by, rows in (kh, kw, in) order. Built on first use, so the weights
+        must not change after the kernel has been applied."""
+        w64 = np.asarray(self.weights, np.float64).transpose(2, 3, 1, 0)
+        return np.ascontiguousarray(w64).reshape(-1, self.out_channels)
+
     @classmethod
     def ones(cls, size: int, stride: int = 1, padding: int = 0) -> "ConvKernel":
         """Single-channel all-ones kernel (used to paint receptive fields)."""
@@ -84,16 +103,20 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     _require(ho >= 1 and wo >= 1,
              f"non-positive conv output size {ho}x{wo} for input {h}x{w}")
 
-    xp = np.pad(x, ((p, p), (p, p), (0, 0))).astype(np.float64)
-    w64 = kernel.weights.astype(np.float64)
-    acc = np.zeros((ho * wo, kernel.out_channels), dtype=np.float64)
-    for ki in range(kernel.kernel_h):
-        for kj in range(kernel.kernel_w):
-            sl = xp[ki:ki + (ho - 1) * s + 1:s, kj:kj + (wo - 1) * s + 1:s, :]
-            acc += sl.reshape(ho * wo, c) @ w64[:, :, ki, kj].T
+    kh, kw, cout = kernel.kernel_h, kernel.kernel_w, kernel.out_channels
+    xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=np.float64)
+    xp[p:p + h, p:p + w, :] = x
+    # (H', W', Cin, kh, kw) window view -> (ho, wo, kh, kw, Cin), no copy yet
+    patches = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
+    depth = kh * kw * c
+    rows = max(1, PATCH_BLOCK_BYTES // (wo * depth * xp.itemsize))
+    acc = np.empty((ho, wo, cout), dtype=np.float64)
+    for r in range(0, ho, rows):
+        block = patches[r:r + rows].reshape(-1, depth)  # the im2col copy
+        np.matmul(block, kernel.gemm_weights, out=acc[r:r + rows].reshape(-1, cout))
     if kernel.bias is not None:
         acc += kernel.bias.astype(np.float64)
-    return acc.reshape(ho, wo, kernel.out_channels).astype(x.dtype)
+    return acc.astype(x.dtype)
 
 
 def transposed_conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -221,10 +244,10 @@ def linear(v: np.ndarray, weights: np.ndarray, bias: Optional[np.ndarray] = None
     _require(v.ndim == 1, f"linear input must be a vector, got shape {v.shape}")
     _require(weights.ndim == 2 and weights.shape[1] == v.shape[0],
              f"weights shape {weights.shape} incompatible with input length {v.shape[0]}")
-    out = np.einsum("oi,i->o", weights.astype(np.float64), v.astype(np.float64))
+    out = np.einsum("oi,i->o", np.asarray(weights, np.float64), v.astype(np.float64))
     if bias is not None:
         _require(bias.shape == (weights.shape[0],), "bias length mismatch")
-        out = out + bias.astype(np.float64)
+        out = out + np.asarray(bias, np.float64)
     return out.astype(v.dtype)
 
 

@@ -171,6 +171,36 @@ def test_metrics_scores_saved_maps(tmp_path, capsys, recording_32):
     assert [line.split(",")[2] for line in summary_lines[1:]] == ["nss", "kl", "sauc"]
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_metrics_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
+    frames_dir, csv_path = recording_32
+    sal_dir = tmp_path / "sal"
+    assert run(capsys, "saliency", "--preset", "sparse-fls",
+               "--frames", str(frames_dir), "--out", str(sal_dir))[0] == 0
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out), "--sigma", sigma)
+    assert rc == 1
+    assert "--sigma" in err
+    assert not out.exists()
+
+
+def test_metrics_rejects_nan_in_saliency_dump(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    sal_dir = tmp_path / "sal"
+    assert run(capsys, "saliency", "--preset", "sparse-fls",
+               "--frames", str(frames_dir), "--out", str(sal_dir))[0] == 0
+    sal = S.load_raw_saliency(str(sal_dir / "sal_0001.raw"))
+    sal[10, 10] = np.nan
+    S.save_raw_saliency(str(sal_dir / "sal_0001.raw"), sal)
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert "sal_0001.raw" in err
+    assert not (out / "summary.csv").exists()
+
+
 def test_metrics_empty_dir_is_exit_2(tmp_path, capsys, recording_32):
     _, csv_path = recording_32
     empty = tmp_path / "empty"
@@ -266,6 +296,34 @@ def test_eval_corrupt_fixations_writes_nothing(tmp_path, capsys, recording_32):
     assert rc == 2
     assert not (out / "summary.csv").exists()
     assert not (out / "frames_rec0.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_eval_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
+    frames_dir, csv_path = recording_32
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls",
+                     "--recording", str(frames_dir), str(csv_path),
+                     "--out", str(out), "--sigma", sigma)
+    assert rc == 1
+    assert "--sigma" in err
+    assert not out.exists()
+
+
+def test_eval_manifest_unknown_config_key_is_exit_2(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    out1 = tmp_path / "run1"
+    assert run(capsys, "eval", "--preset", "sparse-fls",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(out1))[0] == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["model"]["config"]["dropout"] = 0.5
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 2
+    assert "dropout" in err
+    assert not out2.exists()
 
 
 def test_eval_rejects_foreign_manifest(tmp_path, capsys):

@@ -200,6 +200,16 @@ def test_raw_export_size_check(tmp_path):
         S.load_raw_saliency(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_load_rejects_non_finite_values(tmp_path, bad):
+    sal = np.ones((84, 84), np.float32)
+    sal[40, 2] = bad
+    path = str(tmp_path / "sal.raw")
+    S.save_raw_saliency(path, sal)
+    with pytest.raises(DataFormatError, match="sal.raw"):
+        S.load_raw_saliency(path)
+
+
 def test_pgm_export(tmp_path):
     sal = np.zeros((4, 5), np.float32)
     sal[1, 2] = 2.0

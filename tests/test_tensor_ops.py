@@ -52,8 +52,15 @@ def test_1x1_conv_is_affine():
     (2, 16, 16, 4, 2, 5, 1, 2),
     (3, 10, 7, 3, 4, 4, 3, 0),
     (4, 16, 16, 4, 4, 8, 4, 0),
+    # Under the 4 KiB cap below: 11 blocks of 2 rows, the last one short
+    (5, 21, 12, 2, 3, 3, 1, 1),
+    # 6 strided blocks of 2 rows, the last one short
+    (6, 23, 15, 3, 2, 3, 2, 0),
+    # one output row (40 x 72 float64 patches) is larger than the cap
+    (7, 9, 40, 8, 2, 3, 1, 1),
 ])
-def test_conv2d_matches_naive_oracle(seed, h, w, cin, cout, k, s, p):
+def test_conv2d_matches_naive_oracle(monkeypatch, seed, h, w, cin, cout, k, s, p):
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 4096)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((h, w, cin)).astype(np.float32)
     kern = random_kernel(rng, cin, cout, k, stride=s, padding=p)
