@@ -13,8 +13,9 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -62,29 +63,22 @@ def add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="unit-normalize each location's feature vector")
 
 
+# config flag -> the ModelConfig field it sets; a switch sets the given value
+_CONFIG_VALUES = {"block": "block", "placement": "placement", "readout": "readout",
+                  "actions": "num_actions"}
+_CONFIG_SWITCHES = {"softplus2": ("softplus2", True),
+                    "normalize_output": ("normalize_output", True),
+                    "no_final_relu": ("final_relu", False),
+                    "pad_input_1px": ("pad_input_1px", True), "l2_norm": ("l2_norm_features", True)}
+
+
 def config_from_args(args) -> models.ModelConfig:
     cfg = models.PRESETS[args.preset] if args.preset else models.ModelConfig()
-    overrides = {}
-    if args.block:
-        overrides["block"] = args.block
+    overrides = {name: getattr(args, flag) for flag, name in _CONFIG_VALUES.items()
+                 if getattr(args, flag) is not None}
+    overrides.update(setting for flag, setting in _CONFIG_SWITCHES.items() if getattr(args, flag))
     if args.attention:
         overrides["attention"] = None if args.attention == "none" else args.attention
-    if args.placement:
-        overrides["placement"] = args.placement
-    if args.readout:
-        overrides["readout"] = args.readout
-    if args.actions is not None:
-        overrides["num_actions"] = args.actions
-    if args.softplus2:
-        overrides["softplus2"] = True
-    if args.normalize_output:
-        overrides["normalize_output"] = True
-    if args.no_final_relu:
-        overrides["final_relu"] = False
-    if args.pad_input_1px:
-        overrides["pad_input_1px"] = True
-    if args.l2_norm:
-        overrides["l2_norm_features"] = True
     cfg = replace(cfg, **overrides)
     if args.fls_1x1:
         if cfg.attention not in ("fls", "fls-1x1"):
@@ -93,11 +87,9 @@ def config_from_args(args) -> models.ModelConfig:
     return cfg.validate()
 
 
-def model_label(args) -> str:
-    return args.preset if args.preset else "custom"
-
-
 def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
     model = models.build_model(cfg, seed)
     if weights:
         model = W.load_into_model(model, weights)
@@ -133,8 +125,7 @@ def cmd_params(args) -> int:
 # -- preprocess -------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    frames = P.load_frames(args.frames)
-    observations = P.build_observations(frames)
+    observations = P.build_observations(P.load_frames(args.frames))
     records = P.load_fixations_csv(args.fixations) if args.fixations else None
 
     out = Path(args.out)
@@ -164,24 +155,27 @@ def _render_saliency(model: models.Model, obs: P.ObservationStack):
     return S.render_multi(out.attention_maps, model.config)
 
 
+def _save_dumps(out: Path, sal_maps, pgm: bool) -> None:
+    """sal_NNNN.raw (and .pgm) per map: the layout `metrics --saliency` reads."""
+    out.mkdir(parents=True, exist_ok=True)
+    for i, sal in enumerate(sal_maps):
+        S.save_raw_saliency(str(out / f"sal_{i:04d}.raw"), sal)
+        if pgm:
+            S.save_pgm(str(out / f"sal_{i:04d}.pgm"), sal)
+
+
 def cmd_saliency(args) -> int:
     cfg = config_from_args(args)
     model = load_model(cfg, args.weights, args.seed)
-    frames = P.load_frames(args.frames)
-    observations = P.build_observations(frames)
+    observations = P.build_observations(P.load_frames(args.frames))
     if not observations:
         raise DataFormatError(f"{args.frames}: fewer than {P.RAW_PER_OBSERVATION} frames")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, obs in enumerate(observations):
-        sal = _render_saliency(model, obs)
-        if args.upscale:
-            sal = S.upscale_to_frame(sal)
-        S.save_raw_saliency(str(out / f"sal_{i:04d}.raw"), sal)
-        if args.pgm:
-            S.save_pgm(str(out / f"sal_{i:04d}.pgm"), sal)
-    _write_manifest(out, args, command="saliency")
+    sal_maps = (_render_saliency(model, obs) for obs in observations)
+    _save_dumps(out, (S.upscale_to_frame(s) for s in sal_maps) if args.upscale else sal_maps,
+                args.pgm)
+    _write_manifest(out, _manifest_dict(args, command="saliency"))
     print(f"rendered {len(observations)} saliency maps to {out}")
     return 0
 
@@ -194,188 +188,45 @@ def _blur_params(sigma: float) -> M.BlurParams:
     return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
 
 
-def _score_recording(sal_maps, fix_maps, pool_total, blur, rng_seed):
-    """pool_total is the fixation-count map summed over the negative-pool scope;
-    each frame's negatives are pool_total minus its own counts."""
-    scores = []
-    for i, (sal, fix) in enumerate(zip(sal_maps, fix_maps)):
-        pool = [pool_total - fix]
-        scores.append(M.score_frame(i, sal, fix, pool, blur, rng_seed))
-    return scores
-
-
 def _write_frame_csv(path: Path, scores) -> None:
-    lines = [FRAME_CSV_HEADER]
-    for s in scores:
-        lines.append(f"{s.frame},{_fmt(s.nss)},{_fmt(s.kl)},{_fmt(s.sauc)},"
-                     f"{int(s.nss is not None)},{int(s.kl is not None)},{int(s.sauc is not None)}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = (f"{s.frame},{_fmt(s.nss)},{_fmt(s.kl)},{_fmt(s.sauc)},"
+            f"{int(s.nss is not None)},{int(s.kl is not None)},{int(s.sauc is not None)}"
+            for s in scores)
+    path.write_text("\n".join([FRAME_CSV_HEADER, *rows]) + "\n")
 
 
 def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
-    lines = [SUMMARY_CSV_HEADER]
-    for name in M.METRIC_NAMES:
-        row = summary[name]
-        lines.append(f"{label},{game},{name},{_fmt(row.mean)},{_fmt(row.std)},{row.n}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = (f"{label},{game},{name},{_fmt(summary[name].mean)},{_fmt(summary[name].std)},"
+            f"{summary[name].n}" for name in M.METRIC_NAMES)
+    path.write_text("\n".join([SUMMARY_CSV_HEADER, *rows]) + "\n")
 
 
-def cmd_metrics(args) -> int:
-    blur = _blur_params(args.sigma)
-    sal_dir = Path(args.saliency)
-    sal_files = sorted(sal_dir.glob("sal_*.raw"))
-    if not sal_files:
-        raise DataFormatError(f"{args.saliency}: no sal_*.raw files")
-    records = P.load_fixations_csv(args.fixations)
-
-    sal_maps, fix_maps = [], []
-    rejected = 0
-    for i, sf in enumerate(sal_files):
-        sal = S.load_raw_saliency(str(sf))
-        if sal.shape == (models.INPUT_SIZE, models.INPUT_SIZE):
-            sal = S.upscale_to_frame(sal)
-        elif sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
-            raise DataFormatError(f"{sf}: unexpected saliency shape {sal.shape}")
-        fmap, rej = P.fixation_map(records, P.retained_indices(i))
-        rejected += rej
-        sal_maps.append(sal)
-        fix_maps.append(fmap)
-
-    pool_total = np.sum(fix_maps, axis=0)
-    scores = _score_recording(sal_maps, fix_maps, pool_total, blur, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_frame_csv(out / "frames_rec0.csv", scores)
-    summary = M.aggregate([scores])
-    _write_summary_csv(out / "summary.csv", "external", args.game, summary)
-    _write_manifest(out, args, command="metrics")
-    if rejected:
-        print(f"skipped {rejected} out-of-bounds fixation records")
-    print(f"scored {len(scores)} frames; summary in {out / 'summary.csv'}")
-    return 0
-
-
-# -- eval -------------------------------------------------------------------------
-
-def _manifest_dict(args, command: str) -> dict:
-    data = {"schema_version": SCHEMA_VERSION, "command": command}
-    if hasattr(args, "block"):  # only parsers with model-config flags
-        data["model"] = {"label": model_label(args), "config": asdict(config_from_args(args))}
-    for key in ("weights", "seed", "game", "pool_scope", "sigma", "workers",
-                "save_saliency", "pgm", "upscale", "frames", "fixations", "saliency"):
-        if hasattr(args, key):
-            data[key] = getattr(args, key)
-    if hasattr(args, "recording"):
-        data["recordings"] = [{"frames": fr, "fixations": fx} for fr, fx in args.recording]
-    return data
-
-
-def _write_manifest(out: Path, args, command: str) -> None:
-    (out / "manifest.json").write_text(
-        json.dumps(_manifest_dict(args, command), sort_keys=True, indent=2) + "\n")
-
-
-def _args_from_manifest(path: str, out: str):
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError:
-        raise DataFormatError(f"{path}: invalid manifest JSON") from None
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(f"{path}: unsupported manifest schema")
-    if data.get("command") != "eval":
-        raise DataFormatError(f"{path}: not an eval manifest")
-    entry = data.get("model")
-    if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
-            and isinstance(entry.get("config"), dict)):
-        raise DataFormatError(f"{path}: manifest needs model.label and model.config")
-    unknown = sorted(set(entry["config"]) - {f.name for f in fields(models.ModelConfig)})
-    if unknown:
-        raise DataFormatError(f"{path}: unknown model.config key(s): {', '.join(unknown)}")
-    ns = argparse.Namespace()
-    cfg = models.ModelConfig(**entry["config"]).validate()
-    ns.manifest_config = cfg
-    ns.manifest_label = entry["label"]
-    ns.weights = data.get("weights")
-    ns.seed = data.get("seed", 0)
-    ns.game = data.get("game", "unlabeled")
-    ns.pool_scope = data.get("pool_scope", "recording")
-    ns.sigma = data.get("sigma", 5.0)
-    ns.workers = data.get("workers", 1)
-    ns.save_saliency = data.get("save_saliency", False)
-    ns.pgm = data.get("pgm", False)
-    ns.recording = [(r["frames"], r["fixations"]) for r in data.get("recordings", [])]
-    ns.out = out
-    return ns
-
-
-def cmd_eval(args) -> int:
-    if args.manifest:
-        ns = _args_from_manifest(args.manifest, args.out)
-        cfg = ns.manifest_config
-        label = ns.manifest_label
-        eff = ns
-    else:
-        if not args.recording:
-            raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
-        cfg = config_from_args(args)
-        label = model_label(args)
-        eff = args
-    if not eff.out:
-        raise ConfigurationError("eval needs --out")
-    if not eff.recording:
-        raise ConfigurationError("eval needs at least one recording")
-
-    blur = _blur_params(eff.sigma)
-    model = load_model(cfg, eff.weights, eff.seed)
-
-    # Load everything up front so a corrupt input aborts before outputs exist.
-    recordings = []
-    for fr_path, fx_path in eff.recording:
-        frames = P.load_frames(fr_path)
-        observations = P.build_observations(frames)
-        if not observations:
-            raise DataFormatError(f"{fr_path}: fewer than {P.RAW_PER_OBSERVATION} frames")
-        records = P.load_fixations_csv(fx_path)
-        recordings.append((observations, records))
-
-    log_lines = []
-    per_rec_scores = []
-    out = Path(eff.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def process(model, obs):
-        sal84 = _render_saliency(model, obs)
-        return S.upscale_to_frame(sal84), sal84
-
-    rec_data = []
-    for ri, (observations, records) in enumerate(recordings):
-        fix_maps = []
-        rejected = 0
-        for obs in observations:
-            fmap, rej = P.fixations_for_observation(records, obs)
-            fix_maps.append(fmap)
-            rejected += rej
-        if eff.workers > 1:
-            with ThreadPoolExecutor(max_workers=eff.workers) as ex:
-                results = list(ex.map(lambda o: process(model, o), observations))
-        else:
-            results = [process(model, obs) for obs in observations]
-        sal_maps = [r[0] for r in results]
-        if eff.save_saliency:
-            for i, (_, sal84) in enumerate(results):
-                S.save_raw_saliency(str(out / f"rec{ri}_sal_{i:04d}.raw"), sal84)
-                if eff.pgm:
-                    S.save_pgm(str(out / f"rec{ri}_sal_{i:04d}.pgm"), sal84)
-        rec_data.append((sal_maps, fix_maps))
-        log_lines.append(f"rec{ri}: {len(observations)} observations, "
+def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
+           blur: M.BlurParams) -> None:
+    """Score (210x160 saliency maps, fixation records) per recording; write
+    frames_rec{i}.csv, summary.csv and log.txt. Map i meets the records on the
+    raw frames observation i retains; its sAUC negatives are the fixations of
+    the other frames of its recording, or of all recordings for pool_scope "all"."""
+    log_lines, fix_maps = [], []
+    for ri, (sal_maps, records) in enumerate(recordings):
+        maps, rejects = zip(*(P.fixation_map(records, P.retained_indices(i))
+                              for i in range(len(sal_maps))))
+        fix_maps.append(maps)
+        rejected = sum(rejects)
+        # a record is counted in a map, rejected as out of bounds, or on a
+        # raw frame no scored observation retains
+        discarded = len(records) - sum(int(m.sum()) for m in maps) - rejected
+        log_lines.append(f"rec{ri}: {len(sal_maps)} observations, "
                          f"{rejected} out-of-bounds fixation records skipped")
+        log_lines.append(f"rec{ri}: {discarded} fixation records on discarded raw frames skipped")
 
-    if eff.pool_scope == "all":
-        grand_total = np.sum([np.sum(fm, axis=0) for _, fm in rec_data], axis=0)
-    for ri, (sal_maps, fix_maps) in enumerate(rec_data):
-        pool_total = grand_total if eff.pool_scope == "all" else np.sum(fix_maps, axis=0)
-        scores = _score_recording(sal_maps, fix_maps, pool_total, blur, eff.seed)
+    totals = [np.sum(maps, axis=0) for maps in fix_maps]
+    if pool_scope == "all":
+        totals = [np.sum(totals, axis=0)] * len(totals)
+    per_rec_scores = []
+    for ri, ((sal_maps, _), maps, total) in enumerate(zip(recordings, fix_maps, totals)):
+        scores = [M.score_frame(i, sal, fix, [total - fix], blur)
+                  for i, (sal, fix) in enumerate(zip(sal_maps, maps))]
         per_rec_scores.append(scores)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
         for name in M.METRIC_NAMES:
@@ -383,28 +234,182 @@ def cmd_eval(args) -> int:
             if undefined:
                 log_lines.append(f"rec{ri}: {undefined} frames undefined for {name}")
 
-    summary = M.aggregate(per_rec_scores)
-    _write_summary_csv(out / "summary.csv", label, eff.game, summary)
-    if args.manifest:
-        # re-emit the manifest we ran from, with this run's output dir
-        data = _manifest_dict_from_ns(eff, label, cfg)
-    else:
-        data = _manifest_dict(args, command="eval")
-    (out / "manifest.json").write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-    (out / "log.txt").write_text("\n".join(log_lines) + "\n")
-    for line in log_lines:
-        print(line)
-    print(f"summary in {out / 'summary.csv'}")
+    _write_summary_csv(out / "summary.csv", label, game, M.aggregate(per_rec_scores))
+    log = "\n".join(log_lines) + "\n"
+    (out / "log.txt").write_text(log)
+    print(f"{log}summary in {out / 'summary.csv'}")
+
+
+def cmd_metrics(args) -> int:
+    blur = _blur_params(args.sigma)
+    sal_files = sorted(Path(args.saliency).glob("sal_*.raw"))
+    if not sal_files:
+        raise DataFormatError(f"{args.saliency}: no sal_*.raw files")
+    records = P.load_fixations_csv(args.fixations)
+
+    sal_maps = []
+    for sf in sal_files:
+        sal = S.load_raw_saliency(str(sf))
+        if sal.shape == (models.INPUT_SIZE, models.INPUT_SIZE):
+            sal = S.upscale_to_frame(sal)
+        elif sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
+            raise DataFormatError(f"{sf}: unexpected saliency shape {sal.shape}")
+        sal_maps.append(sal)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _score(out, [(sal_maps, records)], "external", args.game, "recording", blur)
+    _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
 
 
-def _manifest_dict_from_ns(ns, label: str, cfg: models.ModelConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": "eval",
-            "model": {"label": label, "config": asdict(cfg)},
-            "weights": ns.weights, "seed": ns.seed, "game": ns.game,
-            "pool_scope": ns.pool_scope, "sigma": ns.sigma, "workers": ns.workers,
-            "save_saliency": ns.save_saliency, "pgm": ns.pgm,
-            "recordings": [{"frames": fr, "fixations": fx} for fr, fx in ns.recording]}
+# -- manifests ----------------------------------------------------------------------
+
+def _manifest_dict(args, command: str) -> dict:
+    """Manifest of a saliency or metrics run: the flags it was given."""
+    data = {"schema_version": SCHEMA_VERSION, "command": command}
+    if hasattr(args, "block"):  # only parsers with model-config flags
+        data["model"] = {"label": args.preset or "custom", "config": asdict(config_from_args(args))}
+    for key in ("weights", "seed", "game", "sigma", "pgm", "upscale", "frames", "fixations",
+                "saliency"):
+        if hasattr(args, key):
+            data[key] = getattr(args, key)
+    return data
+
+
+def _write_manifest(out: Path, data: dict) -> None:
+    (out / "manifest.json").write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
+# field type -> (test of a JSON value, its name); a bool is not a number
+_JSON_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    Optional[str]: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _checked(data: dict, hints: dict, source: str, prefix: str) -> dict:
+    """data, once every key is in hints and every value has the hinted type."""
+    for key, value in sorted(data.items()):
+        if key not in hints:
+            raise DataFormatError(f"{source}: unknown manifest key {prefix}{key}")
+        test, name = _JSON_TYPES[hints[key]]
+        if not test(value):
+            raise DataFormatError(f"{source}: {prefix}{key} must be {name}, got {value!r}")
+    return data
+
+
+POOL_SCOPES = ("recording", "all")
+
+
+@dataclass(frozen=True)
+class EvalSpec:
+    """Everything an eval run depends on, from the command line or a manifest;
+    to_dict is the run's manifest.json, and from_dict reads it back."""
+    label: str
+    config: models.ModelConfig
+    recordings: tuple  # (frames path, fixations path) per recording
+    weights: Optional[str] = None
+    seed: int = 0
+    game: str = "unlabeled"
+    pool_scope: str = "recording"
+    sigma: float = 5.0
+    workers: int = 1
+    save_saliency: bool = False
+    pgm: bool = False
+
+    def __post_init__(self):
+        if not self.recordings:
+            raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
+        if self.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {self.workers}")
+        _blur_params(self.sigma)
+
+    @classmethod
+    def from_args(cls, args) -> "EvalSpec":
+        # every field with a default is an eval flag of the same name
+        flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.default is not MISSING}
+        return cls(label=args.preset or "custom", config=config_from_args(args),
+                   recordings=tuple(map(tuple, args.recording)), **flags)
+
+    @classmethod
+    def from_dict(cls, data, source: str) -> "EvalSpec":
+        """The spec of an eval manifest; a missing key takes its default, and an
+        unknown key or a bad value is an error naming the key."""
+        if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
+            raise DataFormatError(f"{source}: unsupported manifest schema")
+        if data.get("command") != "eval":
+            raise DataFormatError(f"{source}: not an eval manifest")
+        data = {k: v for k, v in data.items() if k not in ("schema_version", "command")}
+        entry = data.pop("model", None)
+        if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
+                and isinstance(entry.get("config"), dict)):
+            raise DataFormatError(f"{source}: manifest needs model.label and model.config")
+        config = _checked(entry["config"], {f.name: f.type for f in fields(models.ModelConfig)},
+                          source, "model.config.")
+        recordings = data.pop("recordings", [])
+        if not (isinstance(recordings, list) and all(
+                isinstance(r, dict) and sorted(r) == ["fixations", "frames"]
+                and all(isinstance(v, str) for v in r.values()) for r in recordings)):
+            raise DataFormatError(f"{source}: recordings must be a list of "
+                                  f"{{frames, fixations}} paths, got {recordings!r}")
+        _checked(data, {f.name: f.type for f in fields(cls) if f.default is not MISSING},
+                 source, "")
+        if data.get("pool_scope", "recording") not in POOL_SCOPES:
+            raise DataFormatError(f"{source}: pool_scope must be one of "
+                                  f"{', '.join(POOL_SCOPES)}, got {data['pool_scope']!r}")
+        return cls(label=entry["label"], config=models.ModelConfig(**config).validate(),
+                   recordings=tuple((r["frames"], r["fixations"]) for r in recordings),
+                   **data)
+
+    def to_dict(self) -> dict:
+        data = asdict(self)
+        data["model"] = {"label": data.pop("label"), "config": data.pop("config")}
+        data["recordings"] = [{"frames": fr, "fixations": fx} for fr, fx in self.recordings]
+        return {"schema_version": SCHEMA_VERSION, "command": "eval", **data}
+
+
+# -- eval -------------------------------------------------------------------------
+
+def cmd_eval(args) -> int:
+    if args.manifest:
+        try:
+            with open(args.manifest) as f:
+                spec = EvalSpec.from_dict(json.load(f), args.manifest)
+        except json.JSONDecodeError:
+            raise DataFormatError(f"{args.manifest}: invalid manifest JSON") from None
+    else:
+        spec = EvalSpec.from_args(args)
+    model = load_model(spec.config, spec.weights, spec.seed)
+
+    # Load everything up front so a corrupt input aborts before outputs exist.
+    loaded = []
+    for frames_path, fixations_path in spec.recordings:
+        observations = P.build_observations(P.load_frames(frames_path))
+        if not observations:
+            raise DataFormatError(f"{frames_path}: fewer than {P.RAW_PER_OBSERVATION} frames")
+        loaded.append((observations, P.load_fixations_csv(fixations_path)))
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    recordings = []
+    for ri, (observations, records) in enumerate(loaded):
+        if spec.workers > 1:
+            with ThreadPoolExecutor(max_workers=spec.workers) as ex:
+                sal84s = list(ex.map(lambda obs: _render_saliency(model, obs), observations))
+        else:
+            sal84s = [_render_saliency(model, obs) for obs in observations]
+        if spec.save_saliency:
+            _save_dumps(out / f"rec{ri}", sal84s, spec.pgm)
+        recordings.append(([S.upscale_to_frame(s) for s in sal84s], records))
+
+    _score(out, recordings, spec.label, spec.game, spec.pool_scope, _blur_params(spec.sigma))
+    _write_manifest(out, spec.to_dict())
+    return 0
 
 
 # -- gradcheck ----------------------------------------------------------------------
@@ -482,13 +487,9 @@ def cmd_report(args) -> int:
                 raise DataFormatError(f"{path}: malformed summary row {line!r}")
             rows.append(fields)
 
-    widths = [max(len(r[i]) for r in rows + [SUMMARY_CSV_HEADER.split(",")])
-              for i in range(6)]
-    header = SUMMARY_CSV_HEADER.split(",")
-    out_lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for r in sorted(rows):
-        out_lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)))
-    text = "\n".join(out_lines) + "\n"
+    table = [SUMMARY_CSV_HEADER.split(",")] + sorted(rows)
+    widths = [max(len(r[i]) for r in table) for i in range(6)]
+    text = "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) + "\n" for r in table)
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
@@ -529,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--game", default="unlabeled")
     p.add_argument("--sigma", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_metrics, preset=None)
+    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("eval", help="frames + fixations -> per-frame and summary CSVs")
     add_config_flags(p)
@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="re-run from a saved manifest.json")
     p.add_argument("--out", required=True)
     p.add_argument("--game", default="unlabeled")
-    p.add_argument("--pool-scope", dest="pool_scope", choices=("recording", "all"),
+    p.add_argument("--pool-scope", dest="pool_scope", choices=POOL_SCOPES,
                    default="recording")
     p.add_argument("--sigma", type=float, default=5.0)
     p.add_argument("--workers", type=int, default=1)
@@ -568,16 +568,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigurationError as e:
+    except (ConfigurationError, EvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except EvaluationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (DataFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -100,7 +100,7 @@ def kl_divergence(sal: np.ndarray, fix: np.ndarray,
     return _kl(sal, fix, params or BlurParams())[0]
 
 
-def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool, rng_seed: int = 0):
+def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
     sal = np.asarray(sal, dtype=np.float64)
     pos_mask = np.asarray(positives) > 0
     if pos_mask.shape != sal.shape:
@@ -120,8 +120,7 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool, rng_seed: int =
 
     pos_vals = sal[pos_mask]
     neg_vals = sal[neg_mask]
-    # Mann-Whitney with midranks over all pos x neg pairs; exhaustive and
-    # exact, so rng_seed is accepted for interface stability but never drawn.
+    # Mann-Whitney with midranks over all pos x neg pairs: exhaustive and exact.
     ranks = rankdata(np.concatenate([pos_vals, neg_vals]))
     n_pos, n_neg = pos_vals.size, neg_vals.size
     u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
@@ -129,15 +128,15 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool, rng_seed: int =
 
 
 def shuffled_auc(sal: np.ndarray, positives: np.ndarray,
-                 negative_pool: Sequence[np.ndarray], rng_seed: int = 0) -> Optional[float]:
+                 negative_pool: Sequence[np.ndarray]) -> Optional[float]:
     """Ranking AUC of saliency at fixated pixels vs pixels fixated in other
     frames (ties at half weight). None when either set is empty."""
-    return _sauc(sal, positives, negative_pool, rng_seed)[0]
+    return _sauc(sal, positives, negative_pool)[0]
 
 
 def score_frame(frame: int, sal: np.ndarray, fix: np.ndarray,
                 negative_pool: Sequence[np.ndarray],
-                blur: BlurParams = None, rng_seed: int = 0) -> FrameScore:
+                blur: BlurParams = None) -> FrameScore:
     blur = blur or BlurParams()
     score = FrameScore(frame=frame)
     score.nss, r = _nss(sal, fix)
@@ -146,7 +145,7 @@ def score_frame(frame: int, sal: np.ndarray, fix: np.ndarray,
     score.kl, r = _kl(sal, fix, blur)
     if r:
         score.reasons["kl"] = r
-    score.sauc, r = _sauc(sal, fix, negative_pool, rng_seed)
+    score.sauc, r = _sauc(sal, fix, negative_pool)
     if r:
         score.reasons["sauc"] = r
     return score

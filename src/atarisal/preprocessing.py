@@ -253,12 +253,16 @@ def save_raw_rgb(path: str, frames: Sequence[np.ndarray], sidecar: str = None) -
 
 
 def load_frames(path: str) -> list[np.ndarray]:
-    """Directory of *.ppm files (sorted by name) or a single .rgb file."""
+    """Directory of *.ppm files named by zero-padded index, or a single .rgb file."""
     p = Path(path)
     if p.is_dir():
         ppm_files = sorted(p.glob("*.ppm"))
         if not ppm_files:
             raise DataFormatError(f"{path}: no .ppm frames found")
+        odd = [fp.name for fp in ppm_files if len(fp.stem) != len(ppm_files[0].stem)]
+        if odd:  # then name order is not index order: frame_10 sorts before frame_9
+            raise DataFormatError(f"{path}: frame names {ppm_files[0].name} and {odd[0]} differ "
+                                  "in length; name frames by zero-padded index")
         return [load_ppm(str(fp)) for fp in ppm_files]
     if p.is_file() and p.suffix == ".rgb":
         return load_raw_rgb(str(p))

@@ -201,6 +201,40 @@ def test_metrics_rejects_nan_in_saliency_dump(tmp_path, capsys, recording_32):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("preset", ["sparse-fls", "dense-fls"])
+def test_metrics_on_eval_dumps_reproduces_eval_scores(tmp_path, capsys, recording_32, preset):
+    # eval and metrics share one scoring path, so re-scoring eval's own dumps
+    # must give its per-frame CSV byte for byte
+    frames_dir, csv_path = recording_32
+    run_dir = tmp_path / "run"
+    assert run(capsys, "eval", "--preset", preset, "--save-saliency",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(run_dir))[0] == 0
+    assert sorted(p.name for p in (run_dir / "rec0").glob("sal_*.raw")) == \
+        ["sal_0000.raw", "sal_0001.raw"]
+    out = tmp_path / "scores"
+    assert run(capsys, "metrics", "--saliency", str(run_dir / "rec0"),
+               "--fixations", str(csv_path), "--out", str(out))[0] == 0
+    assert (out / "frames_rec0.csv").read_bytes() == (run_dir / "frames_rec0.csv").read_bytes()
+
+
+def test_fixations_on_discarded_frames_are_counted(tmp_path, capsys, recording_32):
+    # 32 frames x 3 fixations: the retention schedule keeps offsets 2-3 of
+    # each group of 4, so half of the 96 records land on discarded frames
+    frames_dir, csv_path = recording_32
+    line = "rec0: 48 fixation records on discarded raw frames skipped"
+    run_dir = tmp_path / "run"
+    rc, stdout, _ = run(capsys, "eval", "--preset", "sparse-fls", "--save-saliency",
+                        "--recording", str(frames_dir), str(csv_path), "--out", str(run_dir))
+    assert rc == 0 and line in stdout
+    assert (run_dir / "log.txt").read_text().splitlines()[:2] == [
+        "rec0: 2 observations, 0 out-of-bounds fixation records skipped", line]
+    out = tmp_path / "scores"
+    rc, stdout, _ = run(capsys, "metrics", "--saliency", str(run_dir / "rec0"),
+                        "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 0 and line in stdout
+    assert line in (out / "log.txt").read_text().splitlines()
+
+
 def test_metrics_empty_dir_is_exit_2(tmp_path, capsys, recording_32):
     _, csv_path = recording_32
     empty = tmp_path / "empty"
@@ -324,6 +358,69 @@ def test_eval_manifest_unknown_config_key_is_exit_2(tmp_path, capsys, recording_
     assert rc == 2
     assert "dropout" in err
     assert not out2.exists()
+
+
+def edited_manifest(tmp_path, capsys, recording, edit):
+    """A manifest of a real sparse-fls eval run on recording, changed by edit(dict)."""
+    frames_dir, csv_path = recording
+    out = tmp_path / "run1"
+    assert run(capsys, "eval", "--preset", "sparse-fls",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(out))[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sigma", "5"), ("sigma", True), ("workers", "2"), ("workers", True), ("seed", "0"),
+    ("recordings", 3), ("pool_scope", "bogus"), ("save_saliency", "no"), ("fc_width", "x"),
+])
+def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, value):
+    def edit(manifest):
+        (manifest["model"]["config"] if key == "fc_width" else manifest)[key] = value
+
+    edited = edited_manifest(tmp_path, capsys, recording_32, edit)
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 2
+    assert key in err
+    assert not out2.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_eval_rejects_workers_below_1(tmp_path, capsys, recording_32, workers):
+    frames_dir, csv_path = recording_32
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", "--workers", workers,
+                     "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+    assert rc == 1
+    assert "--workers" in err
+    assert not out.exists()
+
+
+def test_eval_manifest_workers_below_1_is_exit_1(tmp_path, capsys, recording_32):
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest.update(workers=0))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 1
+    assert "--workers" in err
+    assert not out2.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
+    frames_dir, csv_path = recording_32
+    inputs = (["--recording", str(frames_dir), str(csv_path)] if command == "eval"
+              else ["--frames", str(frames_dir)])
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, command, "--preset", "sparse-fls", "--seed", "-1", *inputs,
+                     "--out", str(out))
+    assert rc == 1
+    assert "--seed" in err
+    assert not out.exists()
 
 
 def test_eval_rejects_foreign_manifest(tmp_path, capsys):

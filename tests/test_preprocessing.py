@@ -277,3 +277,14 @@ def test_load_frames_dispatch(tmp_path, recording_32):
         P.load_frames(str(empty))
     with pytest.raises(DataFormatError):
         P.load_frames(str(tmp_path / "nope.txt"))
+
+
+def test_load_frames_rejects_unpadded_names(tmp_path):
+    # sorted by name, frame_10 would come before frame_2 and reorder the stream
+    frames, _ = make_frames(20, seed=2)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i, frame in enumerate(frames):
+        P.save_ppm(str(frames_dir / f"frame_{i}.ppm"), frame)
+    with pytest.raises(DataFormatError, match="frame_0.ppm and frame_10.ppm"):
+        P.load_frames(str(frames_dir))
