@@ -135,11 +135,11 @@ def cmd_preprocess(args) -> int:
              "retained_indices": [list(o.retained_indices) for o in observations]}
     for i, obs in enumerate(observations):
         np.save(out / f"obs_{i:04d}.npy", obs.pixels)
-        if records is not None:
-            fmap, rej = P.fixations_for_observation(records, obs)
+    if records is not None:
+        for i, bucket in enumerate(P.records_by_observation(records, len(observations))):
+            fmap, rej = P.fixation_map(bucket, P.retained_indices(i))
             rejected += rej
             np.save(out / f"fix_{i:04d}.npy", fmap)
-    if records is not None:
         index["rejected_fixations"] = rejected
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(observations)} observations to {out}")
@@ -209,8 +209,9 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     the other frames of its recording, or of all recordings for pool_scope "all"."""
     log_lines, fix_maps = [], []
     for ri, (sal_maps, records) in enumerate(recordings):
-        maps, rejects = zip(*(P.fixation_map(records, P.retained_indices(i))
-                              for i in range(len(sal_maps))))
+        buckets = P.records_by_observation(records, len(sal_maps))
+        maps, rejects = zip(*(P.fixation_map(bucket, P.retained_indices(i))
+                              for i, bucket in enumerate(buckets)))
         fix_maps.append(maps)
         rejected = sum(rejects)
         # a record is counted in a map, rejected as out of bounds, or on a
@@ -240,11 +241,29 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     print(f"{log}summary in {out / 'summary.csv'}")
 
 
+def _dump_files(directory: str) -> list[Path]:
+    """The sal_<N>.raw files of directory in index order. The indices must be
+    exactly 0..n-1: dump i is scored against observation i's fixations."""
+    by_index = {}
+    for path in sorted(Path(directory).glob("sal_*.raw")):
+        digits = path.name[len("sal_"):-len(".raw")]
+        if not (digits.isascii() and digits.isdigit()):
+            raise DataFormatError(f"{path}: no integer index in the name; expected sal_<N>.raw")
+        first = by_index.setdefault(int(digits), path)
+        if first != path:
+            raise DataFormatError(f"{path}: index {int(digits)} repeats {first.name}")
+    if not by_index:
+        raise DataFormatError(f"{directory}: no sal_*.raw files")
+    for i in range(len(by_index)):
+        if i not in by_index:
+            raise DataFormatError(f"{directory}: sal_{i:04d}.raw is missing; dump indices "
+                                  "must run from 0 without gaps")
+    return [by_index[i] for i in range(len(by_index))]
+
+
 def cmd_metrics(args) -> int:
     blur = _blur_params(args.sigma)
-    sal_files = sorted(Path(args.saliency).glob("sal_*.raw"))
-    if not sal_files:
-        raise DataFormatError(f"{args.saliency}: no sal_*.raw files")
+    sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
     sal_maps = []
@@ -376,6 +395,12 @@ class EvalSpec:
 
 def cmd_eval(args) -> int:
     if args.manifest:
+        defaults = vars(build_parser().parse_args(["eval", "--out", ""]))
+        given = ["--" + name.replace("_", "-") for name, value in vars(args).items()
+                 if name not in ("manifest", "out") and value != defaults[name]]
+        if given:
+            raise ConfigurationError(f"--manifest re-runs the saved spec and takes no other "
+                                     f"eval or model flag; got {', '.join(given)}")
         try:
             with open(args.manifest) as f:
                 spec = EvalSpec.from_dict(json.load(f), args.manifest)

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
-from scipy.stats import rankdata
 
 from .errors import ConfigurationError
 
@@ -100,6 +99,19 @@ def kl_divergence(sal: np.ndarray, fix: np.ndarray,
     return _kl(sal, fix, params or BlurParams())[0]
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of values in float64, tied values sharing the mean of their
+    ranks: a group at sorted positions start..end-1 gets (start + 1 + end) / 2.
+    Every rank is an exact half-integer, so these equal scipy.stats.rankdata's."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
     sal = np.asarray(sal, dtype=np.float64)
     pos_mask = np.asarray(positives) > 0
@@ -121,7 +133,7 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
     pos_vals = sal[pos_mask]
     neg_vals = sal[neg_mask]
     # Mann-Whitney with midranks over all pos x neg pairs: exhaustive and exact.
-    ranks = rankdata(np.concatenate([pos_vals, neg_vals]))
+    ranks = _midranks(np.concatenate([pos_vals, neg_vals]))
     n_pos, n_neg = pos_vals.size, neg_vals.size
     u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg)), None

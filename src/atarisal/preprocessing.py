@@ -136,6 +136,19 @@ def fixation_map(records: Iterable[FixationRecord],
     return fmap, rejected
 
 
+def records_by_observation(records: Iterable[FixationRecord],
+                           n_observations: int) -> list[list[FixationRecord]]:
+    """One pass over the records: bucket i holds, in input order, those on the
+    16 raw frames observation i consumes. A record whose observation index is
+    outside [0, n_observations) goes to no bucket."""
+    buckets = [[] for _ in range(n_observations)]
+    for rec in records:
+        i = rec.frame_index // RAW_PER_OBSERVATION
+        if 0 <= i < n_observations:
+            buckets[i].append(rec)
+    return buckets
+
+
 def fixations_for_observation(records: Iterable[FixationRecord],
                               obs: ObservationStack) -> tuple[np.ndarray, int]:
     return fixation_map(records, obs.retained_indices)

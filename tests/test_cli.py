@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from atarisal import cli, preprocessing as P, saliency as S
 
 from conftest import write_recording
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -235,6 +239,47 @@ def test_fixations_on_discarded_frames_are_counted(tmp_path, capsys, recording_3
     assert line in (out / "log.txt").read_text().splitlines()
 
 
+def saliency_dumps(tmp_path, capsys, n_frames):
+    """The 84x84 dumps of a sparse-fls `saliency` run on an n_frames recording."""
+    frames_dir, csv_path = write_recording(tmp_path / "rec", n_frames, seed=12)
+    sal_dir = tmp_path / "sal"
+    assert run(capsys, "saliency", "--preset", "sparse-fls",
+               "--frames", str(frames_dir), "--out", str(sal_dir))[0] == 0
+    return sal_dir, csv_path
+
+
+def test_metrics_missing_middle_dump_is_exit_2(tmp_path, capsys):
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 48)
+    (sal_dir / "sal_0001.raw").unlink()
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert "sal_0001.raw" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sal_x.raw", "sal_.raw", "sal_1.raw"])
+def test_metrics_dump_without_a_fresh_index_is_exit_2(tmp_path, capsys, name):
+    # sal_1.raw repeats the index of sal_0001.raw
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 32)
+    S.save_raw_saliency(str(sal_dir / name), S.load_raw_saliency(str(sal_dir / "sal_0000.raw")))
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert name in err
+    assert not out.exists()
+
+
+def test_dump_files_are_ordered_by_index(tmp_path):
+    for i in range(12):
+        (tmp_path / f"sal_{i}.raw").write_bytes(b"")
+    # name order would put sal_10 and sal_11 before sal_2
+    assert [p.name for p in cli._dump_files(str(tmp_path))] == \
+        [f"sal_{i}.raw" for i in range(12)]
+
+
 def test_metrics_empty_dir_is_exit_2(tmp_path, capsys, recording_32):
     _, csv_path = recording_32
     empty = tmp_path / "empty"
@@ -286,6 +331,48 @@ def test_eval_manifest_rerun_reproduces_outputs(tmp_path, capsys, recording_32):
     assert run(capsys, "eval", "--manifest", str(out1 / "manifest.json"),
                "--out", str(out2))[0] == 0
     assert read_outputs(out1) == read_outputs(out2)
+
+
+def test_eval_manifest_rejects_other_run_flags(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    out1 = tmp_path / "run1"
+    assert run(capsys, "eval", "--preset", "daqn",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(out1))[0] == 0
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(out1 / "manifest.json"),
+                     "--sigma", "1", "--preset", "dense-fls", "--out", str(out2))
+    assert rc == 1
+    assert "--sigma" in err and "--preset" in err
+    assert not out2.exists()
+
+
+def test_eval_does_not_depend_on_fixation_row_order(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    header, *rows = csv_path.read_text().splitlines()
+    reversed_csv = tmp_path / "reversed.csv"
+    reversed_csv.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    outs = []
+    for tag, fixations in (("forward", csv_path), ("reversed", reversed_csv)):
+        out = tmp_path / tag
+        assert run(capsys, "eval", "--preset", "sparse-fls",
+                   "--recording", str(frames_dir), str(fixations), "--out", str(out))[0] == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("frames_rec0.csv", "summary.csv", "log.txt")])
+    assert outs[0] == outs[1]
+
+
+def test_fixations_outside_every_observation_are_discarded(tmp_path, capsys, recording_32):
+    # frame -1 and frame 32 lie outside the two observations of 32 frames; their
+    # out-of-bounds coordinates must not count them as rejects either
+    frames_dir, csv_path = recording_32
+    with open(csv_path, "a") as f:
+        f.write("-1,500,10\n32,10,900\n")
+    out = tmp_path / "run"
+    assert run(capsys, "eval", "--preset", "sparse-fls",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(out))[0] == 0
+    assert (out / "log.txt").read_text().splitlines()[:2] == [
+        "rec0: 2 observations, 0 out-of-bounds fixation records skipped",
+        "rec0: 50 fixation records on discarded raw frames skipped"]
 
 
 def test_eval_workers_do_not_change_output(tmp_path, capsys, recording_32):
@@ -464,6 +551,17 @@ def test_report_missing_summary_is_exit_2(tmp_path, capsys):
 
 
 # -- module entry point ----------------------------------------------------------------
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the start-up; the sAUC midranks need only numpy
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", "import sys, atarisal.cli; "
+                           "print('scipy.stats' in sys.modules)"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_module_invocation():
     proc = subprocess.run([sys.executable, "-m", "atarisal", "params",

@@ -221,6 +221,24 @@ def test_sauc_monotone_transform_invariance(seed):
     assert M.shuffled_auc(np.exp(sal / 4.0), pos, pool) == M.shuffled_auc(sal, pos, pool)
 
 
+FLOAT32_TIES = [float(np.float32(v)) for v in (-0.0, 0.0, 0.1, 0.2, 1 / 3, 1e-8, 7.5)]
+
+
+@given(values=st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=80),
+    st.lists(st.sampled_from(FLOAT32_TIES), min_size=1, max_size=80),
+    st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=80),
+    st.tuples(st.floats(allow_nan=False), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
+))
+@settings(max_examples=300, deadline=None)
+def test_midranks_equal_scipy_rankdata_bytes(values):
+    from scipy.stats import rankdata  # the oracle; atarisal itself does not import scipy.stats
+
+    x = np.asarray(values, dtype=np.float64)
+    got, want = M._midranks(x), rankdata(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # -- score_frame / aggregate --------------------------------------------------------
 
 def test_score_frame_reason_wiring():

@@ -185,6 +185,30 @@ def test_no_records_zero_map():
     assert fmap.sum() == 0 and rejected == 0
 
 
+def test_records_by_observation_buckets_in_input_order():
+    records = [P.FixationRecord(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)]
+    buckets = P.records_by_observation(records, 2)
+    assert [[r.frame_index for r in b] for b in buckets] == [[3, 0, 15], [17, 16, 31]]
+    assert P.records_by_observation(records, 0) == []
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_binned_fixation_maps_match_full_scans(seed, n_obs):
+    # the reference: every record offered to every observation's map
+    rng = np.random.default_rng(seed)
+    records = [P.FixationRecord(int(f), int(x), int(y)) for f, x, y in zip(
+        rng.integers(-20, 16 * n_obs + 20, 60), rng.integers(-5, 170, 60),
+        rng.integers(-5, 220, 60))]
+    buckets = P.records_by_observation(records, n_obs)
+    assert len(buckets) == n_obs
+    for i, bucket in enumerate(buckets):
+        got_map, got_rej = P.fixation_map(bucket, P.retained_indices(i))
+        want_map, want_rej = P.fixation_map(records, P.retained_indices(i))
+        assert got_rej == want_rej
+        np.testing.assert_array_equal(got_map, want_map)
+
+
 # -- csv ------------------------------------------------------------------------------
 
 def test_fixation_csv_round_trip(tmp_path):

@@ -38,6 +38,8 @@ def test_traced_eval_and_metrics_match_untraced_runs(tmp_path, capsys, recording
         for csv in CSVS:
             assert (traced_out / csv).read_bytes() == (plain / csv).read_bytes()
         assert layers["preprocessing.fixation_map.calls"] == 2  # one per observation
+        # each call sees only its observation's 16 raw frames x 3 records
+        assert layers["preprocessing.fixation_map.records_per_call"] == 48
         assert layers["metrics.sauc.ms_p50"] > 0
         assert (layers["models.forward.s"] > 0) == (name == "eval")
     capsys.readouterr()
