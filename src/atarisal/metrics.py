@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError
 
@@ -74,6 +73,9 @@ def nss(sal: np.ndarray, fix: np.ndarray) -> Optional[float]:
 
 def gaussian_blur(grid: np.ndarray, params: BlurParams = None) -> np.ndarray:
     """Separable Gaussian with a truncated normalized kernel, reflect padding."""
+    # imported here: scipy.ndimage is most of atarisal's import time, and
+    # commands that never blur should not pay it
+    from scipy.ndimage import gaussian_filter
     params = params or BlurParams()
     return gaussian_filter(np.asarray(grid, dtype=np.float64),
                            sigma=params.sigma, mode="reflect", radius=params.radius)

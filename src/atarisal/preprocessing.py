@@ -221,6 +221,8 @@ def load_ppm(path: str) -> np.ndarray:
             raise DataFormatError(f"{path}: malformed PPM header") from None
         if maxval != 255:
             raise DataFormatError(f"{path}: unsupported PPM maxval {maxval}")
+        if width < 1 or height < 1:
+            raise DataFormatError(f"{path}: PPM size {width}x{height} is not positive")
         payload = f.read(width * height * 3)
     if len(payload) != width * height * 3:
         raise DataFormatError(f"{path}: truncated PPM payload")
@@ -247,6 +249,8 @@ def load_raw_rgb(path: str, sidecar: str = None) -> list[np.ndarray]:
         count, width, height = int(meta["frames"]), int(meta["width"]), int(meta["height"])
     except (KeyError, TypeError, ValueError):
         raise DataFormatError(f"{sidecar}: sidecar needs integer frames/width/height") from None
+    if count < 0 or width < 1 or height < 1:
+        raise DataFormatError(f"{sidecar}: {count} frames of {width}x{height} is not a valid size")
     data = np.fromfile(path, dtype=np.uint8)
     expected = count * width * height * 3
     if data.size != expected:

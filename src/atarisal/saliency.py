@@ -5,6 +5,14 @@ with an all-ones kernel whose size/stride/padding are the composed geometry
 of the conv layers feeding the attention read point: each neuron adds its
 activation over its receptive-field rectangle, clipped at the borders by the
 composed padding.
+
+`render` computes it in sub-pixel form (Shi et al., arXiv:1609.07009): a
+stride-s transposed convolution splits into s x s output lattices, and with
+an all-ones kernel every lattice receives the same shifted copy of the map,
+so ceil(k/s)^2 broadcast adds replace the k^2 kernel taps. Each output pixel
+still receives the same float64 terms in the same (row tap, column tap)
+order, starting from +0.0, so the bytes equal `tensor_ops.transposed_conv2d`
+with `ConvKernel.ones` for every input.
 """
 
 import json
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, tensor_ops as T
+from . import models
 from .errors import ConfigurationError, DataFormatError
 from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize
 
@@ -64,8 +72,17 @@ def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:
     if out != models.INPUT_SIZE:
         raise ConfigurationError(
             f"geometry {geom} renders {a.shape[0]} -> {out}, expected {models.INPUT_SIZE}")
-    kernel = T.ConvKernel.ones(geom.kernel, geom.stride, geom.padding)
-    return T.transposed_conv2d(a, kernel)[:, :, 0]
+    n, k, s, p = a.shape[0], geom.kernel, geom.stride, geom.padding
+    q = -(-k // s)  # at most q kernel taps reach an output pixel along each axis
+    a64 = a[:, None, :, 0, None].astype(np.float64)
+    full = np.zeros(((n + q) * s, (n + q) * s), dtype=np.float64)
+    lattice = full.reshape(n + q, s, n + q, s)
+    # Tap ki = qi*s + r lands on row (qi + y)*s + r: the tap rows sharing qi
+    # are one slice of the lattice view, added in ascending (ki, kj) order.
+    for qi in range(q):
+        for qj in range(q):
+            lattice[qi:qi + n, :k - qi * s, qj:qj + n, :k - qj * s] += a64
+    return full[p:p + out, p:p + out].astype(a.dtype)
 
 
 def render_multi(maps, config: models.ModelConfig) -> np.ndarray:
@@ -107,6 +124,8 @@ def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
         width, height = int(meta["width"]), int(meta["height"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         raise DataFormatError(f"{sidecar}: invalid saliency sidecar") from None
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{sidecar}: saliency size {width}x{height} is not positive")
     data = np.fromfile(path, dtype="<f4")
     if data.size != width * height:
         raise DataFormatError(f"{path}: {data.size} values, sidecar implies {width * height}")

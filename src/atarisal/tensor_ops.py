@@ -73,7 +73,8 @@ class ConvKernel:
 
     @classmethod
     def ones(cls, size: int, stride: int = 1, padding: int = 0) -> "ConvKernel":
-        """Single-channel all-ones kernel (used to paint receptive fields)."""
+        """Single-channel all-ones kernel: the receptive-field painting that
+        saliency.render computes in sub-pixel form, byte for byte."""
         return cls(size, size, 1, 1, stride, padding,
                    weights=np.ones((1, 1, size, size), dtype=np.float32))
 

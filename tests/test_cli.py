@@ -119,6 +119,29 @@ def test_preprocess_missing_frames_is_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_preprocess_negative_rgb_sidecar_is_exit_2(tmp_path, capsys):
+    # the product of the three sizes still matches the payload
+    rgb = tmp_path / "rec.rgb"
+    rgb.write_bytes(bytes(16 * 160 * 210 * 3))
+    (tmp_path / "rec.rgb.json").write_text('{"frames": -16, "width": -160, "height": 210}')
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(rgb), "--out", str(out))
+    assert rc == 2
+    assert "rec.rgb.json" in err
+    assert not out.exists()
+
+
+def test_preprocess_negative_ppm_size_is_exit_2(tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    (frames_dir / "frame_00000.ppm").write_bytes(b"P6\n-160 -210\n255\n" + bytes(160 * 210 * 3))
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(frames_dir), "--out", str(out))
+    assert rc == 2
+    assert "frame_00000.ppm" in err
+    assert not out.exists()
+
+
 # -- saliency -----------------------------------------------------------------------
 
 def test_saliency_exports(tmp_path, capsys, recording_32):
@@ -203,6 +226,18 @@ def test_metrics_rejects_nan_in_saliency_dump(tmp_path, capsys, recording_32):
     assert rc == 2
     assert "sal_0001.raw" in err
     assert not (out / "summary.csv").exists()
+
+
+def test_metrics_negative_saliency_sidecar_is_exit_2(tmp_path, capsys):
+    # (-84) x (-84) still matches the 7056 values of the dump
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 32)
+    (sal_dir / "sal_0000.raw.json").write_text('{"width": -84, "height": -84}')
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert "sal_0000.raw.json" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset", ["sparse-fls", "dense-fls"])
@@ -558,6 +593,17 @@ def test_cli_import_leaves_out_scipy_stats():
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.run([sys.executable, "-c", "import sys, atarisal.cli; "
                            "print('scipy.stats' in sys.modules)"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # scipy.ndimage is most of the remaining start-up; only the KL blur needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", "import sys, atarisal.cli; "
+                           "print('scipy.ndimage' in sys.modules)"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

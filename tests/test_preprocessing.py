@@ -215,7 +215,8 @@ def test_fixation_csv_round_trip(tmp_path):
     records = [P.FixationRecord(0, 1, 2), P.FixationRecord(7, 159, 209)]
     path = str(tmp_path / "fix.csv")
     P.save_fixations_csv(path, records)
-    assert open(path).readline().strip() == "frame_index,x,y"
+    with open(path) as f:
+        assert f.readline().strip() == "frame_index,x,y"
     assert P.load_fixations_csv(path) == records
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atarisal import models, saliency as S
+from atarisal import models, saliency as S, tensor_ops as T
 from atarisal.errors import ConfigurationError, DataFormatError
 
 from oracles import paint_receptive_fields
@@ -13,6 +13,12 @@ GEOMETRIES = [
     (S.RFGeometry(36, 8, 0), 7),    # strided block
     (S.RFGeometry(13, 1, 6), 84),   # stride-1 padded block
     (S.RFGeometry(8, 4, 0), 20),    # first conv layer alone
+]
+
+# (geometry, attention side) of every read point of every preset
+PRESET_GEOMETRIES = [
+    (S.RFGeometry(8, 4, 0), 20), (S.RFGeometry(20, 8, 0), 9), (S.RFGeometry(36, 8, 0), 7),
+    (S.RFGeometry(7, 1, 3), 84), (S.RFGeometry(11, 1, 5), 84), (S.RFGeometry(13, 1, 6), 84),
 ]
 
 
@@ -107,6 +113,29 @@ def test_render_linearity(seed, alpha, beta):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-5)
 
 
+@st.composite
+def attention_maps(draw):
+    geom, n = draw(st.sampled_from(PRESET_GEOMETRIES))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # mixed signs, magnitudes 1e-30..1e30, and some +0.0 and -0.0
+    a = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-30, 30, (n, n))
+    a[rng.random((n, n)) < 0.1] = 0.0
+    a[rng.random((n, n)) < 0.1] = -0.0
+    return geom, a.astype(dtype)
+
+
+@given(case=attention_maps())
+@settings(max_examples=60, deadline=None)
+def test_render_bytes_equal_transposed_conv_tap_loop(case):
+    geom, a = case
+    kernel = T.ConvKernel.ones(geom.kernel, geom.stride, geom.padding)
+    want = T.transposed_conv2d(a[..., None], kernel)[:, :, 0]
+    got = S.render(a, geom)
+    assert got.dtype == a.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # -- render_multi --------------------------------------------------------------------
 
 def test_render_multi_single_equals_render():
@@ -185,7 +214,8 @@ def test_raw_export_round_trip(tmp_path):
     sal = np.random.default_rng(6).random((84, 84)).astype(np.float32)
     path = str(tmp_path / "sal.raw")
     S.save_raw_saliency(path, sal)
-    meta = json.load(open(path + ".json"))
+    with open(path + ".json") as f:
+        meta = json.load(f)
     assert meta == {"width": 84, "height": 84}
     assert np.array_equal(S.load_raw_saliency(path), sal)
 
@@ -216,7 +246,8 @@ def test_pgm_export(tmp_path):
     sal[0, 0] = 1.0
     path = str(tmp_path / "sal.pgm")
     S.save_pgm(path, sal)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     assert raw.startswith(b"P5\n5 4\n255\n")
     pixels = np.frombuffer(raw[len(b"P5\n5 4\n255\n"):], np.uint8).reshape(4, 5)
     assert pixels[1, 2] == 255 and pixels[0, 0] == 128 and pixels[3, 4] == 0
@@ -225,5 +256,6 @@ def test_pgm_export(tmp_path):
 def test_pgm_constant_map_is_black(tmp_path):
     path = str(tmp_path / "flat.pgm")
     S.save_pgm(path, np.full((3, 3), 7.0, np.float32))
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     assert set(raw[raw.index(b"255\n") + 4:]) == {0}

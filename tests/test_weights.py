@@ -28,7 +28,8 @@ def test_file_layout_is_as_documented(tmp_path):
     params = {"t": np.arange(6, dtype=np.float32).reshape(2, 3)}
     path = str(tmp_path / "one.flsw")
     weights_io.save_weights(path, params)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     assert raw[:4] == b"FLSW"
     version, count = struct.unpack("<II", raw[4:12])
     assert (version, count) == (1, 1)
@@ -75,22 +76,26 @@ def test_truncated_file(tmp_path):
     model = small_model()
     path = str(tmp_path / "trunc.flsw")
     weights_io.save_model(path, model)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:len(raw) // 2])
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(raw[:len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
         weights_io.load_weights(path)
 
 
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "bad.flsw")
-    open(path, "wb").write(b"NOPE" + b"\x00" * 16)
+    with open(path, "wb") as f:
+        f.write(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataFormatError, match="magic"):
         weights_io.load_weights(path)
 
 
 def test_bad_version(tmp_path):
     path = str(tmp_path / "v9.flsw")
-    open(path, "wb").write(b"FLSW" + struct.pack("<II", 9, 0))
+    with open(path, "wb") as f:
+        f.write(b"FLSW" + struct.pack("<II", 9, 0))
     with pytest.raises(DataFormatError, match="version"):
         weights_io.load_weights(path)
 
