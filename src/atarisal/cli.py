@@ -126,6 +126,8 @@ def cmd_params(args) -> int:
 
 def cmd_preprocess(args) -> int:
     observations = P.build_observations(P.load_frames(args.frames))
+    if not observations:
+        raise DataFormatError(f"{args.frames}: fewer than {P.RAW_PER_OBSERVATION} frames")
     records = P.load_fixations_csv(args.fixations) if args.fixations else None
 
     out = Path(args.out)
@@ -183,8 +185,12 @@ def cmd_saliency(args) -> int:
 # -- scoring ---------------------------------------------------------------------
 
 def _blur_params(sigma: float) -> M.BlurParams:
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigurationError(f"--sigma must be a finite number >= 0, got {sigma!r}")
+    # a truncation radius past the frame height adds only time (sigma <= 70)
+    if not (math.isfinite(sigma) and sigma >= 0.0
+            and M.blur_radius_for(sigma) <= P.FRAME_HEIGHT):
+        raise ConfigurationError(f"--sigma must be a finite number in [0, {P.FRAME_HEIGHT // 3}] "
+                                 f"(blur radius ceil(3 sigma) at most the {P.FRAME_HEIGHT}-pixel "
+                                 f"frame height), got {sigma!r}")
     return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
 
 
@@ -402,10 +408,11 @@ def cmd_eval(args) -> int:
             raise ConfigurationError(f"--manifest re-runs the saved spec and takes no other "
                                      f"eval or model flag; got {', '.join(given)}")
         try:
-            with open(args.manifest) as f:
-                spec = EvalSpec.from_dict(json.load(f), args.manifest)
-        except json.JSONDecodeError:
+            with open(args.manifest, encoding="utf-8") as f:
+                data = json.load(f)
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
             raise DataFormatError(f"{args.manifest}: invalid manifest JSON") from None
+        spec = EvalSpec.from_dict(data, args.manifest)
     else:
         spec = EvalSpec.from_args(args)
     model = load_model(spec.config, spec.weights, spec.seed)
@@ -503,7 +510,10 @@ def cmd_report(args) -> int:
         path = Path(run_dir) / "summary.csv"
         if not path.is_file():
             raise DataFormatError(f"{run_dir}: no summary.csv")
-        lines = path.read_text().splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: not UTF-8 text") from None
         if not lines or lines[0] != SUMMARY_CSV_HEADER:
             raise DataFormatError(f"{path}: unexpected summary header")
         for line in lines[1:]:

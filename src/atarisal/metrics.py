@@ -72,13 +72,40 @@ def nss(sal: np.ndarray, fix: np.ndarray) -> Optional[float]:
 
 
 def gaussian_blur(grid: np.ndarray, params: BlurParams = None) -> np.ndarray:
-    """Separable Gaussian with a truncated normalized kernel, reflect padding."""
-    # imported here: scipy.ndimage is most of atarisal's import time, and
-    # commands that never blur should not pay it
-    from scipy.ndimage import gaussian_filter
+    """Separable Gaussian with a truncated normalized kernel, reflect padding.
+
+    The float64 operations, and so the bytes, of scipy.ndimage.gaussian_filter
+    (grid, sigma, mode="reflect", radius=radius): the same kernel expression,
+    rows first, and per pixel center * w0 followed by (left + right) * w_j
+    added for j from the radius down to 1. A sigma of at most 1e-15 leaves the
+    grid as it is, as scipy does. Written out here so that no command has to
+    import scipy, which would cost more start-up time and resident memory than
+    all of atarisal's own imports."""
     params = params or BlurParams()
-    return gaussian_filter(np.asarray(grid, dtype=np.float64),
-                           sigma=params.sigma, mode="reflect", radius=params.radius)
+    grid = np.asarray(grid, dtype=np.float64)
+    if params.sigma <= 1e-15:
+        return grid.copy()
+    r = params.radius
+    taps = np.arange(-r, r + 1)
+    weights = np.exp(-0.5 / (params.sigma * params.sigma) * taps ** 2)
+    weights = weights / weights.sum()
+    rows = _correlate_rows(grid, weights, r)
+    return np.ascontiguousarray(_correlate_rows(np.ascontiguousarray(rows.T), weights, r).T)
+
+
+def _correlate_rows(grid: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
+    """grid correlated along axis 0 with the symmetric 2r+1 weights, the grid
+    extended by half-sample reflection (dcba|abcd|dcba, repeated as needed)."""
+    n = grid.shape[0]
+    index = np.arange(-r, n + r) % (2 * n)
+    padded = grid[np.where(index < n, index, 2 * n - 1 - index)]
+    out = padded[r:r + n] * weights[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
+        pair *= weights[r + j]
+        out += pair
+    return out
 
 
 def _kl(sal: np.ndarray, fix: np.ndarray, params: BlurParams):

@@ -3,12 +3,17 @@ plus fixation logs and the ground-truth count maps aligned to observations.
 
 Frame streams arrive either as a directory of P6 PPM files (named by
 zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
-giving the frame count. Fixations arrive as a CSV with header
-"frame_index,x,y".
+giving the frame count. Fixations arrive as a UTF-8 CSV with header
+"frame_index,x,y" and travel as one (n, 3) int64 array of rows
+(frame_index, x, y): numpy's C reader parses the body, and the csv row loop
+takes over for any syntax it refuses. Bucketing rows by observation is one
+stable sort, and each observation's count map is one np.bincount.
 """
 
 import csv
+import io
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple, Sequence
@@ -119,38 +124,38 @@ def build_observations(frames: Sequence[np.ndarray]) -> list[ObservationStack]:
     return observations
 
 
-def fixation_map(records: Iterable[FixationRecord],
-                 retained: Iterable[int]) -> tuple[np.ndarray, int]:
+def _fixation_array(records) -> np.ndarray:
+    """(n, 3) int64 rows (frame_index, x, y) of a FixationRecord list or array."""
+    return np.asarray(records, dtype=np.int64).reshape(-1, 3)
+
+
+def fixation_map(records, retained: Iterable[int]) -> tuple[np.ndarray, int]:
     """Count map over the raw frame grid from records landing on the given
-    retained frame indices. Returns (map, out-of-bounds reject count)."""
-    retained = set(retained)
-    fmap = np.zeros((FRAME_HEIGHT, FRAME_WIDTH), dtype=np.int64)
-    rejected = 0
-    for rec in records:
-        if rec.frame_index not in retained:
-            continue
-        if 0 <= rec.x < FRAME_WIDTH and 0 <= rec.y < FRAME_HEIGHT:
-            fmap[rec.y, rec.x] += 1
-        else:
-            rejected += 1
-    return fmap, rejected
+    retained frame indices. Returns (map, out-of-bounds reject count).
+    records is a list of FixationRecord or an (n, 3) int64 array."""
+    rows = _fixation_array(records)
+    rows = rows[np.isin(rows[:, 0], np.fromiter(retained, dtype=np.int64))]
+    x, y = rows[:, 1], rows[:, 2]
+    inside = (0 <= x) & (x < FRAME_WIDTH) & (0 <= y) & (y < FRAME_HEIGHT)
+    pixels = y[inside] * FRAME_WIDTH + x[inside]
+    fmap = np.bincount(pixels, minlength=FRAME_HEIGHT * FRAME_WIDTH).astype(np.int64, copy=False)
+    return fmap.reshape(FRAME_HEIGHT, FRAME_WIDTH), len(rows) - len(pixels)
 
 
-def records_by_observation(records: Iterable[FixationRecord],
-                           n_observations: int) -> list[list[FixationRecord]]:
-    """One pass over the records: bucket i holds, in input order, those on the
-    16 raw frames observation i consumes. A record whose observation index is
-    outside [0, n_observations) goes to no bucket."""
-    buckets = [[] for _ in range(n_observations)]
-    for rec in records:
-        i = rec.frame_index // RAW_PER_OBSERVATION
-        if 0 <= i < n_observations:
-            buckets[i].append(rec)
-    return buckets
+def records_by_observation(records, n_observations: int) -> list[np.ndarray]:
+    """Bucket i holds, in input order, the rows on the 16 raw frames
+    observation i consumes: one stable sort by observation index, cut at
+    0..n_observations. A row whose observation index is outside
+    [0, n_observations) goes to no bucket."""
+    rows = _fixation_array(records)
+    obs = rows[:, 0] // RAW_PER_OBSERVATION
+    order = np.argsort(obs, kind="stable")
+    cuts = np.searchsorted(obs[order], np.arange(n_observations + 1))
+    rows = rows[order]
+    return [rows[cuts[i]:cuts[i + 1]] for i in range(n_observations)]
 
 
-def fixations_for_observation(records: Iterable[FixationRecord],
-                              obs: ObservationStack) -> tuple[np.ndarray, int]:
+def fixations_for_observation(records, obs: ObservationStack) -> tuple[np.ndarray, int]:
     return fixation_map(records, obs.retained_indices)
 
 
@@ -159,27 +164,58 @@ def fixations_for_observation(records: Iterable[FixationRecord],
 FIXATION_HEADER = ["frame_index", "x", "y"]
 
 
-def load_fixations_csv(path: str) -> list[FixationRecord]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+def load_fixations_csv(path: str) -> np.ndarray:
+    """The (n, 3) int64 rows (frame_index, x, y) of a fixation CSV, in file
+    order. numpy's C reader parses the body; input it refuses (quoted
+    fields, `1_0`, non-ASCII digits, values outside int64, any syntax
+    error) or reads with other than 3 columns goes through the csv row
+    loop, which accepts what csv and int() accept and names the failing
+    line otherwise."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty fixation file") from None
+    if header != FIXATION_HEADER:
+        raise DataFormatError(
+            f"{path}: expected header {','.join(FIXATION_HEADER)!r}, got {','.join(header)!r}")
+    body = lines.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2,
+                              comments=None, quotechar=None)
+        if rows.shape[1] == 3:
+            return rows
+    except (ValueError, Warning):
+        pass
+    lines.seek(body)
+    return _fixation_rows(path, reader)
+
+
+def _fixation_rows(path: str, reader) -> np.ndarray:
+    """The body rows csv yields after the header, each 3 fields that int()
+    reads and int64 holds; blank rows are skipped."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty fixation file") from None
-        if header != FIXATION_HEADER:
-            raise DataFormatError(
-                f"{path}: expected header {','.join(FIXATION_HEADER)!r}, got {','.join(header)!r}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                records.append(FixationRecord(int(row[0]), int(row[1]), int(row[2])))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field") from None
-    return records
+            values = [int(field) for field in row]
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-integer field") from None
+        if not all(-2**63 <= v < 2**63 for v in values):
+            raise DataFormatError(f"{path}:{lineno}: value outside the int64 range")
+        rows.append(values)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def save_fixations_csv(path: str, records: Iterable[FixationRecord]) -> None:
@@ -241,9 +277,9 @@ def load_raw_rgb(path: str, sidecar: str = None) -> list[np.ndarray]:
     """Concatenated raw RGB frames; the JSON sidecar holds frames/width/height."""
     sidecar = sidecar or path + ".json"
     try:
-        with open(sidecar) as f:
+        with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError or UnicodeDecodeError
         raise DataFormatError(f"{sidecar}: invalid JSON sidecar") from None
     try:
         count, width, height = int(meta["frames"]), int(meta["width"]), int(meta["height"])

@@ -119,7 +119,7 @@ def save_raw_saliency(path: str, sal: np.ndarray, sidecar: str = None) -> None:
 def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
     sidecar = sidecar or path + ".json"
     try:
-        with open(sidecar) as f:
+        with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)
         width, height = int(meta["width"]), int(meta["height"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):

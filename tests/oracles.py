@@ -56,3 +56,28 @@ def pairwise_auc(pos_vals, neg_vals):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos_vals) * len(neg_vals))
+
+
+def csv_fixation_rows(path):
+    """A fixation CSV read row by row with csv and int(): ("rows", [[f, x, y],
+    ...]) or ("error", message). Values must fit int64; blank rows are skipped."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        assert header == ["frame_index", "x", "y"]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                return "error", f"{path}:{lineno}: expected 3 fields, got {len(row)}"
+            try:
+                values = [int(field) for field in row]
+            except ValueError:
+                return "error", f"{path}:{lineno}: non-integer field"
+            if any(v < -2**63 or v >= 2**63 for v in values):
+                return "error", f"{path}:{lineno}: value outside the int64 range"
+            rows.append(values)
+    return "rows", rows

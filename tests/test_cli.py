@@ -112,6 +112,28 @@ def test_preprocess_reports_out_of_bounds_fixations(tmp_path, capsys):
     assert json.loads((out / "index.json").read_text())["rejected_fixations"] == 2
 
 
+def test_preprocess_fewer_than_16_frames_is_exit_2(tmp_path, capsys):
+    frames_dir, csv_path = write_recording(tmp_path, 15, seed=3)
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(frames_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert "fewer than 16 frames" in err
+    assert not out.exists()
+
+
+def test_preprocess_non_utf8_rgb_sidecar_is_exit_2(tmp_path, capsys):
+    rgb = tmp_path / "rec.rgb"
+    rgb.write_bytes(bytes(16 * 160 * 210 * 3))
+    (tmp_path / "rec.rgb.json").write_bytes(b'{"frames": 16, "width": 160, "height": 210, '
+                                            b'"note": "\xff"}')
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(rgb), "--out", str(out))
+    assert rc == 2
+    assert "rec.rgb.json" in err
+    assert not out.exists()
+
+
 def test_preprocess_missing_frames_is_exit_2(tmp_path, capsys):
     rc, _, err = run(capsys, "preprocess", "--frames", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "out"))
@@ -198,7 +220,7 @@ def test_metrics_scores_saved_maps(tmp_path, capsys, recording_32):
     assert [line.split(",")[2] for line in summary_lines[1:]] == ["nss", "kl", "sauc"]
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300"])
 def test_metrics_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
     frames_dir, csv_path = recording_32
     sal_dir = tmp_path / "sal"
@@ -454,7 +476,68 @@ def test_eval_corrupt_fixations_writes_nothing(tmp_path, capsys, recording_32):
     assert not (out / "frames_rec0.csv").exists()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_eval_bytes_do_not_depend_on_fixation_syntax(tmp_path, capsys, monkeypatch,
+                                                     recording_32):
+    # CRLF line ends, padding and quoted fields send the parse through the
+    # row loop; the counts, and so every output byte, stay the same
+    frames_dir, csv_path = recording_32
+    header, *rows = csv_path.read_text().splitlines()
+    styled = tmp_path / "styled.csv"
+    styled.write_bytes("".join(f'"{f}", {x} ,\t{y}\r\n' for f, x, y in
+                               (row.split(",") for row in rows)).join([header + "\r\n", ""])
+                       .encode())
+    row_loop_calls = []
+    row_loop = P._fixation_rows
+    monkeypatch.setattr(P, "_fixation_rows",
+                        lambda *a: row_loop_calls.append(a[0]) or row_loop(*a))
+    outs = []
+    for tag, fixations in (("plain", csv_path), ("styled", styled)):
+        out = tmp_path / tag
+        assert run(capsys, "eval", "--preset", "sparse-fls",
+                   "--recording", str(frames_dir), str(fixations), "--out", str(out))[0] == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("frames_rec0.csv", "summary.csv", "log.txt")])
+    assert row_loop_calls == [str(styled)]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("value", ["9223372036854775808", "-99999999999999999999"])
+def test_eval_fixation_outside_int64_is_exit_2(tmp_path, capsys, recording_32, value):
+    frames_dir, csv_path = recording_32
+    n_lines = len(csv_path.read_text().splitlines())
+    with open(csv_path, "a") as f:
+        f.write(f"2,{value},10\n")
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls",
+                     "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert f"{csv_path}:{n_lines + 1}: value outside the int64 range" in err
+    assert not out.exists()
+
+
+def test_eval_non_utf8_fixations_is_exit_2(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    with open(csv_path, "ab") as f:
+        f.write(b"2,\xff,10\n")
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls",
+                     "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert f"{csv_path}: not UTF-8" in err
+    assert not out.exists()
+
+
+def test_eval_non_utf8_manifest_is_exit_2(tmp_path, capsys, recording_32):
+    path = edited_manifest(tmp_path, capsys, recording_32, lambda manifest: None)
+    path.write_bytes(path.read_bytes().replace(b'"game": "unlabeled"', b'"game": "\xff"'))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(path), "--out", str(out2))
+    assert rc == 2
+    assert str(path) in err
+    assert not out2.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300"])
 def test_eval_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
     frames_dir, csv_path = recording_32
     out = tmp_path / "run"
@@ -580,6 +663,15 @@ def test_report_rejects_bad_header(tmp_path, capsys):
     assert rc == 2
 
 
+def test_report_non_utf8_summary_is_exit_2(tmp_path, capsys):
+    d = tmp_path / "a"
+    d.mkdir()
+    (d / "summary.csv").write_bytes(cli.SUMMARY_CSV_HEADER.encode() + b"\n\xff,pong,nss,1,0,1\n")
+    rc, _, err = run(capsys, "report", "--runs", str(d))
+    assert rc == 2
+    assert "summary.csv: not UTF-8" in err
+
+
 def test_report_missing_summary_is_exit_2(tmp_path, capsys):
     rc, _, _ = run(capsys, "report", "--runs", str(tmp_path))
     assert rc == 2
@@ -599,7 +691,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_import_leaves_out_scipy_ndimage():
-    # scipy.ndimage is most of the remaining start-up; only the KL blur needs it
+    # scipy.ndimage would be most of the start-up; the KL blur is numpy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.run([sys.executable, "-c", "import sys, atarisal.cli; "
@@ -607,6 +699,26 @@ def test_cli_import_leaves_out_scipy_ndimage():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_eval_and_metrics_never_import_scipy(tmp_path, recording_32):
+    # the KL blur is numpy: a scoring run loads no scipy module at all
+    frames_dir, csv_path = recording_32
+    run_dir, scores = tmp_path / "run", tmp_path / "scores"
+    commands = [["eval", "--preset", "sparse-fls", "--save-saliency",
+                 "--recording", str(frames_dir), str(csv_path), "--out", str(run_dir)],
+                ["metrics", "--saliency", str(run_dir / "rec0"), "--fixations", str(csv_path),
+                 "--out", str(scores)]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    code = ("import json, sys; from atarisal import cli; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
+    assert (scores / "summary.csv").is_file()
 
 
 def test_module_invocation():

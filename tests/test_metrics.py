@@ -102,6 +102,29 @@ def test_blur_spread_is_sigma_sized():
     assert out[42, 47] / out[42, 42] == pytest.approx(math.exp(-0.5), rel=1e-3)
 
 
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["counts", "floats"]),
+       shape=st.sampled_from([(210, 160), (1, 1), (1, 7), (9, 2), (40, 13)]),
+       sigma=st.one_of(st.sampled_from([0.0, 1e-16, 1e-15, 1e-9, 0.3, 5.0, 70.0]),
+                       st.floats(0.0, 70.0)))
+@settings(max_examples=200, deadline=None)
+def test_blur_bytes_equal_scipy_gaussian_filter(seed, kind, shape, sigma):
+    # the oracle; atarisal itself does not import scipy. Radii up to 210 reach
+    # past every edge of the small grids, so reflection repeats.
+    from scipy.ndimage import gaussian_filter
+
+    rng = np.random.default_rng(seed)
+    if kind == "counts":
+        grid = rng.poisson(0.05, shape).astype(np.int64)
+    else:
+        grid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
+    params = M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
+    got = M.gaussian_blur(grid, params)
+    want = gaussian_filter(grid.astype(np.float64), sigma=sigma, mode="reflect",
+                           radius=params.radius)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # -- kl -----------------------------------------------------------------------------
 
 def test_kl_of_matched_distributions_is_zero():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from atarisal import preprocessing as P
 from atarisal.errors import DataFormatError
 
+import oracles
 from conftest import make_frames
 
 
@@ -188,7 +189,7 @@ def test_no_records_zero_map():
 def test_records_by_observation_buckets_in_input_order():
     records = [P.FixationRecord(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)]
     buckets = P.records_by_observation(records, 2)
-    assert [[r.frame_index for r in b] for b in buckets] == [[3, 0, 15], [17, 16, 31]]
+    assert [b[:, 0].tolist() for b in buckets] == [[3, 0, 15], [17, 16, 31]]
     assert P.records_by_observation(records, 0) == []
 
 
@@ -217,7 +218,115 @@ def test_fixation_csv_round_trip(tmp_path):
     P.save_fixations_csv(path, records)
     with open(path) as f:
         assert f.readline().strip() == "frame_index,x,y"
-    assert P.load_fixations_csv(path) == records
+    loaded = P.load_fixations_csv(path)
+    assert loaded.dtype == np.int64
+    assert loaded.tolist() == [list(r) for r in records]
+
+
+# CSV field and line syntax: what csv and int() accept is data, whatever
+# numpy's reader makes of it
+_padding = st.sampled_from(["", " ", "  ", "\t", " \t"])
+_integer = st.one_of(
+    st.integers(-300, 300),
+    st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**30]),
+    st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _field(draw):
+    kind = draw(st.sampled_from(["plain"] * 6 + ["sign", "quoted", "underscore", "arabic",
+                                                 "empty", "float"]))
+    value = draw(_integer)
+    text = str(value)
+    if kind == "sign" and value >= 0:
+        text = "+" + text
+    elif kind == "quoted":
+        text = f'"{text}"'
+    elif kind == "underscore" and len(text.lstrip("-")) > 1:
+        text = text[:-1] + "_" + text[-1]
+    elif kind == "arabic":
+        text = text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    elif kind == "empty":
+        text = ""
+    elif kind == "float":
+        text += ".0"
+    return draw(_padding) + text + draw(_padding)
+
+
+@st.composite
+def _csv_body(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(_padding)
+        else:
+            width = {"row": 3, "short": 2, "long": 4}[kind]
+            line = ",".join(draw(st.lists(_field(), min_size=width, max_size=width)))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r", ""])))
+    return "".join(lines)
+
+
+@given(body=_csv_body())
+@settings(max_examples=300, deadline=None)
+def test_fixation_csv_parse_matches_the_row_loop(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "fix.csv"
+    path.write_bytes(("frame_index,x,y\n" + body).encode("utf-8"))
+    want = oracles.csv_fixation_rows(path)
+    try:
+        got = P.load_fixations_csv(str(path))
+    except DataFormatError as e:
+        assert want == ("error", str(e))
+    else:
+        assert got.dtype == np.int64 and got.shape == (len(want[1]), 3)
+        assert want == ("rows", got.tolist())
+
+
+def test_fixation_csv_syntax_variants_parse_alike(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("frame_index,x,y\n2,5,9\n-1,+3,0\n")
+    variants = [
+        b'frame_index,x,y\r\n"2", 5 ,9\r\n\r\n-1,\t+3,0\r\n',   # quoted, CRLF
+        b"frame_index,x,y\r2,5,9\r-1,+3,0",                         # CR only
+        b"frame_index,x,y\n2,5,0_9\n-1,3,0\n",                      # 0_9 is int("0_9")
+    ]
+    want = P.load_fixations_csv(str(plain))
+    for i, text in enumerate(variants):
+        path = tmp_path / f"v{i}.csv"
+        path.write_bytes(text)
+        np.testing.assert_array_equal(P.load_fixations_csv(str(path)), want)
+
+
+@pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809"])
+def test_fixation_csv_value_outside_int64(tmp_path, value):
+    path = tmp_path / "big.csv"
+    path.write_text(f"frame_index,x,y\n0,1,2\n3,{value},4\n")
+    with pytest.raises(DataFormatError, match=r"big\.csv:3: value outside the int64 range"):
+        P.load_fixations_csv(str(path))
+
+
+def test_fixation_csv_not_utf8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"frame_index,x,y\n0,1,2\n\xff,1,2\n")
+    with pytest.raises(DataFormatError, match="latin.csv: not UTF-8"):
+        P.load_fixations_csv(str(path))
+
+
+def test_fixation_csv_two_columns_are_an_error(tmp_path):
+    # numpy's reader takes a uniform 2-column body; the row loop names the line
+    path = tmp_path / "two.csv"
+    path.write_text("frame_index,x,y\n0,1\n2,3\n")
+    with pytest.raises(DataFormatError, match="two.csv:2: expected 3 fields, got 2"):
+        P.load_fixations_csv(str(path))
+
+
+def test_fixation_csv_header_only_is_empty(tmp_path):
+    path = tmp_path / "none.csv"
+    path.write_text("frame_index,x,y\n")
+    rows = P.load_fixations_csv(str(path))
+    assert rows.shape == (0, 3) and rows.dtype == np.int64
 
 
 def test_fixation_csv_bad_header(tmp_path):
