@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -209,31 +208,38 @@ def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
 
 def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
            blur: M.BlurParams) -> None:
-    """Score (210x160 saliency maps, fixation records) per recording; write
-    frames_rec{i}.csv, summary.csv and log.txt. Map i meets the records on the
-    raw frames observation i retains; its sAUC negatives are the fixations of
-    the other frames of its recording, or of all recordings for pool_scope "all"."""
-    log_lines, fix_maps = [], []
+    """Score (saliency maps, fixation records) per recording; write
+    frames_rec{i}.csv, summary.csv and log.txt. Map i is 84x84, upscaled here
+    when it is scored, or already 210x160. It meets the records on the raw
+    frames observation i retains; its sAUC negatives are the fixations of the
+    other frames of its recording, or of all recordings for pool_scope "all".
+
+    sAUC needs the pooled total before any frame is scored, so a first pass
+    takes each recording's total map and counts from one bincount, and the
+    scoring pass builds each observation's fixation map as it scores it: no
+    map outlives its frame's scores."""
+    log_lines, buckets, totals = [], [], []
     for ri, (sal_maps, records) in enumerate(recordings):
-        buckets = P.records_by_observation(records, len(sal_maps))
-        maps, rejects = zip(*(P.fixation_map(bucket, P.retained_indices(i))
-                              for i, bucket in enumerate(buckets)))
-        fix_maps.append(maps)
-        rejected = sum(rejects)
+        buckets.append(P.records_by_observation(records, len(sal_maps)))
+        total, rejected = P.total_fixation_map(records, len(sal_maps))
+        totals.append(total)
         # a record is counted in a map, rejected as out of bounds, or on a
         # raw frame no scored observation retains
-        discarded = len(records) - sum(int(m.sum()) for m in maps) - rejected
+        discarded = len(records) - int(total.sum()) - rejected
         log_lines.append(f"rec{ri}: {len(sal_maps)} observations, "
                          f"{rejected} out-of-bounds fixation records skipped")
         log_lines.append(f"rec{ri}: {discarded} fixation records on discarded raw frames skipped")
 
-    totals = [np.sum(maps, axis=0) for maps in fix_maps]
     if pool_scope == "all":
         totals = [np.sum(totals, axis=0)] * len(totals)
     per_rec_scores = []
-    for ri, ((sal_maps, _), maps, total) in enumerate(zip(recordings, fix_maps, totals)):
-        scores = [M.score_frame(i, sal, fix, [total - fix], blur)
-                  for i, (sal, fix) in enumerate(zip(sal_maps, maps))]
+    for ri, ((sal_maps, _), rec_buckets, total) in enumerate(zip(recordings, buckets, totals)):
+        scores = []
+        for i, (sal, bucket) in enumerate(zip(sal_maps, rec_buckets)):
+            if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
+                sal = S.upscale_to_frame(sal)
+            fix, _ = P.fixation_map(bucket, P.retained_indices(i))
+            scores.append(M.score_frame(i, sal, fix, [total - fix], blur))
         per_rec_scores.append(scores)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
         for name in M.METRIC_NAMES:
@@ -272,12 +278,11 @@ def cmd_metrics(args) -> int:
     sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
-    sal_maps = []
+    sal_maps = []  # at their stored size; _score upscales the 84x84 ones
     for sf in sal_files:
         sal = S.load_raw_saliency(str(sf))
-        if sal.shape == (models.INPUT_SIZE, models.INPUT_SIZE):
-            sal = S.upscale_to_frame(sal)
-        elif sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
+        if sal.shape not in ((models.INPUT_SIZE, models.INPUT_SIZE),
+                             (P.FRAME_HEIGHT, P.FRAME_WIDTH)):
             raise DataFormatError(f"{sf}: unexpected saliency shape {sal.shape}")
         sal_maps.append(sal)
 
@@ -342,15 +347,12 @@ class EvalSpec:
     game: str = "unlabeled"
     pool_scope: str = "recording"
     sigma: float = 5.0
-    workers: int = 1
     save_saliency: bool = False
     pgm: bool = False
 
     def __post_init__(self):
         if not self.recordings:
             raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
-        if self.workers < 1:
-            raise ConfigurationError(f"--workers must be >= 1, got {self.workers}")
         _blur_params(self.sigma)
 
     @classmethod
@@ -369,6 +371,7 @@ class EvalSpec:
         if data.get("command") != "eval":
             raise DataFormatError(f"{source}: not an eval manifest")
         data = {k: v for k, v in data.items() if k not in ("schema_version", "command")}
+        data.pop("workers", None)  # a thread count that older manifests hold; it never changed bytes
         entry = data.pop("model", None)
         if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
                 and isinstance(entry.get("config"), dict)):
@@ -417,7 +420,10 @@ def cmd_eval(args) -> int:
         spec = EvalSpec.from_args(args)
     model = load_model(spec.config, spec.weights, spec.seed)
 
-    # Load everything up front so a corrupt input aborts before outputs exist.
+    # Load everything up front so a corrupt input aborts before outputs exist:
+    # load_frames checks every frame, build_observations decodes the retained
+    # ones. Until its forward, an observation is its 113 KB float32 stack;
+    # after it, its 28 KB 84x84 map until that is scored.
     loaded = []
     for frames_path, fixations_path in spec.recordings:
         observations = P.build_observations(P.load_frames(frames_path))
@@ -430,14 +436,11 @@ def cmd_eval(args) -> int:
 
     recordings = []
     for ri, (observations, records) in enumerate(loaded):
-        if spec.workers > 1:
-            with ThreadPoolExecutor(max_workers=spec.workers) as ex:
-                sal84s = list(ex.map(lambda obs: _render_saliency(model, obs), observations))
-        else:
-            sal84s = [_render_saliency(model, obs) for obs in observations]
+        sal84s = [_render_saliency(model, obs) for obs in observations]
+        observations.clear()  # the stacks are spent once rendered
         if spec.save_saliency:
             _save_dumps(out / f"rec{ri}", sal84s, spec.pgm)
-        recordings.append(([S.upscale_to_frame(s) for s in sal84s], records))
+        recordings.append((sal84s, records))
 
     _score(out, recordings, spec.label, spec.game, spec.pool_scope, _blur_params(spec.sigma))
     _write_manifest(out, spec.to_dict())
@@ -579,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-scope", dest="pool_scope", choices=POOL_SCOPES,
                    default="recording")
     p.add_argument("--sigma", type=float, default=5.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--save-saliency", dest="save_saliency", action="store_true")
     p.add_argument("--pgm", action="store_true")
     p.set_defaults(func=cmd_eval)

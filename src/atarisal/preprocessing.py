@@ -3,20 +3,30 @@ plus fixation logs and the ground-truth count maps aligned to observations.
 
 Frame streams arrive either as a directory of P6 PPM files (named by
 zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
-giving the frame count. Fixations arrive as a UTF-8 CSV with header
-"frame_index,x,y" and travel as one (n, 3) int64 array of rows
-(frame_index, x, y): numpy's C reader parses the body, and the csv row loop
-takes over for any syntax it refuses. Bucketing rows by observation is one
-stable sort, and each observation's count map is one np.bincount.
+giving the frame count. `load_frames` checks every frame up front, each PPM
+header and each file's size against it, without reading any pixels, and
+returns a `FrameFiles` sequence that reads a frame from disk when it is
+indexed. `build_observations` indexes only the retained frames (offsets 2-3
+of each group of 4), so the discarded half is validated but never decoded.
+
+Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel as
+one (n, 3) int64 array of rows (frame_index, x, y): numpy's C reader parses
+the body, and the csv row loop takes over for any syntax it refuses.
+Bucketing rows by observation is one stable sort, and each observation's
+count map is one np.bincount; `total_fixation_map` is their sum over a
+recording in one np.bincount, so a scorer needs no map held per observation.
 """
 
 import csv
 import io
 import json
+import operator
+import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -101,26 +111,28 @@ def build_observations(frames: Sequence[np.ndarray]) -> list[ObservationStack]:
     """Group raw frames in fours, keep the 3rd and 4th of each group
     (grayscale, resize, pixelwise max), stack four processed frames per
     observation, scale by 1/255. Observations never share raw frames;
-    incomplete tails are dropped."""
-    n_processed = len(frames) // RAW_PER_PROCESSED
-    processed = []
-    for g in range(n_processed):
+    incomplete tails are dropped. Only the kept frames are indexed, so a
+    `FrameFiles` sequence decodes nothing else. A stack is built as soon as
+    its four processed frames exist, so only the stacks accumulate; the kept
+    frames of an incomplete tail are still decoded and shape-checked."""
+    observations, processed = [], []
+    for g in range(len(frames) // RAW_PER_PROCESSED):
         merged = None
         for o in RETAIN_OFFSETS:
             idx = RAW_PER_PROCESSED * g + o
             img = resize_84(grayscale(_check_frame(frames[idx], idx)))
             merged = img if merged is None else max_merge(merged, img)
         processed.append(merged)
-
-    observations = []
-    for m in range(n_processed // STACK_DEPTH):
-        stack = np.stack(processed[STACK_DEPTH * m:STACK_DEPTH * (m + 1)], axis=-1)
-        pixels = (stack.astype(np.float64) / 255.0).astype(np.float32)
-        base = m * RAW_PER_OBSERVATION
-        observations.append(ObservationStack(
-            pixels=pixels,
-            source_indices=tuple(range(base, base + RAW_PER_OBSERVATION)),
-            retained_indices=retained_indices(m)))
+        if len(processed) == STACK_DEPTH:  # no processed frame outlives its stack
+            stack = np.stack(processed, axis=-1)
+            processed = []
+            pixels = (stack.astype(np.float64) / 255.0).astype(np.float32)
+            m = len(observations)
+            base = m * RAW_PER_OBSERVATION
+            observations.append(ObservationStack(
+                pixels=pixels,
+                source_indices=tuple(range(base, base + RAW_PER_OBSERVATION)),
+                retained_indices=retained_indices(m)))
     return observations
 
 
@@ -129,17 +141,33 @@ def _fixation_array(records) -> np.ndarray:
     return np.asarray(records, dtype=np.int64).reshape(-1, 3)
 
 
-def fixation_map(records, retained: Iterable[int]) -> tuple[np.ndarray, int]:
-    """Count map over the raw frame grid from records landing on the given
-    retained frame indices. Returns (map, out-of-bounds reject count).
-    records is a list of FixationRecord or an (n, 3) int64 array."""
-    rows = _fixation_array(records)
-    rows = rows[np.isin(rows[:, 0], np.fromiter(retained, dtype=np.int64))]
+def _retained_map(rows: np.ndarray, retained: np.ndarray) -> tuple[np.ndarray, int]:
+    """Count map of the rows on the given raw frame indices, and how many of
+    those rows lie outside the frame: the one rule of which records a map
+    counts and which it rejects."""
+    rows = rows[np.isin(rows[:, 0], retained)]
     x, y = rows[:, 1], rows[:, 2]
     inside = (0 <= x) & (x < FRAME_WIDTH) & (0 <= y) & (y < FRAME_HEIGHT)
     pixels = y[inside] * FRAME_WIDTH + x[inside]
     fmap = np.bincount(pixels, minlength=FRAME_HEIGHT * FRAME_WIDTH).astype(np.int64, copy=False)
     return fmap.reshape(FRAME_HEIGHT, FRAME_WIDTH), len(rows) - len(pixels)
+
+
+def fixation_map(records, retained: Iterable[int]) -> tuple[np.ndarray, int]:
+    """Count map over the raw frame grid from records landing on the given
+    retained frame indices. Returns (map, out-of-bounds reject count).
+    records is a list of FixationRecord or an (n, 3) int64 array."""
+    return _retained_map(_fixation_array(records), np.fromiter(retained, dtype=np.int64))
+
+
+def total_fixation_map(records, n_observations: int) -> tuple[np.ndarray, int]:
+    """The sum over observations 0..n_observations-1 of fixation_map(records,
+    retained_indices(i)), map and reject count, from one np.bincount over the
+    rows on any of their retained frames. Counts are integers, so the sum is
+    exact."""
+    retained = np.add.outer(np.arange(n_observations, dtype=np.int64) * RAW_PER_OBSERVATION,
+                            retained_indices(0)).ravel()
+    return _retained_map(_fixation_array(records), retained)
 
 
 def records_by_observation(records, n_observations: int) -> list[np.ndarray]:
@@ -228,6 +256,45 @@ def save_fixations_csv(path: str, records: Iterable[FixationRecord]) -> None:
 
 # -- frame file formats --------------------------------------------------------
 
+class FrameFiles(Sequence):
+    """The raw frames of a recording, checked up front and read on demand.
+
+    Whoever builds one has checked every frame's header and that its file
+    holds the whole payload. frames[i] opens frame i's file, seeks to its
+    payload and reads that one frame; nothing is cached, so a frame stays in
+    memory only while the caller holds it. Reads are seek+read, not a memory
+    map: every page of a map that gets touched counts toward RSS for as long
+    as the map exists."""
+
+    def __init__(self, count: int, locate: Callable[[int], tuple], kind: str):
+        self._count = count
+        self._locate = locate  # index -> (path, payload offset, height, width)
+        self._kind = kind      # the file format, for the message of a short payload
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        i = operator.index(index)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError(f"frame index {index} out of range for {self._count} frames")
+        path, offset, height, width = self._locate(i)
+        with open(path, "rb") as f:
+            f.seek(offset)
+            return _payload(f, path, height, width, self._kind)
+
+
+def _payload(f: BinaryIO, path: str, height: int, width: int, kind: str) -> np.ndarray:
+    """The height x width x 3 frame at f's position; a short read (the file
+    shrank after its size was checked) is the truncation error."""
+    payload = f.read(height * width * 3)
+    if len(payload) != height * width * 3:
+        raise DataFormatError(f"{path}: truncated {kind} payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+
+
 def _ppm_token(f: BinaryIO, path: str) -> bytes:
     tok = b""
     while True:
@@ -245,24 +312,31 @@ def _ppm_token(f: BinaryIO, path: str) -> bytes:
         tok += ch
 
 
+def _ppm_header(f: BinaryIO, path: str) -> tuple[int, int]:
+    """(height, width) of the P6 header at the start of f, leaving f at the
+    payload. The file's size must cover the payload; it is compared, not
+    read, so a header larger than its file allocates nothing."""
+    if _ppm_token(f, path) != b"P6":
+        raise DataFormatError(f"{path}: not a binary P6 PPM")
+    try:
+        width = int(_ppm_token(f, path))
+        height = int(_ppm_token(f, path))
+        maxval = int(_ppm_token(f, path))
+    except ValueError:
+        raise DataFormatError(f"{path}: malformed PPM header") from None
+    if maxval != 255:
+        raise DataFormatError(f"{path}: unsupported PPM maxval {maxval}")
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{path}: PPM size {width}x{height} is not positive")
+    if os.fstat(f.fileno()).st_size - f.tell() < width * height * 3:
+        raise DataFormatError(f"{path}: truncated PPM payload")
+    return height, width
+
+
 def load_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        if _ppm_token(f, path) != b"P6":
-            raise DataFormatError(f"{path}: not a binary P6 PPM")
-        try:
-            width = int(_ppm_token(f, path))
-            height = int(_ppm_token(f, path))
-            maxval = int(_ppm_token(f, path))
-        except ValueError:
-            raise DataFormatError(f"{path}: malformed PPM header") from None
-        if maxval != 255:
-            raise DataFormatError(f"{path}: unsupported PPM maxval {maxval}")
-        if width < 1 or height < 1:
-            raise DataFormatError(f"{path}: PPM size {width}x{height} is not positive")
-        payload = f.read(width * height * 3)
-    if len(payload) != width * height * 3:
-        raise DataFormatError(f"{path}: truncated PPM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+        height, width = _ppm_header(f, path)
+        return _payload(f, path, height, width, "PPM")
 
 
 def save_ppm(path: str, frame: np.ndarray) -> None:
@@ -273,8 +347,9 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
         f.write(frame.tobytes())
 
 
-def load_raw_rgb(path: str, sidecar: str = None) -> list[np.ndarray]:
-    """Concatenated raw RGB frames; the JSON sidecar holds frames/width/height."""
+def load_raw_rgb(path: str, sidecar: str = None) -> FrameFiles:
+    """Concatenated raw RGB frames, read on demand; the JSON sidecar holds
+    frames/width/height, and the file's size must match it exactly."""
     sidecar = sidecar or path + ".json"
     try:
         with open(sidecar, encoding="utf-8") as f:
@@ -287,11 +362,11 @@ def load_raw_rgb(path: str, sidecar: str = None) -> list[np.ndarray]:
         raise DataFormatError(f"{sidecar}: sidecar needs integer frames/width/height") from None
     if count < 0 or width < 1 or height < 1:
         raise DataFormatError(f"{sidecar}: {count} frames of {width}x{height} is not a valid size")
-    data = np.fromfile(path, dtype=np.uint8)
-    expected = count * width * height * 3
-    if data.size != expected:
-        raise DataFormatError(f"{path}: {data.size} bytes, sidecar implies {expected}")
-    return list(data.reshape(count, height, width, 3))
+    size = os.stat(path).st_size
+    frame_bytes = width * height * 3
+    if size != count * frame_bytes:
+        raise DataFormatError(f"{path}: {size} bytes, sidecar implies {count * frame_bytes}")
+    return FrameFiles(count, lambda i: (path, i * frame_bytes, height, width), "raw RGB")
 
 
 def save_raw_rgb(path: str, frames: Sequence[np.ndarray], sidecar: str = None) -> None:
@@ -305,8 +380,10 @@ def save_raw_rgb(path: str, frames: Sequence[np.ndarray], sidecar: str = None) -
         f.write("\n")
 
 
-def load_frames(path: str) -> list[np.ndarray]:
-    """Directory of *.ppm files named by zero-padded index, or a single .rgb file."""
+def load_frames(path: str) -> FrameFiles:
+    """Directory of *.ppm files named by zero-padded index, or a single .rgb
+    file. Every frame is checked here, header and file size, so a corrupt
+    frame fails before any is decoded; pixels are read when indexed."""
     p = Path(path)
     if p.is_dir():
         ppm_files = sorted(p.glob("*.ppm"))
@@ -316,7 +393,12 @@ def load_frames(path: str) -> list[np.ndarray]:
         if odd:  # then name order is not index order: frame_10 sorts before frame_9
             raise DataFormatError(f"{path}: frame names {ppm_files[0].name} and {odd[0]} differ "
                                   "in length; name frames by zero-padded index")
-        return [load_ppm(str(fp)) for fp in ppm_files]
+        located = []
+        for fp in map(str, ppm_files):
+            with open(fp, "rb") as f:
+                height, width = _ppm_header(f, fp)
+                located.append((fp, f.tell(), height, width))
+        return FrameFiles(len(located), located.__getitem__, "PPM")
     if p.is_file() and p.suffix == ".rgb":
         return load_raw_rgb(str(p))
     raise DataFormatError(f"{path}: expected a frame directory or a .rgb file")

@@ -5,6 +5,8 @@ count u32, then per tensor: name length u16, UTF-8 name, ndim u8, each dim as
 u32, then the float32 payload in row-major order.
 """
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -17,10 +19,12 @@ MAGIC = b"FLSW"
 VERSION = 1
 
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    data = f.read(n)
+def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
+    """n bytes of f. The file's size is checked first, so a size field larger
+    than the file allocates nothing."""
+    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(data) != n:
-        raise DataFormatError(f"truncated weight file while reading {what}")
+        raise DataFormatError(f"{path}: truncated weight file while reading {what}")
     return data
 
 
@@ -43,19 +47,23 @@ def save_weights(path: str, params: dict[str, np.ndarray]) -> None:
 
 def load_weights(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        if _read_exact(f, 4, "magic", path) != MAGIC:
             raise DataFormatError(f"{path}: not a weight file (bad magic)")
-        version, count = struct.unpack("<II", _read_exact(f, 8, "header"))
+        version, count = struct.unpack("<II", _read_exact(f, 8, "header", path))
         if version != VERSION:
             raise DataFormatError(f"{path}: unsupported weight file version {version}")
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name!r}"))
-            dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"dims of {name!r}"))
-            size = int(np.prod(dims)) if ndim else 1
-            payload = _read_exact(f, 4 * size, f"payload of {name!r}")
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length", path))
+            raw_name = _read_exact(f, name_len, "tensor name", path)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"{path}: tensor name is not UTF-8 (byte {e.start})") from None
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name!r}", path))
+            dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"dims of {name!r}", path))
+            size = math.prod(dims)  # exact: np.prod wraps past int64
+            payload = _read_exact(f, 4 * size, f"payload of {name!r}", path)
             if name in params:
                 raise DataFormatError(f"{path}: duplicate tensor {name!r}")
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,21 @@ def test_metrics_on_eval_dumps_reproduces_eval_scores(tmp_path, capsys, recordin
     assert (out / "frames_rec0.csv").read_bytes() == (run_dir / "frames_rec0.csv").read_bytes()
 
 
+def test_metrics_scores_frame_size_dumps_as_upscaled_ones(tmp_path, capsys, recording_32):
+    # _score upscales an 84x84 dump when it scores it and takes a 210x160 one
+    # as it is; saliency --upscale writes that same upscale ahead of time
+    frames_dir, csv_path = recording_32
+    outputs = []
+    for tag, extra in (("84", []), ("210", ["--upscale"])):
+        assert run(capsys, "saliency", "--preset", "sparse-fls", "--frames", str(frames_dir),
+                   "--out", str(tmp_path / f"sal{tag}"), *extra)[0] == 0
+        out = tmp_path / f"scores{tag}"
+        assert run(capsys, "metrics", "--saliency", str(tmp_path / f"sal{tag}"),
+                   "--fixations", str(csv_path), "--out", str(out))[0] == 0
+        outputs.append([(out / name).read_bytes() for name in ("frames_rec0.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_fixations_on_discarded_frames_are_counted(tmp_path, capsys, recording_32):
     # 32 frames x 3 fixations: the retention schedule keeps offsets 2-3 of
     # each group of 4, so half of the 96 records land on discarded frames
@@ -432,18 +448,6 @@ def test_fixations_outside_every_observation_are_discarded(tmp_path, capsys, rec
         "rec0: 50 fixation records on discarded raw frames skipped"]
 
 
-def test_eval_workers_do_not_change_output(tmp_path, capsys, recording_32):
-    frames_dir, csv_path = recording_32
-    outs = []
-    for tag, extra in (("a", []), ("b", ["--workers", "3"])):
-        out = tmp_path / tag
-        assert run(capsys, "eval", "--preset", "sparse-fls",
-                   "--recording", str(frames_dir), str(csv_path),
-                   "--out", str(out), *extra)[0] == 0
-        outs.append((out / "frames_rec0.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_eval_two_recordings_and_shared_pool(tmp_path, capsys):
     fr1, fx1 = write_recording(tmp_path / "r1", 32, seed=21)
     fr2, fx2 = write_recording(tmp_path / "r2", 32, seed=22)
@@ -474,6 +478,78 @@ def test_eval_corrupt_fixations_writes_nothing(tmp_path, capsys, recording_32):
     assert rc == 2
     assert not (out / "summary.csv").exists()
     assert not (out / "frames_rec0.csv").exists()
+
+
+def eval_frames(capsys, tmp_path, frames, csv_path, *flags):
+    """(exit code, stderr, out dir) of a sparse-fls eval of frames and csv_path."""
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", *flags,
+                     "--recording", str(frames), str(csv_path), "--out", str(out))
+    return rc, err, out
+
+
+def test_eval_ppm_header_larger_than_its_file_is_exit_2(tmp_path, capsys, recording_32):
+    # the size is checked against the file, so nothing of 30 GB is allocated
+    frames_dir, csv_path = recording_32
+    (frames_dir / "frame_00005.ppm").write_bytes(b"P6 100000 100000 255\n" + bytes(4))
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 2
+    assert f"{frames_dir / 'frame_00005.ppm'}: truncated PPM payload" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [16, 32], ids=["discarded", "incomplete-tail"])
+def test_eval_truncated_unused_frame_is_exit_2(tmp_path, capsys, recording_32, index):
+    # frame 16 is offset 0 of a group and frame 32 is past the last
+    # observation: neither is decoded, but both are checked before any output
+    frames_dir, csv_path = recording_32
+    path = frames_dir / f"frame_{index:05d}.ppm"
+    P.save_ppm(str(path), np.zeros((P.FRAME_HEIGHT, P.FRAME_WIDTH, 3), np.uint8))
+    path.write_bytes(path.read_bytes()[:-1])
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 2
+    assert f"{path}: truncated PPM payload" in err
+    assert not out.exists()
+
+
+def test_eval_wrong_size_retained_frame_is_exit_2(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    P.save_ppm(str(frames_dir / "frame_00018.ppm"), np.zeros((100, 100, 3), np.uint8))
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 2
+    assert "frame 18: expected 210x160x3, got (100, 100, 3)" in err
+    assert not out.exists()
+
+
+def test_eval_rgb_input_matches_ppm_input(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    rgb = tmp_path / "frames.rgb"
+    P.save_raw_rgb(str(rgb), list(P.load_frames(str(frames_dir))))
+    outputs = []
+    for tag, frames in (("ppm", frames_dir), ("rgb", rgb)):
+        rc, _, out = eval_frames(capsys, tmp_path / tag, frames, csv_path)
+        assert rc == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("frames_rec0.csv", "summary.csv", "log.txt")])
+    assert outputs[0] == outputs[1]
+
+
+def test_eval_memory_stays_below_a_quarter_of_the_decoded_recording(tmp_path, capsys):
+    # every frame is checked but only the retained half is decoded, one frame
+    # at a time; what stays per observation is one stack, then one 84x84 map
+    n_frames = 320
+    frames_dir, csv_path = write_recording(tmp_path, n_frames, seed=13)
+    decoded = n_frames * P.FRAME_HEIGHT * P.FRAME_WIDTH * 3
+    tracemalloc.start()
+    try:
+        rc = cli.main(["eval", "--preset", "daqn", "--recording", str(frames_dir),
+                       str(csv_path), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < decoded / 4
 
 
 def test_eval_bytes_do_not_depend_on_fixation_syntax(tmp_path, capsys, monkeypatch,
@@ -579,7 +655,7 @@ def edited_manifest(tmp_path, capsys, recording, edit):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("sigma", "5"), ("sigma", True), ("workers", "2"), ("workers", True), ("seed", "0"),
+    ("sigma", "5"), ("sigma", True), ("seed", "0"),
     ("recordings", 3), ("pool_scope", "bogus"), ("save_saliency", "no"), ("fc_width", "x"),
 ])
 def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, value):
@@ -594,25 +670,23 @@ def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, 
     assert not out2.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_eval_rejects_workers_below_1(tmp_path, capsys, recording_32, workers):
+def test_eval_has_no_workers_flag(tmp_path, capsys, recording_32):
     frames_dir, csv_path = recording_32
     out = tmp_path / "run"
-    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", "--workers", workers,
+    rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", "--workers", "2",
                      "--recording", str(frames_dir), str(csv_path), "--out", str(out))
     assert rc == 1
-    assert "--workers" in err
+    assert "unrecognized arguments: --workers 2" in err
     assert not out.exists()
 
 
-def test_eval_manifest_workers_below_1_is_exit_1(tmp_path, capsys, recording_32):
+def test_eval_manifest_with_workers_key_reruns_byte_for_byte(tmp_path, capsys, recording_32):
+    # older schema-1 manifests carry a thread count; it is read and dropped
     edited = edited_manifest(tmp_path, capsys, recording_32,
-                             lambda manifest: manifest.update(workers=0))
+                             lambda manifest: manifest.update(workers=3))
     out2 = tmp_path / "run2"
-    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
-    assert rc == 1
-    assert "--workers" in err
-    assert not out2.exists()
+    assert run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))[0] == 0
+    assert read_outputs(tmp_path / "run1") == read_outputs(out2)
 
 
 @pytest.mark.parametrize("command", ["eval", "saliency"])

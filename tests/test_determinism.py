@@ -64,3 +64,24 @@ def test_eval_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes() for name in CSVS])
     assert outputs[0] == outputs[1]
+
+
+def test_two_recording_shared_pool_bytes_are_pinned(tmp_path, capsys):
+    # pool scope "all" pools sAUC negatives over both recordings; the second
+    # also has out-of-bounds records and records outside every observation
+    fr1, fx1 = write_recording(tmp_path / "r1", 32, seed=21)
+    fr2, fx2 = write_recording(tmp_path / "r2", 32, seed=22)
+    with open(fx2, "a") as f:
+        f.write("18,500,10\n19,10,300\n-1,5,5\n40,3,3\n")
+    out = tmp_path / "run"
+    assert cli.main(["eval", "--preset", "sparse-fls", "--recording", str(fr1), str(fx1),
+                     "--recording", str(fr2), str(fx2), "--out", str(out),
+                     "--pool-scope", "all"]) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in
+            ("frames_rec0.csv", "frames_rec1.csv", "summary.csv", "log.txt")} == {
+        "frames_rec0.csv": "f77bccd56be5d6c55d99f53a3fe95f9122c74f447b5a5d77cea8d2ae78f2b28d",
+        "frames_rec1.csv": "317ebcfaac25846b7535f53ed8a259a0b71aaf541f1d8f82642acb21f3258cf5",
+        "summary.csv": "ecbb4d267af19195fba71c03e252051d77b685a7e767da299d56b2ece04ba743",
+        "log.txt": "6513eedc80300c6dd4d76aca7d52a2e906d4c69e1df76c293b18fd32d4fab42b",
+    }

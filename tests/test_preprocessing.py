@@ -203,11 +203,17 @@ def test_binned_fixation_maps_match_full_scans(seed, n_obs):
         rng.integers(-5, 220, 60))]
     buckets = P.records_by_observation(records, n_obs)
     assert len(buckets) == n_obs
+    total_map, total_rej = np.zeros((P.FRAME_HEIGHT, P.FRAME_WIDTH), np.int64), 0
     for i, bucket in enumerate(buckets):
         got_map, got_rej = P.fixation_map(bucket, P.retained_indices(i))
         want_map, want_rej = P.fixation_map(records, P.retained_indices(i))
         assert got_rej == want_rej
         np.testing.assert_array_equal(got_map, want_map)
+        total_map, total_rej = total_map + want_map, total_rej + want_rej
+    # the recording's total is the sum of the per-observation maps and rejects
+    got_map, got_rej = P.total_fixation_map(records, n_obs)
+    assert got_rej == total_rej
+    np.testing.assert_array_equal(got_map, total_map)
 
 
 # -- csv ------------------------------------------------------------------------------
@@ -422,3 +428,37 @@ def test_load_frames_rejects_unpadded_names(tmp_path):
         P.save_ppm(str(frames_dir / f"frame_{i}.ppm"), frame)
     with pytest.raises(DataFormatError, match="frame_0.ppm and frame_10.ppm"):
         P.load_frames(str(frames_dir))
+
+
+def test_load_frames_checks_a_header_larger_than_its_file(tmp_path):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    (frames_dir / "frame_00000.ppm").write_bytes(b"P6 100000 100000 255\n" + bytes(4))
+    with pytest.raises(DataFormatError, match="frame_00000.ppm: truncated PPM payload"):
+        P.load_frames(str(frames_dir))
+
+
+@pytest.mark.parametrize("suffix", ["", ".rgb"], ids=["ppm", "rgb"])
+def test_load_frames_reads_each_frame_when_indexed(tmp_path, suffix):
+    frames, _ = make_frames(5, seed=13)
+    if suffix:
+        path = tmp_path / "frames.rgb"
+        P.save_raw_rgb(str(path), frames)
+        frame_file, kind = path, "raw RGB"
+    else:
+        path = tmp_path / "frames"
+        path.mkdir()
+        for i, frame in enumerate(frames):
+            P.save_ppm(str(path / f"frame_{i:05d}.ppm"), frame)
+        frame_file, kind = path / "frame_00004.ppm", "PPM"
+    loaded = P.load_frames(str(path))
+    assert len(loaded) == 5
+    assert all(np.array_equal(loaded[i], frames[i]) for i in (3, 0, -1))
+    with pytest.raises(IndexError):
+        loaded[5]
+    # the file is read again at each access, so a frame cut short after the
+    # check fails with the truncation error
+    frame_file.write_bytes(frame_file.read_bytes()[:-1])
+    assert np.array_equal(loaded[3], frames[3])
+    with pytest.raises(DataFormatError, match=f"truncated {kind} payload"):
+        loaded[4]

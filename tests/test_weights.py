@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from atarisal import models, weights_io
+from atarisal import cli, models, weights_io
 from atarisal.errors import DataFormatError
 
 OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
@@ -117,3 +117,22 @@ def test_file_tensor_order_does_not_matter(tmp_path):
     reloaded = weights_io.load_into_model(small_model(seed=3), path)
     assert list(reloaded.params) == list(model.params)  # canonical order restored
     assert np.array_equal(reloaded.forward(OBS).embedding, model.forward(OBS).embedding)
+
+
+@pytest.mark.parametrize("name,dims,message", [
+    (b"t", (100000, 100000), "truncated weight file while reading payload of 't'"),
+    # the product overflows int64, where np.prod would wrap to 0
+    (b"t", (65536, 65536, 65536, 65536, 2), "truncated weight file while reading payload of 't'"),
+    (b"\xfft", (1,), "tensor name is not UTF-8 (byte 0)"),
+], ids=["dims-larger-than-file", "dims-overflow-int64", "name-not-utf8"])
+def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, message):
+    path = tmp_path / "bad.flsw"
+    path.write_bytes(b"FLSW" + struct.pack("<IIH", 1, 1, len(name)) + name
+                     + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(4))
+    out = tmp_path / "run"
+    # eval loads the weights before it looks at any recording
+    rc = cli.main(["eval", "--preset", "daqn", "--weights", str(path),
+                   "--recording", "frames", "fixations.csv", "--out", str(out)])
+    assert rc == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
