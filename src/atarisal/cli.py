@@ -83,7 +83,7 @@ def config_from_args(args) -> models.ModelConfig:
         if cfg.attention not in ("fls", "fls-1x1"):
             raise ConfigurationError("--fls-1x1 requires an fls attention module")
         cfg = replace(cfg, attention="fls-1x1")
-    return cfg.validate()
+    return cfg
 
 
 def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
@@ -98,26 +98,17 @@ def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model
 # -- params ----------------------------------------------------------------------
 
 def cmd_params(args) -> int:
-    cfg = config_from_args(args)
-    plan = models.build_plan(cfg)
+    plan = models.build_plan(config_from_args(args))
     shapes = models.param_shapes(plan)
-
-    layers: dict[str, int] = {}
-    weight_shape: dict[str, tuple] = {}
-    for name, shape in shapes.items():
-        prefix, kind = name.rsplit(".", 1)
-        layers[prefix] = layers.get(prefix, 0) + int(np.prod(shape))
-        if kind == "weight":
-            weight_shape[prefix] = shape
     out_shapes = dict(plan.trace)
 
     print(f"{'layer':<14} {'weight shape':<20} {'output':<16} {'params':>12}")
-    for prefix, count in layers.items():
-        wshape = "x".join(str(d) for d in weight_shape[prefix])
-        oshape = out_shapes.get(prefix, out_shapes.get(prefix.split(".")[0], ()))
-        ostr = "x".join(str(d) for d in oshape)
-        print(f"{prefix:<14} {wshape:<20} {ostr:<16} {count:>12,}")
-    print(f"{'total':<14} {'':<20} {'':<16} {models.count_params(cfg):>12,}")
+    for name in [lp.name for lp in plan.conv_layers] + list(models.HEADS):
+        weight, bias = shapes[f"{name}.weight"], shapes[f"{name}.bias"]
+        wstr, ostr = "x".join(map(str, weight)), "x".join(map(str, out_shapes[name]))
+        print(f"{name:<14} {wstr:<20} {ostr:<16} {math.prod(weight) + math.prod(bias):>12,}")
+    total = sum(math.prod(shape) for shape in shapes.values())
+    print(f"{'total':<14} {'':<20} {'':<16} {total:>12,}")
     return 0
 
 
@@ -153,7 +144,7 @@ def cmd_preprocess(args) -> int:
 
 def _render_saliency(model: models.Model, obs: P.ObservationStack):
     out = model.forward(obs.pixels)
-    return S.render_multi(out.attention_maps, model.config)
+    return S.render_multi(out.attention_maps, model.plan)
 
 
 def _save_dumps(out: Path, sal_maps, pgm: bool) -> None:
@@ -389,7 +380,7 @@ class EvalSpec:
         if data.get("pool_scope", "recording") not in POOL_SCOPES:
             raise DataFormatError(f"{source}: pool_scope must be one of "
                                   f"{', '.join(POOL_SCOPES)}, got {data['pool_scope']!r}")
-        return cls(label=entry["label"], config=models.ModelConfig(**config).validate(),
+        return cls(label=entry["label"], config=models.ModelConfig(**config),
                    recordings=tuple((r["frames"], r["fixations"]) for r in recordings),
                    **data)
 

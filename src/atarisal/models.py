@@ -1,8 +1,8 @@
 """Catalog of Atari feature extractors with multiplicative attention gates.
 
 A ModelConfig is compiled into a ModelPlan (layer specs, parameter shapes,
-shape trace); parameter counting, weight initialization, serialization order,
-and the forward pass all read the same plan, so they cannot drift apart.
+shape trace, render geometry); parameter counting, weight initialization,
+serialization order, the forward pass and rendering all read that one plan.
 Training is out of scope: weights come from build_model's initializer or a
 weight file.
 """
@@ -22,6 +22,7 @@ BLOCK_KINDS = ("sparse", "dense")
 ATTENTION_KINDS = ("fls", "fls-1x1", "rs", "daqn", "mousavi")
 PLACEMENTS = ("block", "first-conv", "each-conv")
 READOUTS = ("flatten", "sum-pool")
+HEADS = ("fc", "policy", "value")  # dense layers after the readout, in parameter order
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ModelConfig:
     fc_width: int = 512
     num_actions: int = 4
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.block not in BLOCK_KINDS:
             raise ConfigurationError(f"unknown block {self.block!r}; choose from {BLOCK_KINDS}")
         if self.attention is not None and self.attention not in ATTENTION_KINDS:
@@ -83,7 +84,6 @@ class ModelConfig:
             raise ConfigurationError(f"num_actions must be >= 1, got {self.num_actions}")
         if self.fc_width < 1 or self.daqn_width < 1:
             raise ConfigurationError("fc_width and daqn_width must be >= 1")
-        return self
 
 
 # Preset table; names double as CLI values.
@@ -101,7 +101,7 @@ PRESETS: dict[str, ModelConfig] = {
 def preset_config(name: str, **overrides) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return replace(PRESETS[name], **overrides).validate()
+    return replace(PRESETS[name], **overrides)
 
 
 def _attention_layers(kind: str, daqn_width: int, softplus2: bool):
@@ -133,11 +133,29 @@ class LayerPlan:
 
 
 @dataclass(frozen=True)
+class RFGeometry:
+    kernel: int
+    stride: int
+    padding: int
+
+
+def compose_layers(layers) -> RFGeometry:
+    """Fold per-layer (kernel, stride, padding) into one equivalent geometry."""
+    kernel, padding, stride_prod = 1, 0, 1
+    for (k, s, p) in layers:
+        kernel += (k - 1) * stride_prod
+        padding += p * stride_prod
+        stride_prod *= s
+    return RFGeometry(kernel, stride_prod, padding)
+
+
+@dataclass(frozen=True)
 class AttentionPlan:
     tag: str             # read point: "block", "conv1", "conv2", "conv3"
     after_layer: int     # 1-based block layer index the module reads
     layers: tuple[LayerPlan, ...]
     post: str            # "direct" or "softmax-mean"
+    geometry: RFGeometry  # receptive field of one map cell on the 84x84 input
 
 
 @dataclass(frozen=True)
@@ -149,10 +167,15 @@ class ModelPlan:
     readout_width: int
     trace: tuple[tuple[str, tuple[int, ...]], ...]  # layer name -> output shape
 
+    @property
+    def conv_layers(self) -> tuple[LayerPlan, ...]:
+        """Block layers, then each attention module's layers, in parameter order."""
+        return self.block_layers + tuple(lp for ap in self.attentions for lp in ap.layers)
+
 
 def build_plan(config: ModelConfig) -> ModelPlan:
-    """Validate config, propagate shapes, and lay out every parameter tensor."""
-    config.validate()
+    """Propagate shapes, lay out every parameter tensor, and compose the
+    render geometry of each attention read point."""
     specs = BLOCK_LAYERS[config.block]
     n = len(specs)
 
@@ -197,7 +220,11 @@ def build_plan(config: ModelConfig) -> ModelPlan:
             layers.append(LayerPlan(f"{prefix}.conv{j}", spec, in_c))
             in_c = spec.out_channels
             trace.append((f"{prefix}.conv{j}", (h, w, in_c)))
-        attentions.append(AttentionPlan(tag, after, tuple(layers), post))
+        # The 1px input pad some presets use is a border tweak, not a conv
+        # layer; it stays out so maps render onto the 84x84 input.
+        geometry = compose_layers((lp.spec.kernel, lp.spec.stride, lp.spec.padding)
+                                  for lp in block_layers[:after])
+        attentions.append(AttentionPlan(tag, after, tuple(layers), post, geometry))
         trace.append((f"{prefix} [map]", (h, w, 1)))
 
     fh, fw, fc_ = block_shapes[-1]
@@ -214,10 +241,7 @@ def build_plan(config: ModelConfig) -> ModelPlan:
 def param_shapes(plan: ModelPlan) -> dict[str, tuple[int, ...]]:
     """Every parameter tensor, in the canonical (serialization) order."""
     shapes: dict[str, tuple[int, ...]] = {}
-    conv_layers = list(plan.block_layers)
-    for ap in plan.attentions:
-        conv_layers.extend(ap.layers)
-    for lp in conv_layers:
+    for lp in plan.conv_layers:
         shapes[f"{lp.name}.weight"] = (lp.spec.out_channels, lp.in_channels,
                                        lp.spec.kernel, lp.spec.kernel)
         shapes[f"{lp.name}.bias"] = (lp.spec.out_channels,)
@@ -246,7 +270,6 @@ class ModelOutput:
 
 @dataclass
 class Model:
-    config: ModelConfig
     plan: ModelPlan
     params: dict[str, np.ndarray]
     _finite: Optional[bool] = field(default=None, repr=False, compare=False)
@@ -257,6 +280,10 @@ class Model:
     _dense: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = field(
         default=None, repr=False, compare=False)
 
+    @property
+    def config(self) -> ModelConfig:
+        return self.plan.config
+
     def _check_weights(self) -> None:
         if self._finite is None:
             self._finite = all(bool(np.isfinite(v).all()) for v in self.params.values())
@@ -266,16 +293,14 @@ class Model:
     def _prepare(self) -> None:
         if self._kernels is not None:
             return
-        layers = list(self.plan.block_layers) + [lp for ap in self.plan.attentions
-                                                 for lp in ap.layers]
         kernels = {lp.name: T.ConvKernel(lp.spec.kernel, lp.spec.kernel, lp.in_channels,
                                          lp.spec.out_channels, lp.spec.stride, lp.spec.padding,
                                          weights=self.params[f"{lp.name}.weight"],
                                          bias=self.params[f"{lp.name}.bias"])
-                   for lp in layers}
+                   for lp in self.plan.conv_layers}
         self._dense = {name: (self.params[f"{name}.weight"].astype(np.float64),
                               self.params[f"{name}.bias"].astype(np.float64))
-                       for name in ("fc", "policy", "value")}
+                       for name in HEADS}
         self._kernels = kernels
 
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
@@ -354,7 +379,7 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
             params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         else:
             params[name] = np.zeros(shape, dtype=np.float32)
-    return Model(config, plan, params)
+    return Model(plan, params)
 
 
 def zero_model(config: ModelConfig) -> Model:
@@ -362,4 +387,4 @@ def zero_model(config: ModelConfig) -> Model:
     plan = build_plan(config)
     params = {name: np.zeros(shape, dtype=np.float32)
               for name, shape in param_shapes(plan).items()}
-    return Model(config, plan, params)
+    return Model(plan, params)

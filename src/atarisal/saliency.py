@@ -1,10 +1,10 @@
-"""Receptive-field geometry and saliency rendering.
+"""Saliency rendering and export.
 
 An attention map rendered to input resolution is a transposed convolution
 with an all-ones kernel whose size/stride/padding are the composed geometry
-of the conv layers feeding the attention read point: each neuron adds its
-activation over its receptive-field rectangle, clipped at the borders by the
-composed padding.
+of the conv layers feeding the attention read point, which the model's plan
+holds (`AttentionPlan.geometry`): each neuron adds its activation over its
+receptive-field rectangle, clipped at the borders by the composed padding.
 
 `render` computes it in sub-pixel form (Shi et al., arXiv:1609.07009): a
 stride-s transposed convolution splits into s x s output lattices, and with
@@ -16,45 +16,14 @@ with `ConvKernel.ones` for every input.
 """
 
 import json
-from dataclasses import dataclass
+import os
 
 import numpy as np
 
 from . import models
 from .errors import ConfigurationError, DataFormatError
+from .models import RFGeometry
 from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize
-
-
-@dataclass(frozen=True)
-class RFGeometry:
-    kernel: int
-    stride: int
-    padding: int
-
-
-def compose_layers(layers) -> RFGeometry:
-    """Fold per-layer (kernel, stride, padding) into one equivalent geometry."""
-    kernel, padding, stride_prod = 1, 0, 1
-    for (k, s, p) in layers:
-        kernel += (k - 1) * stride_prod
-        padding += p * stride_prod
-        stride_prod *= s
-    return RFGeometry(kernel, stride_prod, padding)
-
-
-def compose_geometry(config: models.ModelConfig, placement: str) -> RFGeometry:
-    """Geometry of the conv layers between the network input and the given
-    attention read point ("block" or "convN"). The read point must exist in
-    the config. The 1px input pad some presets use is a border tweak, not a
-    conv layer, and stays out of the composition so rendering lands on 84x84.
-    """
-    plan = models.build_plan(config)
-    tags = {ap.tag: ap.after_layer for ap in plan.attentions}
-    if placement not in tags:
-        raise ConfigurationError(
-            f"placement {placement!r} not present in config (has {sorted(tags) or 'none'})")
-    specs = models.BLOCK_LAYERS[config.block][:tags[placement]]
-    return compose_layers((s.kernel, s.stride, s.padding) for s in specs)
 
 
 def render_output_size(n: int, geom: RFGeometry) -> int:
@@ -85,12 +54,17 @@ def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:
     return full[p:p + out, p:p + out].astype(a.dtype)
 
 
-def render_multi(maps, config: models.ModelConfig) -> np.ndarray:
-    """Render every (placement, attention) pair and sum the results."""
+def render_multi(maps, plan: models.ModelPlan) -> np.ndarray:
+    """Render every (placement, attention) pair at its read point's geometry
+    in plan and sum the results."""
+    geometry = {ap.tag: ap.geometry for ap in plan.attentions}
     total = np.zeros((models.INPUT_SIZE, models.INPUT_SIZE), dtype=np.float64)
     dtype = np.float32
     for placement, attention in maps:
-        rendered = render(attention, compose_geometry(config, placement))
+        if placement not in geometry:
+            raise ConfigurationError(f"placement {placement!r} not present in the model "
+                                     f"(has {sorted(geometry) or 'none'})")
+        rendered = render(attention, geometry[placement])
         dtype = rendered.dtype
         total += rendered.astype(np.float64)
     return total.astype(dtype)
@@ -117,6 +91,8 @@ def save_raw_saliency(path: str, sal: np.ndarray, sidecar: str = None) -> None:
 
 
 def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
+    """A save_raw_saliency dump, exactly the size its sidecar implies, with
+    finite non-negative values (KL divergence reads it as a distribution)."""
     sidecar = sidecar or path + ".json"
     try:
         with open(sidecar, encoding="utf-8") as f:
@@ -126,11 +102,15 @@ def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
         raise DataFormatError(f"{sidecar}: invalid saliency sidecar") from None
     if width < 1 or height < 1:
         raise DataFormatError(f"{sidecar}: saliency size {width}x{height} is not positive")
+    size = os.stat(path).st_size
+    if size != 4 * width * height:
+        raise DataFormatError(f"{path}: {size} bytes, sidecar implies {width}x{height} float32 "
+                              f"= {4 * width * height} bytes")
     data = np.fromfile(path, dtype="<f4")
-    if data.size != width * height:
-        raise DataFormatError(f"{path}: {data.size} values, sidecar implies {width * height}")
     if not np.isfinite(data).all():
         raise DataFormatError(f"{path}: saliency contains NaN or Inf")
+    if (data < 0).any():
+        raise DataFormatError(f"{path}: saliency contains negative values")
     return data.reshape(height, width).astype(np.float32)
 
 

@@ -67,6 +67,8 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             if name in params:
                 raise DataFormatError(f"{path}: duplicate tensor {name!r}")
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+            if not np.isfinite(params[name]).all():
+                raise DataFormatError(f"{path}: tensor {name!r} contains NaN or Inf")
         trailing = f.read(1)
         if trailing:
             raise DataFormatError(f"{path}: trailing bytes after last tensor")
@@ -91,7 +93,7 @@ def load_into_model(model: Model, path: str) -> Model:
                 f"{path}: tensor {name!r} has shape {tuple(loaded[name].shape)}, expected {shape}")
     # keep canonical parameter order regardless of file order
     params = {name: loaded[name] for name in expected}
-    return Model(model.config, model.plan, params)
+    return Model(model.plan, params)
 
 
 def save_model(path: str, model: Model) -> None:

@@ -47,6 +47,20 @@ def test_params_lists_every_layer(capsys):
         assert any(line.startswith(name) for line in out.splitlines())
 
 
+PARAMS_STDOUT = json.loads((Path(__file__).parent / "data" / "params_stdout.json").read_text())
+PARAMS_VARIANTS = {"default": (), "first-conv": ("--placement", "first-conv"),
+                   "each-conv": ("--placement", "each-conv"), "sum-pool": ("--readout", "sum-pool")}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMS_STDOUT))
+def test_params_table_bytes(capsys, case):
+    # exit code and stdout of every preset with each variant, recorded once;
+    # nature-cnn has no attention, so its placement variants are exit 1
+    preset, variant = case.split()
+    rc, out, _ = run(capsys, "params", "--preset", preset, *PARAMS_VARIANTS[variant])
+    assert (rc, out) == (PARAMS_STDOUT[case]["exit"], PARAMS_STDOUT[case]["stdout"])
+
+
 def test_invalid_action_count_is_exit_1(capsys):
     rc, _, err = run(capsys, "params", "--preset", "nature-cnn", "--actions", "0")
     assert rc == 1
@@ -249,6 +263,22 @@ def test_metrics_rejects_nan_in_saliency_dump(tmp_path, capsys, recording_32):
     assert rc == 2
     assert "sal_0001.raw" in err
     assert not (out / "summary.csv").exists()
+
+
+# one small negative cell is smoothed away by the upscale and scored without
+# complaint; a negative block reaches the KL check
+@pytest.mark.parametrize("cells", [np.s_[10, 10], np.s_[10:20, 10:20]], ids=["cell", "block"])
+def test_metrics_rejects_negative_saliency_dump(tmp_path, capsys, cells):
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 48)
+    sal = S.load_raw_saliency(str(sal_dir / "sal_0001.raw"))
+    sal[cells] = -1e-3
+    S.save_raw_saliency(str(sal_dir / "sal_0001.raw"), sal)
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert "sal_0001.raw: saliency contains negative values" in err
+    assert not out.exists()
 
 
 def test_metrics_negative_saliency_sidecar_is_exit_2(tmp_path, capsys):

@@ -161,7 +161,7 @@ def test_init_bounds_and_zero_biases():
 
 def test_placement_requires_attention():
     with pytest.raises(ConfigurationError):
-        models.ModelConfig(attention=None, placement="each-conv").validate()
+        models.ModelConfig(attention=None, placement="each-conv")
 
 
 def test_zero_actions_rejected():
@@ -181,7 +181,7 @@ def test_unknown_preset():
 
 def test_unknown_block():
     with pytest.raises(ConfigurationError):
-        models.ModelConfig(block="atrous").validate()
+        models.ModelConfig(block="atrous")
 
 
 # -- forward input validation --------------------------------------------------------

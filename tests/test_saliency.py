@@ -22,11 +22,16 @@ PRESET_GEOMETRIES = [
 ]
 
 
+def plan_geometry(cfg):
+    """Read point tag -> render geometry, as the model's plan holds it."""
+    return {ap.tag: ap.geometry for ap in models.build_plan(cfg).attentions}
+
+
 def test_compose_block_geometries():
-    assert S.compose_layers([(8, 4, 0), (4, 2, 0), (3, 1, 0)]) == S.RFGeometry(36, 8, 0)
-    assert S.compose_layers([(7, 1, 3), (5, 1, 2), (3, 1, 1)]) == S.RFGeometry(13, 1, 6)
-    assert S.compose_layers([(8, 4, 0)]) == S.RFGeometry(8, 4, 0)
-    assert S.compose_layers([(8, 4, 0), (4, 2, 0)]) == S.RFGeometry(20, 8, 0)
+    assert models.compose_layers([(8, 4, 0), (4, 2, 0), (3, 1, 0)]) == S.RFGeometry(36, 8, 0)
+    assert models.compose_layers([(7, 1, 3), (5, 1, 2), (3, 1, 1)]) == S.RFGeometry(13, 1, 6)
+    assert models.compose_layers([(8, 4, 0)]) == S.RFGeometry(8, 4, 0)
+    assert models.compose_layers([(8, 4, 0), (4, 2, 0)]) == S.RFGeometry(20, 8, 0)
 
 
 @pytest.mark.parametrize("preset,tag,geom,n", [
@@ -38,23 +43,24 @@ def test_compose_block_geometries():
 ])
 def test_compose_geometry_per_preset(preset, tag, geom, n):
     cfg = models.preset_config(preset)
-    got = S.compose_geometry(cfg, tag)
+    got = plan_geometry(cfg)[tag]
     assert got == geom
     assert S.render_output_size(n, got) == 84
 
 
 def test_compose_geometry_each_conv():
     cfg = models.preset_config("sparse-fls", placement="each-conv")
-    assert S.compose_geometry(cfg, "conv1") == S.RFGeometry(8, 4, 0)
-    assert S.compose_geometry(cfg, "conv2") == S.RFGeometry(20, 8, 0)
-    assert S.compose_geometry(cfg, "conv3") == S.RFGeometry(36, 8, 0)
+    assert plan_geometry(cfg) == {"conv1": S.RFGeometry(8, 4, 0), "conv2": S.RFGeometry(20, 8, 0),
+                                  "conv3": S.RFGeometry(36, 8, 0)}
 
 
 def test_compose_geometry_unknown_placement():
-    with pytest.raises(ConfigurationError):
-        S.compose_geometry(models.preset_config("nature-cnn"), "block")
-    with pytest.raises(ConfigurationError):
-        S.compose_geometry(models.preset_config("sparse-fls"), "conv2")
+    with pytest.raises(ConfigurationError, match="'block'"):
+        S.render_multi([("block", np.zeros((7, 7, 1), np.float32))],
+                       models.build_plan(models.preset_config("nature-cnn")))
+    with pytest.raises(ConfigurationError, match="'conv2'"):
+        S.render_multi([("conv2", np.zeros((9, 9, 1), np.float32))],
+                       models.build_plan(models.preset_config("sparse-fls")))
 
 
 # -- render -------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_render_bytes_equal_transposed_conv_tap_loop(case):
 def test_render_multi_single_equals_render():
     cfg = models.preset_config("sparse-fls")
     a = np.random.default_rng(3).random((7, 7, 1)).astype(np.float32)
-    np.testing.assert_array_equal(S.render_multi([("block", a)], cfg),
+    np.testing.assert_array_equal(S.render_multi([("block", a)], models.build_plan(cfg)),
                                   S.render(a, S.RFGeometry(36, 8, 0)))
 
 
@@ -150,14 +156,14 @@ def test_render_multi_sums_maps():
     rng = np.random.default_rng(4)
     m1 = rng.random((20, 20, 1)).astype(np.float32)
     m2 = rng.random((9, 9, 1)).astype(np.float32)
-    got = S.render_multi([("conv1", m1), ("conv2", m2)], cfg)
+    got = S.render_multi([("conv1", m1), ("conv2", m2)], models.build_plan(cfg))
     want = S.render(m1, S.RFGeometry(8, 4, 0)).astype(np.float64) \
         + S.render(m2, S.RFGeometry(20, 8, 0)).astype(np.float64)
     np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
 def test_render_multi_empty_is_zero_map():
-    out = S.render_multi([], models.preset_config("nature-cnn"))
+    out = S.render_multi([], models.build_plan(models.preset_config("nature-cnn")))
     assert out.shape == (84, 84)
     assert out.sum() == 0.0
 
@@ -172,7 +178,7 @@ def test_model_attention_renders_to_input_size(preset, overrides):
     model = models.build_model(cfg, 0)
     obs = np.random.default_rng(1).random((84, 84, 4)).astype(np.float32)
     out = model.forward(obs)
-    sal = S.render_multi(out.attention_maps, cfg)
+    sal = S.render_multi(out.attention_maps, model.plan)
     assert sal.shape == (84, 84)
     assert float(sal.min()) >= 0.0
 
@@ -227,6 +233,17 @@ def test_raw_export_size_check(tmp_path):
     with open(path, "ab") as f:
         f.write(b"\x00" * 4)
     with pytest.raises(DataFormatError):
+        S.load_raw_saliency(path)
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_raw_load_rejects_partial_trailing_value(tmp_path, extra):
+    # fewer trailing bytes than one float32 still make the dump the wrong size
+    path = str(tmp_path / "sal.raw")
+    S.save_raw_saliency(path, np.zeros((84, 84), np.float32))
+    with open(path, "ab") as f:
+        f.write(b"\x00" * extra)
+    with pytest.raises(DataFormatError, match=f"sal.raw: {4 * 84 * 84 + extra} bytes"):
         S.load_raw_saliency(path)
 
 

@@ -119,6 +119,24 @@ def test_file_tensor_order_does_not_matter(tmp_path):
     assert np.array_equal(reloaded.forward(OBS).embedding, model.forward(OBS).embedding)
 
 
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_non_finite_weight_file_is_exit_2(tmp_path, capsys, command):
+    model = small_model()
+    params = dict(model.params)
+    params["fc.weight"] = params["fc.weight"].copy()
+    params["fc.weight"][3, 7] = np.nan
+    path = tmp_path / "nan.flsw"
+    weights_io.save_weights(str(path), params)
+    out = tmp_path / "run"
+    inputs = (["--recording", "frames", "fixations.csv"] if command == "eval"
+              else ["--frames", "frames"])
+    rc = cli.main([command, "--preset", "daqn", "--weights", str(path), *inputs,
+                   "--out", str(out)])
+    assert rc == 2
+    assert f"{path}: tensor 'fc.weight' contains NaN or Inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,dims,message", [
     (b"t", (100000, 100000), "truncated weight file while reading payload of 't'"),
     # the product overflows int64, where np.prod would wrap to 0
