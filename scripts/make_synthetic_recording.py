@@ -35,7 +35,7 @@ def make_recording(out: Path, n_frames: int, seed: int, square: int,
         for _ in range(fixations_per_frame):
             x = int(np.clip(cx + rng.integers(-6, 7), 0, P.FRAME_WIDTH - 1))
             y = int(np.clip(cy + rng.integers(-6, 7), 0, P.FRAME_HEIGHT - 1))
-            records.append(P.FixationRecord(idx, x, y))
+            records.append((idx, x, y))
 
     P.save_fixations_csv(str(out / "fixations.csv"), records)
     n_obs = (n_frames // P.RAW_PER_PROCESSED) // P.STACK_DEPTH

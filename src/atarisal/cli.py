@@ -44,13 +44,13 @@ def _fmt(value) -> str:
 # -- config flags ---------------------------------------------------------------
 
 def add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(models.PRESETS), default=None,
+    p.add_argument("--preset", choices=sorted(models.PRESETS),
                    help="start from a named architecture")
-    p.add_argument("--block", choices=models.BLOCK_KINDS, default=None)
-    p.add_argument("--attention", choices=("none",) + models.ATTENTION_KINDS, default=None)
-    p.add_argument("--placement", choices=models.PLACEMENTS, default=None)
-    p.add_argument("--readout", choices=models.READOUTS, default=None)
-    p.add_argument("--actions", type=int, default=None, help="policy head width")
+    p.add_argument("--block", choices=models.BLOCK_KINDS)
+    p.add_argument("--attention", choices=("none",) + models.ATTENTION_KINDS)
+    p.add_argument("--placement", choices=models.PLACEMENTS)
+    p.add_argument("--readout", choices=models.READOUTS)
+    p.add_argument("--actions", type=int, help="policy head width")
     p.add_argument("--softplus2", action="store_true", help="base-2 softplus in fls modules")
     p.add_argument("--normalize-output", action="store_true",
                    help="divide each attention map by its sum")
@@ -72,14 +72,17 @@ _CONFIG_SWITCHES = {"softplus2": ("softplus2", True),
 
 
 def config_from_args(args) -> models.ModelConfig:
-    cfg = models.PRESETS[args.preset] if args.preset else models.ModelConfig()
-    overrides = {name: getattr(args, flag) for flag, name in _CONFIG_VALUES.items()
-                 if getattr(args, flag) is not None}
-    overrides.update(setting for flag, setting in _CONFIG_SWITCHES.items() if getattr(args, flag))
-    if args.attention:
-        overrides["attention"] = None if args.attention == "none" else args.attention
+    """The config the flags describe; eval's args hold only the flags given."""
+    flags = vars(args)
+    cfg = models.PRESETS[flags["preset"]] if flags.get("preset") else models.ModelConfig()
+    overrides = {name: flags[flag] for flag, name in _CONFIG_VALUES.items()
+                 if flags.get(flag) is not None}
+    overrides.update(setting for flag, setting in _CONFIG_SWITCHES.items() if flags.get(flag))
+    attention = flags.get("attention")
+    if attention:
+        overrides["attention"] = None if attention == "none" else attention
     cfg = replace(cfg, **overrides)
-    if args.fls_1x1:
+    if flags.get("fls_1x1"):
         if cfg.attention not in ("fls", "fls-1x1"):
             raise ConfigurationError("--fls-1x1 requires an fls attention module")
         cfg = replace(cfg, attention="fls-1x1")
@@ -124,9 +127,10 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rejected = 0
     index = {"schema_version": SCHEMA_VERSION, "observations": len(observations),
-             "retained_indices": [list(o.retained_indices) for o in observations]}
+             "retained_indices": [list(P.retained_indices(i))
+                                  for i in range(len(observations))]}
     for i, obs in enumerate(observations):
-        np.save(out / f"obs_{i:04d}.npy", obs.pixels)
+        np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
         for i, bucket in enumerate(P.records_by_observation(records, len(observations))):
             fmap, rej = P.fixation_map(bucket, P.retained_indices(i))
@@ -134,6 +138,7 @@ def cmd_preprocess(args) -> int:
             np.save(out / f"fix_{i:04d}.npy", fmap)
         index["rejected_fixations"] = rejected
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
+    _write_manifest(out, _manifest_dict(args, command="preprocess"))
     print(f"wrote {len(observations)} observations to {out}")
     if rejected:
         print(f"skipped {rejected} out-of-bounds fixation records")
@@ -142,9 +147,8 @@ def cmd_preprocess(args) -> int:
 
 # -- saliency rendering -------------------------------------------------------------
 
-def _render_saliency(model: models.Model, obs: P.ObservationStack):
-    out = model.forward(obs.pixels)
-    return S.render_multi(out.attention_maps, model.plan)
+def _render_saliency(model: models.Model, obs: np.ndarray):
+    return S.render_multi(model.forward(obs).attention_maps, model.plan)
 
 
 def _save_dumps(out: Path, sal_maps, pgm: bool) -> None:
@@ -182,6 +186,12 @@ def _blur_params(sigma: float) -> M.BlurParams:
                                  f"(blur radius ceil(3 sigma) at most the {P.FRAME_HEIGHT}-pixel "
                                  f"frame height), got {sigma!r}")
     return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
+
+
+def _check_game(game: str) -> None:
+    # the game is a field of every summary.csv row
+    if any(c in game for c in ",\r\n"):
+        raise ConfigurationError(f"--game must not contain a comma, CR or LF, got {game!r}")
 
 
 def _write_frame_csv(path: Path, scores) -> None:
@@ -266,6 +276,7 @@ def _dump_files(directory: str) -> list[Path]:
 
 def cmd_metrics(args) -> int:
     blur = _blur_params(args.sigma)
+    _check_game(args.game)
     sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
@@ -287,7 +298,7 @@ def cmd_metrics(args) -> int:
 # -- manifests ----------------------------------------------------------------------
 
 def _manifest_dict(args, command: str) -> dict:
-    """Manifest of a saliency or metrics run: the flags it was given."""
+    """Manifest of a preprocess, saliency or metrics run: the flags it was given."""
     data = {"schema_version": SCHEMA_VERSION, "command": command}
     if hasattr(args, "block"):  # only parsers with model-config flags
         data["model"] = {"label": args.preset or "custom", "config": asdict(config_from_args(args))}
@@ -345,13 +356,16 @@ class EvalSpec:
         if not self.recordings:
             raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
         _blur_params(self.sigma)
+        _check_game(self.game)
 
     @classmethod
     def from_args(cls, args) -> "EvalSpec":
-        # every field with a default is an eval flag of the same name
-        flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.default is not MISSING}
-        return cls(label=args.preset or "custom", config=config_from_args(args),
-                   recordings=tuple(map(tuple, args.recording)), **flags)
+        # every field with a default is an eval flag of the same name, present
+        # in args only when it was given
+        flags = {f.name: getattr(args, f.name) for f in fields(cls)
+                 if f.default is not MISSING and hasattr(args, f.name)}
+        return cls(label=getattr(args, "preset", None) or "custom", config=config_from_args(args),
+                   recordings=tuple(map(tuple, getattr(args, "recording", ()))), **flags)
 
     @classmethod
     def from_dict(cls, data, source: str) -> "EvalSpec":
@@ -394,10 +408,11 @@ class EvalSpec:
 # -- eval -------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    if args.manifest:
-        defaults = vars(build_parser().parse_args(["eval", "--out", ""]))
-        given = ["--" + name.replace("_", "-") for name, value in vars(args).items()
-                 if name not in ("manifest", "out") and value != defaults[name]]
+    if hasattr(args, "manifest"):
+        # the eval parser keeps only the flags that were given, each under its
+        # flag's name with "-" as "_"
+        given = ["--" + name.replace("_", "-") for name in vars(args)
+                 if name not in ("command", "func", "manifest", "out")]
         if given:
             raise ConfigurationError(f"--manifest re-runs the saved spec and takes no other "
                                      f"eval or model flag; got {', '.join(given)}")
@@ -483,6 +498,9 @@ def _gradcheck_suite(seed: int, epsilon: float):
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{flag} must be a finite number > 0, got {value!r}")
     results = _gradcheck_suite(args.seed, args.eps)
     failed = 0
     for tag, err in results:
@@ -561,18 +579,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=5.0)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("eval", help="frames + fixations -> per-frame and summary CSVs")
+    # an eval flag that was not given is absent from args: EvalSpec and
+    # ModelConfig hold the defaults, and --manifest can tell what was given
+    p = sub.add_parser("eval", help="frames + fixations -> per-frame and summary CSVs",
+                       argument_default=argparse.SUPPRESS)
     add_config_flags(p)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--recording", nargs=2, metavar=("FRAMES", "FIXATIONS"),
-                   action="append", default=[])
-    p.add_argument("--manifest", default=None, help="re-run from a saved manifest.json")
+    p.add_argument("--weights")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--recording", nargs=2, metavar=("FRAMES", "FIXATIONS"), action="append")
+    p.add_argument("--manifest", help="re-run from a saved manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--game", default="unlabeled")
-    p.add_argument("--pool-scope", dest="pool_scope", choices=POOL_SCOPES,
-                   default="recording")
-    p.add_argument("--sigma", type=float, default=5.0)
+    p.add_argument("--game")
+    p.add_argument("--pool-scope", dest="pool_scope", choices=POOL_SCOPES)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--save-saliency", dest="save_saliency", action="store_true")
     p.add_argument("--pgm", action="store_true")
     p.set_defaults(func=cmd_eval)

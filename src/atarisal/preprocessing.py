@@ -4,17 +4,20 @@ plus fixation logs and the ground-truth count maps aligned to observations.
 Frame streams arrive either as a directory of P6 PPM files (named by
 zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
 giving the frame count. `load_frames` checks every frame up front, each PPM
-header and each file's size against it, without reading any pixels, and
-returns a `FrameFiles` sequence that reads a frame from disk when it is
-indexed. `build_observations` indexes only the retained frames (offsets 2-3
-of each group of 4), so the discarded half is validated but never decoded.
+header, its 210x160 size and each file's size against it, without reading
+any pixels, and returns a `FrameFiles` sequence that reads a frame from disk
+when it is indexed. `build_observations` indexes only the retained frames
+(offsets 2-3 of each group of 4), so the discarded half is validated but
+never decoded. It returns the observations as plain 84x84x4 float32 arrays;
+observation i is built from raw frames `retained_indices(i)`.
 
-Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel as
-one (n, 3) int64 array of rows (frame_index, x, y): numpy's C reader parses
-the body, and the csv row loop takes over for any syntax it refuses.
-Bucketing rows by observation is one stable sort, and each observation's
-count map is one np.bincount; `total_fixation_map` is their sum over a
-recording in one np.bincount, so a scorer needs no map held per observation.
+Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
+from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
+rows (frame_index, x, y): numpy's C reader parses the body, and the csv row
+loop takes over for any syntax it refuses. Bucketing rows by observation is
+one stable sort, and each observation's count map is one np.bincount;
+`total_fixation_map` is their sum over a recording in one np.bincount, so a
+scorer needs no map held per observation.
 """
 
 import csv
@@ -24,9 +27,8 @@ import operator
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -41,20 +43,6 @@ RETAIN_OFFSETS = (2, 3)     # which of each group of 4 raw frames survive
 RAW_PER_OBSERVATION = RAW_PER_PROCESSED * STACK_DEPTH
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601 luma
-
-
-class FixationRecord(NamedTuple):
-    frame_index: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class ObservationStack:
-    """84x84x4 float32 in [0, 1]; channel c is the c-th oldest processed frame."""
-    pixels: np.ndarray
-    source_indices: tuple[int, ...]    # the 16 consecutive raw indices consumed
-    retained_indices: tuple[int, ...]  # the 8 raw indices that reached the stack
 
 
 def _check_frame(frame: np.ndarray, index: int) -> np.ndarray:
@@ -107,10 +95,12 @@ def retained_indices(observation_index: int) -> tuple[int, ...]:
                  for g in range(STACK_DEPTH) for o in RETAIN_OFFSETS)
 
 
-def build_observations(frames: Sequence[np.ndarray]) -> list[ObservationStack]:
+def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Group raw frames in fours, keep the 3rd and 4th of each group
     (grayscale, resize, pixelwise max), stack four processed frames per
-    observation, scale by 1/255. Observations never share raw frames;
+    observation, scale by 1/255. Observation i is an 84x84x4 float32 array
+    in [0, 1] whose channel c is its c-th oldest processed frame, built from
+    raw frames retained_indices(i); observations never share raw frames, and
     incomplete tails are dropped. Only the kept frames are indexed, so a
     `FrameFiles` sequence decodes nothing else. A stack is built as soon as
     its four processed frames exist, so only the stacks accumulate; the kept
@@ -126,19 +116,8 @@ def build_observations(frames: Sequence[np.ndarray]) -> list[ObservationStack]:
         if len(processed) == STACK_DEPTH:  # no processed frame outlives its stack
             stack = np.stack(processed, axis=-1)
             processed = []
-            pixels = (stack.astype(np.float64) / 255.0).astype(np.float32)
-            m = len(observations)
-            base = m * RAW_PER_OBSERVATION
-            observations.append(ObservationStack(
-                pixels=pixels,
-                source_indices=tuple(range(base, base + RAW_PER_OBSERVATION)),
-                retained_indices=retained_indices(m)))
+            observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
     return observations
-
-
-def _fixation_array(records) -> np.ndarray:
-    """(n, 3) int64 rows (frame_index, x, y) of a FixationRecord list or array."""
-    return np.asarray(records, dtype=np.int64).reshape(-1, 3)
 
 
 def _retained_map(rows: np.ndarray, retained: np.ndarray) -> tuple[np.ndarray, int]:
@@ -153,38 +132,33 @@ def _retained_map(rows: np.ndarray, retained: np.ndarray) -> tuple[np.ndarray, i
     return fmap.reshape(FRAME_HEIGHT, FRAME_WIDTH), len(rows) - len(pixels)
 
 
-def fixation_map(records, retained: Iterable[int]) -> tuple[np.ndarray, int]:
-    """Count map over the raw frame grid from records landing on the given
-    retained frame indices. Returns (map, out-of-bounds reject count).
-    records is a list of FixationRecord or an (n, 3) int64 array."""
-    return _retained_map(_fixation_array(records), np.fromiter(retained, dtype=np.int64))
+def fixation_map(rows: np.ndarray, retained: Iterable[int]) -> tuple[np.ndarray, int]:
+    """Count map over the raw frame grid from the (n, 3) int64 rows landing
+    on the given retained frame indices. Returns (map, out-of-bounds reject
+    count)."""
+    return _retained_map(rows, np.fromiter(retained, dtype=np.int64))
 
 
-def total_fixation_map(records, n_observations: int) -> tuple[np.ndarray, int]:
-    """The sum over observations 0..n_observations-1 of fixation_map(records,
+def total_fixation_map(rows: np.ndarray, n_observations: int) -> tuple[np.ndarray, int]:
+    """The sum over observations 0..n_observations-1 of fixation_map(rows,
     retained_indices(i)), map and reject count, from one np.bincount over the
     rows on any of their retained frames. Counts are integers, so the sum is
     exact."""
     retained = np.add.outer(np.arange(n_observations, dtype=np.int64) * RAW_PER_OBSERVATION,
                             retained_indices(0)).ravel()
-    return _retained_map(_fixation_array(records), retained)
+    return _retained_map(rows, retained)
 
 
-def records_by_observation(records, n_observations: int) -> list[np.ndarray]:
-    """Bucket i holds, in input order, the rows on the 16 raw frames
-    observation i consumes: one stable sort by observation index, cut at
-    0..n_observations. A row whose observation index is outside
+def records_by_observation(rows: np.ndarray, n_observations: int) -> list[np.ndarray]:
+    """Bucket i holds, in input order, the (n, 3) int64 rows on the 16 raw
+    frames observation i consumes: one stable sort by observation index, cut
+    at 0..n_observations. A row whose observation index is outside
     [0, n_observations) goes to no bucket."""
-    rows = _fixation_array(records)
     obs = rows[:, 0] // RAW_PER_OBSERVATION
     order = np.argsort(obs, kind="stable")
     cuts = np.searchsorted(obs[order], np.arange(n_observations + 1))
     rows = rows[order]
     return [rows[cuts[i]:cuts[i + 1]] for i in range(n_observations)]
-
-
-def fixations_for_observation(records, obs: ObservationStack) -> tuple[np.ndarray, int]:
-    return fixation_map(records, obs.retained_indices)
 
 
 # -- fixation CSV --------------------------------------------------------------
@@ -246,12 +220,12 @@ def _fixation_rows(path: str, reader) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
-def save_fixations_csv(path: str, records: Iterable[FixationRecord]) -> None:
+def save_fixations_csv(path: str, rows: Iterable[Iterable[int]]) -> None:
+    """A fixation CSV of rows (frame_index, x, y): tuples or array rows."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(FIXATION_HEADER)
-        for rec in records:
-            writer.writerow([rec.frame_index, rec.x, rec.y])
+        writer.writerows(rows)
 
 
 # -- frame file formats --------------------------------------------------------
@@ -382,8 +356,9 @@ def save_raw_rgb(path: str, frames: Sequence[np.ndarray], sidecar: str = None) -
 
 def load_frames(path: str) -> FrameFiles:
     """Directory of *.ppm files named by zero-padded index, or a single .rgb
-    file. Every frame is checked here, header and file size, so a corrupt
-    frame fails before any is decoded; pixels are read when indexed."""
+    file. Every frame is checked here, header, file size and (for PPM) the
+    210x160 frame size, so a corrupt frame fails before any is decoded, even
+    one the retention schedule discards; pixels are read when indexed."""
     p = Path(path)
     if p.is_dir():
         ppm_files = sorted(p.glob("*.ppm"))
@@ -394,9 +369,12 @@ def load_frames(path: str) -> FrameFiles:
             raise DataFormatError(f"{path}: frame names {ppm_files[0].name} and {odd[0]} differ "
                                   "in length; name frames by zero-padded index")
         located = []
-        for fp in map(str, ppm_files):
+        for i, fp in enumerate(map(str, ppm_files)):
             with open(fp, "rb") as f:
                 height, width = _ppm_header(f, fp)
+                if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):  # retained or not
+                    raise DataFormatError(f"{fp}: frame {i}: expected {FRAME_HEIGHT}x"
+                                          f"{FRAME_WIDTH}x3, got {(height, width, 3)}")
                 located.append((fp, f.tell(), height, width))
         return FrameFiles(len(located), located.__getitem__, "PPM")
     if p.is_file() and p.suffix == ".rgb":

@@ -28,7 +28,7 @@ def make_fixations(centers, seed=0, per_frame=3, jitter=5):
         for _ in range(per_frame):
             x = int(np.clip(cx + rng.integers(-jitter, jitter + 1), 0, P.FRAME_WIDTH - 1))
             y = int(np.clip(cy + rng.integers(-jitter, jitter + 1), 0, P.FRAME_HEIGHT - 1))
-            records.append(P.FixationRecord(idx, x, y))
+            records.append((idx, x, y))
     return records
 
 

@@ -143,27 +143,27 @@ def test_criterion_7_preprocessing_contract():
     frames = [rng.integers(0, 255, size=(210, 160, 3), dtype=np.uint8) for _ in range(32)]
     observations = P.build_observations(frames)
     assert len(observations) == 2
-    assert observations[0].retained_indices == (2, 3, 6, 7, 10, 11, 14, 15)
-    assert observations[1].retained_indices == (18, 19, 22, 23, 26, 27, 30, 31)
+    assert P.retained_indices(0) == (2, 3, 6, 7, 10, 11, 14, 15)
+    assert P.retained_indices(1) == (18, 19, 22, 23, 26, 27, 30, 31)
 
-    records = [P.FixationRecord(2, 5, 7), P.FixationRecord(3, 5, 7),    # obs 0, same pixel
-               P.FixationRecord(0, 5, 7),                               # discarded frame
-               P.FixationRecord(15, 100, 200),                          # obs 0
-               P.FixationRecord(16, 30, 40),                            # discarded frame
-               P.FixationRecord(18, 30, 40), P.FixationRecord(19, 30, 40),  # obs 1
-               P.FixationRecord(31, 0, 0),                              # obs 1
-               P.FixationRecord(40, 8, 8)]                              # past both stacks
-    for obs in observations:
+    records = np.array([(2, 5, 7), (3, 5, 7),        # obs 0, same pixel
+                        (0, 5, 7),                   # discarded frame
+                        (15, 100, 200),              # obs 0
+                        (16, 30, 40),                # discarded frame
+                        (18, 30, 40), (19, 30, 40),  # obs 1
+                        (31, 0, 0),                  # obs 1
+                        (40, 8, 8)], dtype=np.int64)  # past both stacks
+    for i in range(len(observations)):
         want = np.zeros((210, 160), np.int64)
-        for rec in records:
-            if rec.frame_index in obs.retained_indices:
-                want[rec.y, rec.x] += 1
-        got, rejected = P.fixations_for_observation(records, obs)
+        for frame_index, x, y in records:
+            if frame_index in P.retained_indices(i):
+                want[y, x] += 1
+        got, rejected = P.fixation_map(records, P.retained_indices(i))
         assert rejected == 0
         assert np.array_equal(got, want)
-    fix0, _ = P.fixations_for_observation(records, observations[0])
+    fix0, _ = P.fixation_map(records, P.retained_indices(0))
     assert fix0[7, 5] == 2 and fix0[200, 100] == 1 and fix0.sum() == 3
-    fix1, _ = P.fixations_for_observation(records, observations[1])
+    fix1, _ = P.fixation_map(records, P.retained_indices(1))
     assert fix1[40, 30] == 2 and fix1[0, 0] == 1 and fix1.sum() == 3
     passed(7, "32 frames -> 2 stacks with the right sources; fixation counts exact")
 

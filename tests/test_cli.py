@@ -95,6 +95,17 @@ def test_gradcheck_fails_at_coarse_epsilon(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+    ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan"), ("--threshold", "inf"),
+])
+def test_gradcheck_rejects_a_non_positive_or_non_finite_flag(capsys, flag, value):
+    rc, out, err = run(capsys, "gradcheck", flag, value)
+    assert rc == 1
+    assert flag in err
+    assert "FAIL" not in out and "PASS" not in out
+
+
 # -- preprocess ---------------------------------------------------------------------
 
 def test_preprocess_writes_stacks_and_fixations(tmp_path, capsys):
@@ -113,6 +124,17 @@ def test_preprocess_writes_stacks_and_fixations(tmp_path, capsys):
     assert index["observations"] == 2
     assert index["retained_indices"][0] == [2, 3, 6, 7, 10, 11, 14, 15]
     assert index["rejected_fixations"] == 0
+
+
+def test_preprocess_writes_a_manifest(tmp_path, capsys):
+    frames_dir, csv_path = write_recording(tmp_path, 16, seed=3)
+    out = tmp_path / "proc"
+    assert run(capsys, "preprocess", "--frames", str(frames_dir),
+               "--fixations", str(csv_path), "--out", str(out))[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "preprocess"
+    assert manifest["frames"] == str(frames_dir)
+    assert manifest["fixations"] == str(csv_path)
 
 
 def test_preprocess_reports_out_of_bounds_fixations(tmp_path, capsys):
@@ -449,6 +471,28 @@ def test_eval_manifest_rejects_other_run_flags(tmp_path, capsys, recording_32):
     assert not out2.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--sigma", "5"), "--sigma"),
+    (("--seed", "0"), "--seed"),
+    (("--game", "unlabeled"), "--game"),
+    (("--pool-scope", "recording"), "--pool-scope"),
+    (("--sigma", "5", "--no-final-relu", "--l2-norm", "--actions", "6"),
+     "--sigma, --no-final-relu, --l2-norm, --actions"),
+], ids=["sigma", "seed", "game", "pool-scope", "as-typed"])
+def test_eval_manifest_rejects_a_flag_given_at_its_default(tmp_path, capsys, recording_32,
+                                                           flags, named):
+    frames_dir, csv_path = recording_32
+    out1 = tmp_path / "run1"
+    assert run(capsys, "eval", "--preset", "sparse-fls",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(out1))[0] == 0
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(out1 / "manifest.json"), *flags,
+                     "--out", str(out2))
+    assert rc == 1
+    assert f"got {named}\n" in err
+    assert not out2.exists()
+
+
 def test_eval_does_not_depend_on_fixation_row_order(tmp_path, capsys, recording_32):
     frames_dir, csv_path = recording_32
     header, *rows = csv_path.read_text().splitlines()
@@ -548,6 +592,19 @@ def test_eval_wrong_size_retained_frame_is_exit_2(tmp_path, capsys, recording_32
     rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
     assert rc == 2
     assert "frame 18: expected 210x160x3, got (100, 100, 3)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [0, 32], ids=["discarded", "incomplete-tail"])
+def test_eval_wrong_size_unused_frame_is_exit_2(tmp_path, capsys, recording_32, index):
+    # frame 0 is discarded by the retention schedule, and frame 32 starts a
+    # tail too short for an observation; neither is ever decoded
+    frames_dir, csv_path = recording_32
+    path = frames_dir / f"frame_{index:05d}.ppm"
+    P.save_ppm(str(path), np.zeros((100, 100, 3), np.uint8))
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 2
+    assert f"{path}: frame {index}: expected 210x160x3, got (100, 100, 3)" in err
     assert not out.exists()
 
 
@@ -831,3 +888,27 @@ def test_module_invocation():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "1,686,693" in proc.stdout
+
+
+# -- game names ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("game", ["pong,v4", "pong\r", "pong\nv4"])
+def test_game_that_would_split_a_summary_row_is_exit_1(tmp_path, capsys, recording_32, game):
+    # the game is a field of every summary.csv row, which `report` splits on commas
+    frames_dir, csv_path = recording_32
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path, "--game", game)
+    assert rc == 1 and "--game" in err and not out.exists()
+
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest.update(game=game))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 1 and "--game" in err and not out2.exists()
+
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    S.save_raw_saliency(str(dumps / "sal_0000.raw"), np.ones((84, 84), np.float32))
+    out3 = tmp_path / "rescore"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(dumps),
+                     "--fixations", str(csv_path), "--out", str(out3), "--game", game)
+    assert rc == 1 and "--game" in err and not out3.exists()

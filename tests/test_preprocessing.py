@@ -84,10 +84,13 @@ def test_32_frames_two_observations():
     frames, _ = make_frames(32, seed=2)
     obs = P.build_observations(frames)
     assert len(obs) == 2
-    assert obs[0].retained_indices == (2, 3, 6, 7, 10, 11, 14, 15)
-    assert obs[1].retained_indices == (18, 19, 22, 23, 26, 27, 30, 31)
-    assert obs[0].source_indices == tuple(range(16))
-    assert obs[1].source_indices == tuple(range(16, 32))
+    assert all(o.shape == (84, 84, 4) and o.dtype == np.float32 for o in obs)
+    assert P.retained_indices(0) == (2, 3, 6, 7, 10, 11, 14, 15)
+    assert P.retained_indices(1) == (18, 19, 22, 23, 26, 27, 30, 31)
+    # observation i consumes raw frames 16i..16i+15
+    rows = np.array([(f, 0, 0) for f in range(32)], dtype=np.int64)
+    buckets = P.records_by_observation(rows, 2)
+    assert [b[:, 0].tolist() for b in buckets] == [list(range(16)), list(range(16, 32))]
 
 
 def test_31_frames_drop_incomplete_tail():
@@ -99,7 +102,7 @@ def test_constant_stream_gives_identical_channels():
     frames = [solid_frame(90, 90, 90)] * 32
     obs = P.build_observations(frames)
     assert len(obs) == 2
-    px = obs[0].pixels
+    px = obs[0]
     for c in range(1, 4):
         assert np.array_equal(px[:, :, c], px[:, :, 0])
     assert px[0, 0, 0] == pytest.approx(90.0 / 255.0, abs=1e-6)
@@ -107,7 +110,7 @@ def test_constant_stream_gives_identical_channels():
 
 def test_pixels_within_unit_interval():
     frames, _ = make_frames(16, seed=4)
-    px = P.build_observations(frames)[0].pixels
+    px = P.build_observations(frames)[0]
     assert px.dtype == np.float32
     assert px.min() >= 0.0 and px.max() <= 1.0
 
@@ -115,7 +118,7 @@ def test_pixels_within_unit_interval():
 def test_retained_indices_partition_across_observations():
     frames, _ = make_frames(64, seed=5)
     obs = P.build_observations(frames)
-    seen = [i for o in obs for i in o.retained_indices]
+    seen = [i for m in range(len(obs)) for i in P.retained_indices(m)]
     assert len(seen) == len(set(seen))
     # retained indices are exactly offsets 2,3 mod 4 of the consumed range
     assert set(seen) == {i for i in range(64) if i % 4 in (2, 3)}
@@ -125,13 +128,13 @@ def test_retained_frames_actually_drive_the_observation():
     # changing a discarded frame leaves the stack alone, changing a retained
     # frame does not
     frames = [solid_frame(10, 10, 10) for _ in range(16)]
-    base = P.build_observations(frames)[0].pixels
+    base = P.build_observations(frames)[0]
     frames2 = [f.copy() for f in frames]
     frames2[0] = solid_frame(200, 200, 200)   # offset 0 -> discarded
-    assert np.array_equal(P.build_observations(frames2)[0].pixels, base)
+    assert np.array_equal(P.build_observations(frames2)[0], base)
     frames3 = [f.copy() for f in frames]
     frames3[2] = solid_frame(200, 200, 200)   # offset 2 -> retained
-    assert not np.array_equal(P.build_observations(frames3)[0].pixels, base)
+    assert not np.array_equal(P.build_observations(frames3)[0], base)
 
 
 def test_merge_takes_pixelwise_max_of_the_pair():
@@ -139,55 +142,46 @@ def test_merge_takes_pixelwise_max_of_the_pair():
     for g in range(4):
         frames[4 * g + 2] = solid_frame(60, 60, 60)
         frames[4 * g + 3] = solid_frame(120, 120, 120)
-    px = P.build_observations(frames)[0].pixels
+    px = P.build_observations(frames)[0]
     assert px[0, 0, 0] == pytest.approx(120.0 / 255.0, abs=1e-6)
 
 
 # -- fixation maps -------------------------------------------------------------------
 
 def test_fixation_union_counts():
-    frames, _ = make_frames(16, seed=6)
-    obs = P.build_observations(frames)[0]
-    records = [
-        P.FixationRecord(2, 10, 10),    # retained
-        P.FixationRecord(3, 11, 10),    # retained
-        P.FixationRecord(15, 12, 10),   # retained
-        P.FixationRecord(0, 13, 10),    # discarded
-        P.FixationRecord(4, 14, 10),    # discarded
-    ]
-    fmap, rejected = P.fixations_for_observation(records, obs)
+    rows = np.array([
+        (2, 10, 10),    # retained
+        (3, 11, 10),    # retained
+        (15, 12, 10),   # retained
+        (0, 13, 10),    # discarded
+        (4, 14, 10),    # discarded
+    ], dtype=np.int64)
+    fmap, rejected = P.fixation_map(rows, P.retained_indices(0))
     assert fmap.sum() == 3
     assert rejected == 0
 
 
 def test_fixation_same_pixel_counts_twice():
-    frames, _ = make_frames(16, seed=7)
-    obs = P.build_observations(frames)[0]
-    records = [P.FixationRecord(2, 5, 9), P.FixationRecord(3, 5, 9)]
-    fmap, _ = P.fixations_for_observation(records, obs)
+    rows = np.array([(2, 5, 9), (3, 5, 9)], dtype=np.int64)
+    fmap, _ = P.fixation_map(rows, P.retained_indices(0))
     assert fmap[9, 5] == 2
     assert fmap.sum() == 2
 
 
 def test_fixation_out_of_bounds_rejected_with_count():
-    frames, _ = make_frames(16, seed=8)
-    obs = P.build_observations(frames)[0]
-    records = [P.FixationRecord(2, 160, 10), P.FixationRecord(3, -1, 10),
-               P.FixationRecord(6, 0, 210), P.FixationRecord(7, 8, 8)]
-    fmap, rejected = P.fixations_for_observation(records, obs)
+    rows = np.array([(2, 160, 10), (3, -1, 10), (6, 0, 210), (7, 8, 8)], dtype=np.int64)
+    fmap, rejected = P.fixation_map(rows, P.retained_indices(0))
     assert rejected == 3
     assert fmap.sum() == 1
 
 
 def test_no_records_zero_map():
-    frames, _ = make_frames(16, seed=9)
-    obs = P.build_observations(frames)[0]
-    fmap, rejected = P.fixations_for_observation([], obs)
+    fmap, rejected = P.fixation_map(np.empty((0, 3), np.int64), P.retained_indices(0))
     assert fmap.sum() == 0 and rejected == 0
 
 
 def test_records_by_observation_buckets_in_input_order():
-    records = [P.FixationRecord(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)]
+    records = np.array([(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)], dtype=np.int64)
     buckets = P.records_by_observation(records, 2)
     assert [b[:, 0].tolist() for b in buckets] == [[3, 0, 15], [17, 16, 31]]
     assert P.records_by_observation(records, 0) == []
@@ -198,9 +192,8 @@ def test_records_by_observation_buckets_in_input_order():
 def test_binned_fixation_maps_match_full_scans(seed, n_obs):
     # the reference: every record offered to every observation's map
     rng = np.random.default_rng(seed)
-    records = [P.FixationRecord(int(f), int(x), int(y)) for f, x, y in zip(
-        rng.integers(-20, 16 * n_obs + 20, 60), rng.integers(-5, 170, 60),
-        rng.integers(-5, 220, 60))]
+    records = np.stack([rng.integers(-20, 16 * n_obs + 20, 60), rng.integers(-5, 170, 60),
+                        rng.integers(-5, 220, 60)], axis=1)
     buckets = P.records_by_observation(records, n_obs)
     assert len(buckets) == n_obs
     total_map, total_rej = np.zeros((P.FRAME_HEIGHT, P.FRAME_WIDTH), np.int64), 0
@@ -219,7 +212,7 @@ def test_binned_fixation_maps_match_full_scans(seed, n_obs):
 # -- csv ------------------------------------------------------------------------------
 
 def test_fixation_csv_round_trip(tmp_path):
-    records = [P.FixationRecord(0, 1, 2), P.FixationRecord(7, 159, 209)]
+    records = [(0, 1, 2), (7, 159, 209)]
     path = str(tmp_path / "fix.csv")
     P.save_fixations_csv(path, records)
     with open(path) as f:
