@@ -90,12 +90,13 @@ def config_from_args(args) -> models.ModelConfig:
 
 
 def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
+    """The weights file's model, or else a fresh one initialized from seed;
+    seed is checked either way but draws nothing when weights is given."""
     if seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {seed}")
-    model = models.build_model(cfg, seed)
     if weights:
-        model = W.load_into_model(model, weights)
-    return model
+        return W.load_into_model(models.build_plan(cfg), weights)
+    return models.build_model(cfg, seed)
 
 
 # -- params ----------------------------------------------------------------------
@@ -188,10 +189,10 @@ def _blur_params(sigma: float) -> M.BlurParams:
     return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
 
 
-def _check_game(game: str) -> None:
-    # the game is a field of every summary.csv row
-    if any(c in game for c in ",\r\n"):
-        raise ConfigurationError(f"--game must not contain a comma, CR or LF, got {game!r}")
+def _check_summary_field(name: str, value: str) -> None:
+    # the model label and the game are fields of every summary.csv row
+    if any(c in value for c in ",\r\n"):
+        raise ConfigurationError(f"{name} must not contain a comma, CR or LF, got {value!r}")
 
 
 def _write_frame_csv(path: Path, scores) -> None:
@@ -276,7 +277,7 @@ def _dump_files(directory: str) -> list[Path]:
 
 def cmd_metrics(args) -> int:
     blur = _blur_params(args.sigma)
-    _check_game(args.game)
+    _check_summary_field("--game", args.game)
     sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
@@ -356,7 +357,8 @@ class EvalSpec:
         if not self.recordings:
             raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
         _blur_params(self.sigma)
-        _check_game(self.game)
+        _check_summary_field("model.label", self.label)
+        _check_summary_field("--game", self.game)
 
     @classmethod
     def from_args(cls, args) -> "EvalSpec":

@@ -8,6 +8,7 @@ weight file.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -149,6 +150,11 @@ def compose_layers(layers) -> RFGeometry:
     return RFGeometry(kernel, stride_prod, padding)
 
 
+def render_output_size(n: int, geom: RFGeometry) -> int:
+    """Side of the input-resolution render of an n x n map through geom."""
+    return (n - 1) * geom.stride + geom.kernel - 2 * geom.padding
+
+
 @dataclass(frozen=True)
 class AttentionPlan:
     tag: str             # read point: "block", "conv1", "conv2", "conv3"
@@ -224,6 +230,13 @@ def build_plan(config: ModelConfig) -> ModelPlan:
         # layer; it stays out so maps render onto the 84x84 input.
         geometry = compose_layers((lp.spec.kernel, lp.spec.stride, lp.spec.padding)
                                   for lp in block_layers[:after])
+        rendered = render_output_size(h, geometry)
+        if rendered != INPUT_SIZE:
+            raise ConfigurationError(
+                f"attention {tag}: its {h}x{h} map renders to {rendered}x{rendered}, not the "
+                f"{INPUT_SIZE}x{INPUT_SIZE} input"
+                + (" (pad_input_1px widens a shape-preserving block's maps)"
+                   if config.pad_input_1px else ""))
         attentions.append(AttentionPlan(tag, after, tuple(layers), post, geometry))
         trace.append((f"{prefix} [map]", (h, w, 1)))
 
@@ -261,11 +274,29 @@ def count_params(config: ModelConfig) -> int:
 
 @dataclass
 class ModelOutput:
+    """One observation's forward pass. Model.forward computes the block, the
+    attention maps and the gates; embedding, policy_logits and value are
+    computed from the gated block output when first read, then cached, so a
+    caller that reads only the maps runs no dense layer."""
     features: np.ndarray                       # block output at the final read point, pre-gate
     attention_maps: list[tuple[str, np.ndarray]]  # (placement tag, H x W x 1 map)
-    embedding: np.ndarray                      # post-readout, post-fc vector
-    policy_logits: np.ndarray
-    value: float
+    _gated: np.ndarray = field(repr=False)     # block output after every gate, pre-readout
+    _model: "Model" = field(repr=False, compare=False)
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        """Post-readout, post-fc vector."""
+        x, model = self._gated, self._model
+        vec = x.reshape(-1) if model.config.readout == "flatten" else T.spatial_sum_pool(x)
+        return T.relu(T.linear(vec, *model._dense_layer("fc")))
+
+    @cached_property
+    def policy_logits(self) -> np.ndarray:
+        return T.linear(self.embedding, *self._model._dense_layer("policy"))
+
+    @cached_property
+    def value(self) -> float:
+        return float(T.linear(self.embedding, *self._model._dense_layer("value"))[0])
 
 
 @dataclass
@@ -273,12 +304,12 @@ class Model:
     plan: ModelPlan
     params: dict[str, np.ndarray]
     _finite: Optional[bool] = field(default=None, repr=False, compare=False)
-    # Conv kernels by layer name and float64 (weight, bias) of the dense
-    # layers, built at the first forward like _finite: params edited before
-    # then count, edits after it do not.
+    # Conv kernels by layer name, built at the first forward like _finite, and
+    # float64 (weight, bias) by dense head, built when an output first reads
+    # that head: params edited before then count, edits after it do not.
     _kernels: Optional[dict[str, T.ConvKernel]] = field(default=None, repr=False, compare=False)
-    _dense: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = field(
-        default=None, repr=False, compare=False)
+    _dense: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def config(self) -> ModelConfig:
@@ -298,10 +329,13 @@ class Model:
                                          weights=self.params[f"{lp.name}.weight"],
                                          bias=self.params[f"{lp.name}.bias"])
                    for lp in self.plan.conv_layers}
-        self._dense = {name: (self.params[f"{name}.weight"].astype(np.float64),
-                              self.params[f"{name}.bias"].astype(np.float64))
-                       for name in HEADS}
         self._kernels = kernels
+
+    def _dense_layer(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        if name not in self._dense:
+            self._dense[name] = (self.params[f"{name}.weight"].astype(np.float64),
+                                 self.params[f"{name}.bias"].astype(np.float64))
+        return self._dense[name]
 
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
@@ -358,12 +392,7 @@ class Model:
                 maps.append((ap.tag, alpha))
                 x = x * alpha  # broadcast: one gate value scales all channels
 
-        vec = x.reshape(-1) if cfg.readout == "flatten" else T.spatial_sum_pool(x)
-        emb = T.relu(T.linear(vec, *self._dense["fc"]))
-        logits = T.linear(emb, *self._dense["policy"])
-        value = float(T.linear(emb, *self._dense["value"])[0])
-        return ModelOutput(features=features, attention_maps=maps, embedding=emb,
-                           policy_logits=logits, value=value)
+        return ModelOutput(features=features, attention_maps=maps, _gated=x, _model=self)
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> Model:

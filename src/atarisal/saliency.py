@@ -22,12 +22,8 @@ import numpy as np
 
 from . import models
 from .errors import ConfigurationError, DataFormatError
-from .models import RFGeometry
+from .models import RFGeometry, render_output_size
 from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize
-
-
-def render_output_size(n: int, geom: RFGeometry) -> int:
-    return (n - 1) * geom.stride + geom.kernel - 2 * geom.padding
 
 
 def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:

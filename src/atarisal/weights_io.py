@@ -13,7 +13,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DataFormatError
-from .models import Model, param_shapes
+from .models import Model, ModelPlan, param_shapes
 
 MAGIC = b"FLSW"
 VERSION = 1
@@ -75,10 +75,11 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
     return params
 
 
-def load_into_model(model: Model, path: str) -> Model:
-    """Replace every parameter from the file; names and shapes must match exactly."""
+def load_into_model(plan: ModelPlan, path: str) -> Model:
+    """The model of plan with every parameter from the file; names and shapes
+    must match plan's exactly, and no initializer runs."""
     loaded = load_weights(path)
-    expected = param_shapes(model.plan)
+    expected = param_shapes(plan)
     missing = sorted(set(expected) - set(loaded))
     extra = sorted(set(loaded) - set(expected))
     if missing:
@@ -93,7 +94,7 @@ def load_into_model(model: Model, path: str) -> Model:
                 f"{path}: tensor {name!r} has shape {tuple(loaded[name].shape)}, expected {shape}")
     # keep canonical parameter order regardless of file order
     params = {name: loaded[name] for name in expected}
-    return Model(model.plan, params)
+    return Model(plan, params)
 
 
 def save_model(path: str, model: Model) -> None:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atarisal import cli, preprocessing as P, saliency as S
+from atarisal import cli, models, preprocessing as P, saliency as S, tensor_ops as T, weights_io
 
 from conftest import write_recording
+from test_determinism import GOLDEN, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -789,11 +790,70 @@ def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["fls,v2", "fls\r", "fls\nv2"])
+def test_manifest_label_that_would_split_a_summary_row_is_exit_1(tmp_path, capsys,
+                                                                 recording_32, label):
+    # the label is a field of every summary.csv row, like the game
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest["model"].update(label=label))
+    out = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out))
+    assert rc == 1 and "model.label" in err and not out.exists()
+
+
 def test_eval_rejects_foreign_manifest(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps({"schema_version": 1, "command": "saliency"}))
     rc, _, _ = run(capsys, "eval", "--manifest", str(bad), "--out", str(tmp_path / "o"))
     assert rc == 2
+
+
+# -- eval runs only what the maps need ------------------------------------------------
+
+def test_eval_runs_no_dense_layer(tmp_path, capsys, recording_32, monkeypatch):
+    def no_linear(*args):
+        raise AssertionError("tensor_ops.linear called")
+
+    monkeypatch.setattr(T, "linear", no_linear)
+    frames_dir, csv_path = recording_32
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 0, err
+    assert digests(out) == GOLDEN[("--preset", "sparse-fls")]
+
+
+def test_eval_with_weights_does_not_depend_on_seed(tmp_path, capsys, recording_32):
+    # the file's model, whatever --seed says: the same bytes as eval of the
+    # model it was saved from
+    frames_dir, csv_path = recording_32
+    weights = tmp_path / "w.flsw"
+    weights_io.save_model(str(weights), models.build_model(models.PRESETS["sparse-fls"], 7))
+    outputs = []
+    for seed, flags in (("7", ()), ("0", ("--weights", str(weights))),
+                        ("5", ("--weights", str(weights)))):
+        out = tmp_path / f"seed{seed}"
+        rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", "--seed", seed, *flags,
+                         "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+        assert rc == 0, err
+        outputs.append([(out / name).read_bytes() for name in ("frames_rec0.csv", "summary.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["params", "eval", "saliency"])
+def test_pad_input_1px_dense_fls_is_exit_1_before_output(tmp_path, capsys, recording_32,
+                                                         command):
+    frames_dir, csv_path = recording_32
+    out = tmp_path / "run"
+    inputs = {"params": [], "saliency": ["--frames", str(frames_dir), "--out", str(out)],
+              "eval": ["--recording", str(frames_dir), str(csv_path), "--out", str(out)]}
+    rc, stdout, err = run(capsys, command, "--preset", "dense-fls", "--pad-input-1px",
+                          *inputs[command])
+    assert rc == 1 and "renders to 86x86" in err and not out.exists() and stdout == ""
+
+
+def test_pad_input_1px_dense_block_without_attention_still_runs(capsys):
+    rc, stdout, _ = run(capsys, "params", "--block", "dense", "--attention", "none",
+                        "--pad-input-1px")
+    assert rc == 0 and "86x86x64" in stdout
 
 
 # -- report -------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from atarisal import models, weights_io
+from atarisal import models, tensor_ops as T, weights_io
 from atarisal.errors import ConfigurationError, EvaluationError
 
 RNG = np.random.default_rng(42)
@@ -182,6 +182,39 @@ def test_unknown_preset():
 def test_unknown_block():
     with pytest.raises(ConfigurationError):
         models.ModelConfig(block="atrous")
+
+
+# -- dense heads on first read --------------------------------------------------------
+
+@pytest.mark.parametrize("preset", ["nature-cnn", "daqn", "rs-ppo", "sparse-fls", "dense-fls"])
+def test_heads_equal_a_by_hand_linear_chain(preset):
+    cfg = models.preset_config(preset)
+    model = models.build_model(cfg, 4)
+    out = model.forward(OBS)
+    x = out.features
+    for _, alpha in out.attention_maps:  # one gate, on the block output
+        x = x * alpha
+    vec = x.reshape(-1) if cfg.readout == "flatten" else T.spatial_sum_pool(x)
+    dense = {name: (model.params[f"{name}.weight"].astype(np.float64),
+                    model.params[f"{name}.bias"].astype(np.float64)) for name in models.HEADS}
+    emb = T.relu(T.linear(vec, *dense["fc"]))
+    assert out.embedding.dtype == emb.dtype and np.array_equal(out.embedding, emb)
+    logits = T.linear(emb, *dense["policy"])
+    assert out.policy_logits.dtype == logits.dtype and np.array_equal(out.policy_logits, logits)
+    assert out.value == float(T.linear(emb, *dense["value"])[0])
+
+
+def test_forward_runs_no_dense_layer_until_a_head_is_read(monkeypatch):
+    model = models.build_model(models.preset_config("sparse-fls"), 2)
+    calls, linear = [], T.linear
+    monkeypatch.setattr(T, "linear", lambda v, weights, bias=None: (
+        calls.append(weights.shape), linear(v, weights, bias))[1])
+    out = model.forward(OBS)
+    assert calls == [] and model._dense == {}
+    assert out.value == out.value  # fc once, then the value head, both cached
+    assert calls == [(512, 3136), (1, 512)] and sorted(model._dense) == ["fc", "value"]
+    out.policy_logits
+    assert calls == [(512, 3136), (1, 512), (4, 512)]
 
 
 # -- forward input validation --------------------------------------------------------

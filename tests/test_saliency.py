@@ -48,6 +48,25 @@ def test_compose_geometry_per_preset(preset, tag, geom, n):
     assert S.render_output_size(n, got) == 84
 
 
+@pytest.mark.parametrize("block", models.BLOCK_KINDS)
+@pytest.mark.parametrize("placement", models.PLACEMENTS)
+@pytest.mark.parametrize("pad", [False, True])
+def test_every_plan_it_builds_renders_its_maps_to_84(block, placement, pad):
+    # build_plan refuses a read point whose map would not render onto the
+    # 84x84 input, so the render never meets one
+    cfg = models.ModelConfig(block=block, attention="fls", placement=placement,
+                             pad_input_1px=pad)
+    try:
+        plan = models.build_plan(cfg)
+    except ConfigurationError as e:
+        assert block == "dense" and pad and "not the 84x84 input" in str(e)
+        return
+    shapes = dict(plan.trace)
+    for ap in plan.attentions:
+        side = shapes[plan.block_layers[ap.after_layer - 1].name][0]
+        assert S.render(np.ones((side, side, 1), np.float32), ap.geometry).shape == (84, 84)
+
+
 def test_compose_geometry_each_conv():
     cfg = models.preset_config("sparse-fls", placement="each-conv")
     assert plan_geometry(cfg) == {"conv1": S.RFGeometry(8, 4, 0), "conv2": S.RFGeometry(20, 8, 0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atarisal import cli, models, weights_io
-from atarisal.errors import DataFormatError
+from atarisal.errors import ConfigurationError, DataFormatError
 
 OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
@@ -17,7 +17,7 @@ def test_round_trip_reproduces_forward_bitwise(tmp_path):
     model = small_model()
     path = str(tmp_path / "m.flsw")
     weights_io.save_model(path, model)
-    reloaded = weights_io.load_into_model(small_model(seed=99), path)
+    reloaded = weights_io.load_into_model(small_model(seed=99).plan, path)
     a, b = model.forward(OBS), reloaded.forward(OBS)
     assert np.array_equal(a.embedding, b.embedding)
     assert np.array_equal(a.policy_logits, b.policy_logits)
@@ -49,7 +49,7 @@ def test_missing_tensor_error_names_it(tmp_path):
     path = str(tmp_path / "missing.flsw")
     weights_io.save_weights(path, params)
     with pytest.raises(DataFormatError, match="value.bias"):
-        weights_io.load_into_model(model, path)
+        weights_io.load_into_model(model.plan, path)
 
 
 def test_extra_tensor_rejected(tmp_path):
@@ -59,7 +59,7 @@ def test_extra_tensor_rejected(tmp_path):
     path = str(tmp_path / "extra.flsw")
     weights_io.save_weights(path, params)
     with pytest.raises(DataFormatError, match="stray"):
-        weights_io.load_into_model(model, path)
+        weights_io.load_into_model(model.plan, path)
 
 
 def test_transposed_shape_rejected(tmp_path):
@@ -69,7 +69,7 @@ def test_transposed_shape_rejected(tmp_path):
     path = str(tmp_path / "transposed.flsw")
     weights_io.save_weights(path, params)
     with pytest.raises(DataFormatError, match="fc.weight"):
-        weights_io.load_into_model(model, path)
+        weights_io.load_into_model(model.plan, path)
 
 
 def test_truncated_file(tmp_path):
@@ -114,9 +114,28 @@ def test_file_tensor_order_does_not_matter(tmp_path):
     shuffled = dict(reversed(list(model.params.items())))
     path = str(tmp_path / "shuffled.flsw")
     weights_io.save_weights(path, shuffled)
-    reloaded = weights_io.load_into_model(small_model(seed=3), path)
+    reloaded = weights_io.load_into_model(small_model(seed=3).plan, path)
     assert list(reloaded.params) == list(model.params)  # canonical order restored
     assert np.array_equal(reloaded.forward(OBS).embedding, model.forward(OBS).embedding)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_load_model_with_weights_runs_no_initializer(tmp_path, monkeypatch, seed):
+    model = small_model(seed=2)
+    path = str(tmp_path / "m.flsw")
+    weights_io.save_model(path, model)
+
+    def no_init(*args):
+        raise AssertionError("models.build_model called")
+
+    monkeypatch.setattr(models, "build_model", no_init)
+    loaded = cli.load_model(models.preset_config("daqn"), path, seed)
+    assert list(loaded.params) == list(model.params)
+    for name, tensor in model.params.items():
+        assert loaded.params[name].dtype == np.float32
+        assert np.array_equal(loaded.params[name], tensor)
+    with pytest.raises(ConfigurationError, match="--seed"):
+        cli.load_model(models.preset_config("daqn"), path, -1)
 
 
 @pytest.mark.parametrize("command", ["eval", "saliency"])
