@@ -56,7 +56,6 @@ def add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="divide each attention map by its sum")
     p.add_argument("--no-final-relu", action="store_true",
                    help="drop the activation feeding each attention module")
-    p.add_argument("--fls-1x1", action="store_true", help="1x1 convs inside the fls module")
     p.add_argument("--pad-input-1px", action="store_true")
     p.add_argument("--l2-norm", action="store_true",
                    help="unit-normalize each location's feature vector")
@@ -81,19 +80,18 @@ def config_from_args(args) -> models.ModelConfig:
     attention = flags.get("attention")
     if attention:
         overrides["attention"] = None if attention == "none" else attention
-    cfg = replace(cfg, **overrides)
-    if flags.get("fls_1x1"):
-        if cfg.attention not in ("fls", "fls-1x1"):
-            raise ConfigurationError("--fls-1x1 requires an fls attention module")
-        cfg = replace(cfg, attention="fls-1x1")
-    return cfg
+    return replace(cfg, **overrides)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
 
 
 def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
     """The weights file's model, or else a fresh one initialized from seed;
     seed is checked either way but draws nothing when weights is given."""
-    if seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+    _check_seed(seed)
     if weights:
         return W.load_into_model(models.build_plan(cfg), weights)
     return models.build_model(cfg, seed)
@@ -179,14 +177,14 @@ def cmd_saliency(args) -> int:
 
 # -- scoring ---------------------------------------------------------------------
 
-def _blur_params(sigma: float) -> M.BlurParams:
+def _check_sigma(sigma: float) -> float:
     # a truncation radius past the frame height adds only time (sigma <= 70)
     if not (math.isfinite(sigma) and sigma >= 0.0
             and M.blur_radius_for(sigma) <= P.FRAME_HEIGHT):
         raise ConfigurationError(f"--sigma must be a finite number in [0, {P.FRAME_HEIGHT // 3}] "
                                  f"(blur radius ceil(3 sigma) at most the {P.FRAME_HEIGHT}-pixel "
                                  f"frame height), got {sigma!r}")
-    return M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
+    return sigma
 
 
 def _check_summary_field(name: str, value: str) -> None:
@@ -209,7 +207,7 @@ def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
 
 
 def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
-           blur: M.BlurParams) -> None:
+           sigma: float) -> None:
     """Score (saliency maps, fixation records) per recording; write
     frames_rec{i}.csv, summary.csv and log.txt. Map i is 84x84, upscaled here
     when it is scored, or already 210x160. It meets the records on the raw
@@ -241,7 +239,7 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
             if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
                 sal = S.upscale_to_frame(sal)
             fix, _ = P.fixation_map(bucket, P.retained_indices(i))
-            scores.append(M.score_frame(i, sal, fix, [total - fix], blur))
+            scores.append(M.score_frame(i, sal, fix, [total - fix], sigma))
         per_rec_scores.append(scores)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
         for name in M.METRIC_NAMES:
@@ -276,7 +274,7 @@ def _dump_files(directory: str) -> list[Path]:
 
 
 def cmd_metrics(args) -> int:
-    blur = _blur_params(args.sigma)
+    sigma = _check_sigma(args.sigma)
     _check_summary_field("--game", args.game)
     sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
@@ -291,7 +289,7 @@ def cmd_metrics(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _score(out, [(sal_maps, records)], "external", args.game, "recording", blur)
+    _score(out, [(sal_maps, records)], "external", args.game, "recording", sigma)
     _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
 
@@ -356,7 +354,7 @@ class EvalSpec:
     def __post_init__(self):
         if not self.recordings:
             raise ConfigurationError("eval needs at least one --recording FRAMES FIXATIONS")
-        _blur_params(self.sigma)
+        _check_sigma(self.sigma)
         _check_summary_field("model.label", self.label)
         _check_summary_field("--game", self.game)
 
@@ -450,7 +448,7 @@ def cmd_eval(args) -> int:
             _save_dumps(out / f"rec{ri}", sal84s, spec.pgm)
         recordings.append((sal84s, records))
 
-    _score(out, recordings, spec.label, spec.game, spec.pool_scope, _blur_params(spec.sigma))
+    _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())
     return 0
 
@@ -465,8 +463,8 @@ def _gradcheck_suite(seed: int, epsilon: float):
 
     checks = []
 
-    kern_a = T.ConvKernel(3, 3, 2, 4, 1, 1, weights=rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
-    kern_b = T.ConvKernel(4, 4, 2, 3, 2, 0, weights=rng.standard_normal((3, 2, 4, 4)).astype(np.float32))
+    kern_a = T.ConvKernel(rng.standard_normal((4, 2, 3, 3)).astype(np.float32), stride=1, padding=1)
+    kern_b = T.ConvKernel(rng.standard_normal((3, 2, 4, 4)).astype(np.float32), stride=2, padding=0)
     for tag, kern, shape in (("conv2d s1 p1", kern_a, (8, 8, 2)), ("conv2d s2 p0", kern_b, (8, 8, 2))):
         x = rand(shape)
         w = rand(T.conv2d(x, kern).shape)
@@ -500,6 +498,7 @@ def _gradcheck_suite(seed: int, epsilon: float):
 
 
 def cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigurationError(f"{flag} must be a finite number > 0, got {value!r}")

@@ -30,12 +30,6 @@ REASON_NO_NEGATIVES = "no-negatives"
 
 
 @dataclass
-class BlurParams:
-    sigma: float = 5.0
-    radius: int = 15  # ceil(3 * sigma)
-
-
-@dataclass
 class FrameScore:
     frame: int = 0
     nss: Optional[float] = None
@@ -71,23 +65,23 @@ def nss(sal: np.ndarray, fix: np.ndarray) -> Optional[float]:
     return _nss(sal, fix)[0]
 
 
-def gaussian_blur(grid: np.ndarray, params: BlurParams = None) -> np.ndarray:
-    """Separable Gaussian with a truncated normalized kernel, reflect padding.
+def gaussian_blur(grid: np.ndarray, sigma: float = 5.0) -> np.ndarray:
+    """Separable Gaussian with a normalized kernel truncated at radius
+    blur_radius_for(sigma), reflect padding.
 
     The float64 operations, and so the bytes, of scipy.ndimage.gaussian_filter
-    (grid, sigma, mode="reflect", radius=radius): the same kernel expression,
-    rows first, and per pixel center * w0 followed by (left + right) * w_j
-    added for j from the radius down to 1. A sigma of at most 1e-15 leaves the
-    grid as it is, as scipy does. Written out here so that no command has to
-    import scipy, which would cost more start-up time and resident memory than
-    all of atarisal's own imports."""
-    params = params or BlurParams()
+    (grid, sigma, mode="reflect", radius=blur_radius_for(sigma)): the same
+    kernel expression, rows first, and per pixel center * w0 followed by
+    (left + right) * w_j added for j from the radius down to 1. A sigma of at
+    most 1e-15 leaves the grid as it is, as scipy does. Written out here so
+    that no command has to import scipy, which would cost more start-up time
+    and resident memory than all of atarisal's own imports."""
     grid = np.asarray(grid, dtype=np.float64)
-    if params.sigma <= 1e-15:
+    if sigma <= 1e-15:
         return grid.copy()
-    r = params.radius
+    r = blur_radius_for(sigma)
     taps = np.arange(-r, r + 1)
-    weights = np.exp(-0.5 / (params.sigma * params.sigma) * taps ** 2)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
     weights = weights / weights.sum()
     rows = _correlate_rows(grid, weights, r)
     return np.ascontiguousarray(_correlate_rows(np.ascontiguousarray(rows.T), weights, r).T)
@@ -108,24 +102,23 @@ def _correlate_rows(grid: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray
     return out
 
 
-def _kl(sal: np.ndarray, fix: np.ndarray, params: BlurParams):
+def _kl(sal: np.ndarray, fix: np.ndarray, sigma: float):
     sal, fix = _check_shapes(sal, fix)
     if float(fix.sum()) == 0.0:
         return None, REASON_NO_FIXATIONS
     if float(sal.min()) < 0.0:
         raise ConfigurationError("saliency map must be non-negative for KL divergence")
-    f = gaussian_blur(fix, params) + EPSILON
+    f = gaussian_blur(fix, sigma) + EPSILON
     f /= f.sum()
     s = sal + EPSILON
     s /= s.sum()
     return float((f * np.log(f / s)).sum()), None
 
 
-def kl_divergence(sal: np.ndarray, fix: np.ndarray,
-                  params: BlurParams = None) -> Optional[float]:
+def kl_divergence(sal: np.ndarray, fix: np.ndarray, sigma: float = 5.0) -> Optional[float]:
     """KL(blurred-fixation distribution || saliency distribution); both sides
     smoothed by EPSILON per cell and normalized to sum 1. None without fixations."""
-    return _kl(sal, fix, params or BlurParams())[0]
+    return _kl(sal, fix, sigma)[0]
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -177,13 +170,12 @@ def shuffled_auc(sal: np.ndarray, positives: np.ndarray,
 
 def score_frame(frame: int, sal: np.ndarray, fix: np.ndarray,
                 negative_pool: Sequence[np.ndarray],
-                blur: BlurParams = None) -> FrameScore:
-    blur = blur or BlurParams()
+                sigma: float = 5.0) -> FrameScore:
     score = FrameScore(frame=frame)
     score.nss, r = _nss(sal, fix)
     if r:
         score.reasons["nss"] = r
-    score.kl, r = _kl(sal, fix, blur)
+    score.kl, r = _kl(sal, fix, sigma)
     if r:
         score.reasons["kl"] = r
     score.sauc, r = _sauc(sal, fix, negative_pool)
@@ -222,4 +214,5 @@ def aggregate(recordings: Sequence[Sequence[FrameScore]]) -> dict[str, MetricSum
 
 
 def blur_radius_for(sigma: float) -> int:
+    """Truncation radius of the Gaussian blur: three sigmas, rounded up."""
     return math.ceil(3.0 * sigma)

@@ -152,7 +152,7 @@ def compose_layers(layers) -> RFGeometry:
 
 def render_output_size(n: int, geom: RFGeometry) -> int:
     """Side of the input-resolution render of an n x n map through geom."""
-    return (n - 1) * geom.stride + geom.kernel - 2 * geom.padding
+    return T.transposed_conv_output_size(n, geom.kernel, geom.stride, geom.padding)
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,9 @@ def count_params(config: ModelConfig) -> int:
 class ModelOutput:
     """One observation's forward pass. Model.forward computes the block, the
     attention maps and the gates; embedding, policy_logits and value are
-    computed from the gated block output when first read, then cached, so a
-    caller that reads only the maps runs no dense layer."""
+    computed from the gated block output and the model's current params when
+    first read, then cached, so a caller that reads only the maps runs no
+    dense layer."""
     features: np.ndarray                       # block output at the final read point, pre-gate
     attention_maps: list[tuple[str, np.ndarray]]  # (placement tag, H x W x 1 map)
     _gated: np.ndarray = field(repr=False)     # block output after every gate, pre-readout
@@ -288,54 +289,41 @@ class ModelOutput:
         """Post-readout, post-fc vector."""
         x, model = self._gated, self._model
         vec = x.reshape(-1) if model.config.readout == "flatten" else T.spatial_sum_pool(x)
-        return T.relu(T.linear(vec, *model._dense_layer("fc")))
+        return T.relu(T.linear(vec, model.params["fc.weight"], model.params["fc.bias"]))
 
     @cached_property
     def policy_logits(self) -> np.ndarray:
-        return T.linear(self.embedding, *self._model._dense_layer("policy"))
+        p = self._model.params
+        return T.linear(self.embedding, p["policy.weight"], p["policy.bias"])
 
     @cached_property
     def value(self) -> float:
-        return float(T.linear(self.embedding, *self._model._dense_layer("value"))[0])
+        p = self._model.params
+        return float(T.linear(self.embedding, p["value.weight"], p["value.bias"])[0])
 
 
 @dataclass
 class Model:
     plan: ModelPlan
     params: dict[str, np.ndarray]
-    _finite: Optional[bool] = field(default=None, repr=False, compare=False)
-    # Conv kernels by layer name, built at the first forward like _finite, and
-    # float64 (weight, bias) by dense head, built when an output first reads
-    # that head: params edited before then count, edits after it do not.
+    # Conv kernels by layer name, built at the first forward once every param
+    # is finite; a kernel caches its float64 weights, so conv weights edited
+    # after that forward do not count.
     _kernels: Optional[dict[str, T.ConvKernel]] = field(default=None, repr=False, compare=False)
-    _dense: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False)
 
     @property
     def config(self) -> ModelConfig:
         return self.plan.config
 
-    def _check_weights(self) -> None:
-        if self._finite is None:
-            self._finite = all(bool(np.isfinite(v).all()) for v in self.params.values())
-        if not self._finite:
-            raise EvaluationError("model weights contain NaN or Inf")
-
     def _prepare(self) -> None:
         if self._kernels is not None:
             return
-        kernels = {lp.name: T.ConvKernel(lp.spec.kernel, lp.spec.kernel, lp.in_channels,
-                                         lp.spec.out_channels, lp.spec.stride, lp.spec.padding,
-                                         weights=self.params[f"{lp.name}.weight"],
-                                         bias=self.params[f"{lp.name}.bias"])
-                   for lp in self.plan.conv_layers}
-        self._kernels = kernels
-
-    def _dense_layer(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        if name not in self._dense:
-            self._dense[name] = (self.params[f"{name}.weight"].astype(np.float64),
-                                 self.params[f"{name}.bias"].astype(np.float64))
-        return self._dense[name]
+        if not all(np.isfinite(v).all() for v in self.params.values()):
+            raise EvaluationError("model weights contain NaN or Inf")
+        self._kernels = {lp.name: T.ConvKernel(self.params[f"{lp.name}.weight"],
+                                               self.params[f"{lp.name}.bias"],
+                                               lp.spec.stride, lp.spec.padding)
+                         for lp in self.plan.conv_layers}
 
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
@@ -357,7 +345,6 @@ class Model:
 
     def forward(self, obs: np.ndarray) -> ModelOutput:
         """Evaluate one 84x84x4 observation with values in [0, 1]."""
-        self._check_weights()
         self._prepare()
         cfg = self.config
         x = np.asarray(obs)

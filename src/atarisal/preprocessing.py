@@ -321,10 +321,10 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
         f.write(frame.tobytes())
 
 
-def load_raw_rgb(path: str, sidecar: str = None) -> FrameFiles:
-    """Concatenated raw RGB frames, read on demand; the JSON sidecar holds
-    frames/width/height, and the file's size must match it exactly."""
-    sidecar = sidecar or path + ".json"
+def load_raw_rgb(path: str) -> FrameFiles:
+    """Concatenated raw RGB frames, read on demand; the JSON sidecar path.json
+    holds frames/width/height, and the file's size must match it exactly."""
+    sidecar = path + ".json"
     try:
         with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)
@@ -343,22 +343,23 @@ def load_raw_rgb(path: str, sidecar: str = None) -> FrameFiles:
     return FrameFiles(count, lambda i: (path, i * frame_bytes, height, width), "raw RGB")
 
 
-def save_raw_rgb(path: str, frames: Sequence[np.ndarray], sidecar: str = None) -> None:
+def save_raw_rgb(path: str, frames: Sequence[np.ndarray]) -> None:
     frames = [np.ascontiguousarray(f, dtype=np.uint8) for f in frames]
     h, w, _ = frames[0].shape
     with open(path, "wb") as f:
         for frame in frames:
             f.write(frame.tobytes())
-    with open(sidecar or path + ".json", "w") as f:
+    with open(path + ".json", "w") as f:
         json.dump({"frames": len(frames), "width": w, "height": h}, f)
         f.write("\n")
 
 
 def load_frames(path: str) -> FrameFiles:
     """Directory of *.ppm files named by zero-padded index, or a single .rgb
-    file. Every frame is checked here, header, file size and (for PPM) the
-    210x160 frame size, so a corrupt frame fails before any is decoded, even
-    one the retention schedule discards; pixels are read when indexed."""
+    file. Every frame is checked here, header, file size and the 210x160
+    frame size (of each PPM, or of the .rgb sidecar), so a corrupt frame
+    fails before any is decoded, even one the retention schedule discards;
+    pixels are read when indexed."""
     p = Path(path)
     if p.is_dir():
         ppm_files = sorted(p.glob("*.ppm"))
@@ -378,5 +379,10 @@ def load_frames(path: str) -> FrameFiles:
                 located.append((fp, f.tell(), height, width))
         return FrameFiles(len(located), located.__getitem__, "PPM")
     if p.is_file() and p.suffix == ".rgb":
-        return load_raw_rgb(str(p))
+        frames = load_raw_rgb(str(p))
+        height, width = frames._locate(0)[2:]  # the sidecar's size, shared by every frame
+        if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):
+            raise DataFormatError(f"{path}: expected {FRAME_HEIGHT}x{FRAME_WIDTH}x3 frames, "
+                                  f"the sidecar gives {(height, width, 3)}")
+        return frames
     raise DataFormatError(f"{path}: expected a frame directory or a .rgb file")

@@ -76,20 +76,20 @@ def upscale_to_frame(sal: np.ndarray) -> np.ndarray:
 
 # -- export formats ------------------------------------------------------------
 
-def save_raw_saliency(path: str, sal: np.ndarray, sidecar: str = None) -> None:
-    """Row-major float32 little-endian grid plus a {width, height} JSON sidecar."""
+def save_raw_saliency(path: str, sal: np.ndarray) -> None:
+    """Row-major float32 little-endian grid plus a {width, height} sidecar path.json."""
     sal = np.ascontiguousarray(sal, dtype="<f4")
     with open(path, "wb") as f:
         f.write(sal.tobytes())
-    with open(sidecar or path + ".json", "w") as f:
+    with open(path + ".json", "w") as f:
         json.dump({"width": sal.shape[1], "height": sal.shape[0]}, f)
         f.write("\n")
 
 
-def load_raw_saliency(path: str, sidecar: str = None) -> np.ndarray:
+def load_raw_saliency(path: str) -> np.ndarray:
     """A save_raw_saliency dump, exactly the size its sidecar implies, with
     finite non-negative values (KL divergence reads it as a distribution)."""
-    sidecar = sidecar or path + ".json"
+    sidecar = path + ".json"
     try:
         with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)

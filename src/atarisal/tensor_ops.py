@@ -39,29 +39,24 @@ def _require(cond: bool, msg: str) -> None:
 class ConvKernel:
     """A 2-D convolution kernel: weights (out, in, kh, kw), optional bias (out,).
 
-    Stride and padding are isotropic; padding is zero-fill on all four sides.
+    The weights' shape is the kernel's only record of its dims. Stride and
+    padding are isotropic; padding is zero-fill on all four sides.
     """
 
-    kernel_h: int
-    kernel_w: int
-    in_channels: int
-    out_channels: int
+    weights: np.ndarray
+    bias: Optional[np.ndarray] = None
     stride: int = 1
     padding: int = 0
-    weights: np.ndarray = None
-    bias: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _require(self.kernel_h >= 1 and self.kernel_w >= 1, "kernel dims must be positive")
-        _require(self.in_channels >= 1 and self.out_channels >= 1, "channel counts must be positive")
+        shape = np.shape(self.weights)
+        _require(len(shape) == 4 and min(shape) >= 1,
+                 f"weights must be (out, in, kh, kw) with every dim >= 1, got shape {shape}")
         _require(self.stride >= 1, "stride must be >= 1")
         _require(self.padding >= 0, "padding must be >= 0")
-        expected = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
-        _require(self.weights is not None and tuple(self.weights.shape) == expected,
-                 f"weights shape {None if self.weights is None else self.weights.shape} != {expected}")
         if self.bias is not None:
-            _require(tuple(self.bias.shape) == (self.out_channels,),
-                     f"bias shape {self.bias.shape} != ({self.out_channels},)")
+            _require(tuple(self.bias.shape) == shape[:1],
+                     f"bias shape {self.bias.shape} != ({shape[0]},)")
 
     @cached_property
     def gemm_weights(self) -> np.ndarray:
@@ -69,14 +64,13 @@ class ConvKernel:
         by, rows in (kh, kw, in) order. Built on first use, so the weights
         must not change after the kernel has been applied."""
         w64 = np.asarray(self.weights, np.float64).transpose(2, 3, 1, 0)
-        return np.ascontiguousarray(w64).reshape(-1, self.out_channels)
+        return np.ascontiguousarray(w64).reshape(-1, self.weights.shape[0])
 
     @classmethod
     def ones(cls, size: int, stride: int = 1, padding: int = 0) -> "ConvKernel":
         """Single-channel all-ones kernel: the receptive-field painting that
         saliency.render computes in sub-pixel form, byte for byte."""
-        return cls(size, size, 1, 1, stride, padding,
-                   weights=np.ones((1, 1, size, size), dtype=np.float32))
+        return cls(np.ones((1, 1, size, size), dtype=np.float32), stride=stride, padding=padding)
 
 
 def _check_feature_map(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -96,15 +90,14 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """
     x = _check_feature_map(x)
     h, w, c = x.shape
-    _require(c == kernel.in_channels,
-             f"input has {c} channels, kernel expects {kernel.in_channels}")
+    cout, cin, kh, kw = kernel.weights.shape
+    _require(c == cin, f"input has {c} channels, kernel expects {cin}")
     s, p = kernel.stride, kernel.padding
-    ho = conv_output_size(h, kernel.kernel_h, s, p)
-    wo = conv_output_size(w, kernel.kernel_w, s, p)
+    ho = conv_output_size(h, kh, s, p)
+    wo = conv_output_size(w, kw, s, p)
     _require(ho >= 1 and wo >= 1,
              f"non-positive conv output size {ho}x{wo} for input {h}x{w}")
 
-    kh, kw, cout = kernel.kernel_h, kernel.kernel_w, kernel.out_channels
     xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=np.float64)
     xp[p:p + h, p:p + w, :] = x
     # (H', W', Cin, kh, kw) window view -> (ho, wo, kh, kw, Cin), no copy yet
@@ -132,24 +125,24 @@ def transposed_conv2d(y: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """
     y = _check_feature_map(y)
     h, w, c = y.shape
-    _require(c == kernel.out_channels,
-             f"input has {c} channels, kernel produces {kernel.out_channels}")
+    cout, cin, kh, kw = kernel.weights.shape
+    _require(c == cout, f"input has {c} channels, kernel produces {cout}")
     s, p = kernel.stride, kernel.padding
-    ho = transposed_conv_output_size(h, kernel.kernel_h, s, p)
-    wo = transposed_conv_output_size(w, kernel.kernel_w, s, p)
+    ho = transposed_conv_output_size(h, kh, s, p)
+    wo = transposed_conv_output_size(w, kw, s, p)
     _require(ho >= 1 and wo >= 1,
              f"non-positive transposed conv output size {ho}x{wo}")
 
-    full_h = (h - 1) * s + kernel.kernel_h
-    full_w = (w - 1) * s + kernel.kernel_w
+    full_h = (h - 1) * s + kh
+    full_w = (w - 1) * s + kw
     y64 = y.reshape(h * w, c).astype(np.float64)
     w64 = kernel.weights.astype(np.float64)
-    full = np.zeros((full_h, full_w, kernel.in_channels), dtype=np.float64)
-    for ki in range(kernel.kernel_h):
-        for kj in range(kernel.kernel_w):
+    full = np.zeros((full_h, full_w, cin), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
             contrib = y64 @ w64[:, :, ki, kj]
             full[ki:ki + (h - 1) * s + 1:s, kj:kj + (w - 1) * s + 1:s, :] += \
-                contrib.reshape(h, w, kernel.in_channels)
+                contrib.reshape(h, w, cin)
     out = full[p:full_h - p, p:full_w - p, :]
     return out.astype(y.dtype)
 

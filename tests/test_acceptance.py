@@ -81,8 +81,8 @@ def test_criterion_5_gradient_checks():
         # adjoint-shaped gradient matches
         k, s, p, h = [(3, 1, 1, 6), (3, 2, 0, 7), (2, 1, 0, 6), (4, 2, 1, 6)][i % 4]
         cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        kern = T.ConvKernel(k, k, cin, cout, s, p,
-                            weights=rng.standard_normal((cout, cin, k, k)).astype(np.float32))
+        kern = T.ConvKernel(rng.standard_normal((cout, cin, k, k)).astype(np.float32),
+                            stride=s, padding=p)
         x = rng.standard_normal((h, h, cin))
         w = rng.standard_normal(T.conv2d(x, kern).shape)
         record("conv2d", T.grad_check(lambda x, k=kern: T.conv2d(x, k),

@@ -73,13 +73,20 @@ def test_unknown_flag_is_exit_1(capsys):
     assert rc == 1
 
 
-def test_fls_flag_needs_fls_attention(capsys):
-    rc, _, err = run(capsys, "params", "--preset", "daqn", "--fls-1x1")
-    assert rc == 1
-    assert "fls" in err
+def test_params_one_by_one_fls_attention_has_1x1_weights(capsys):
+    rc, out, _ = run(capsys, "params", "--preset", "sparse-fls", "--attention", "fls-1x1")
+    assert rc == 0
+    shapes = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+    assert shapes["attn.conv1"] == "256x64x1x1" and shapes["attn.conv2"] == "1x256x1x1"
 
 
 # -- gradcheck ----------------------------------------------------------------------
+
+def test_gradcheck_negative_seed_is_exit_1(capsys):
+    rc, out, err = run(capsys, "gradcheck", "--seed", "-1")
+    assert rc == 1
+    assert "--seed" in err and out == ""
+
 
 def test_gradcheck_passes_at_default_epsilon(capsys):
     rc, out, _ = run(capsys, "gradcheck")
@@ -606,6 +613,21 @@ def test_eval_wrong_size_unused_frame_is_exit_2(tmp_path, capsys, recording_32, 
     rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
     assert rc == 2
     assert f"{path}: frame {index}: expected 210x160x3, got (100, 100, 3)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_wrong_size_rgb_sidecar_is_exit_2_naming_the_file(tmp_path, capsys, command):
+    rgb = tmp_path / "rec.rgb"
+    P.save_raw_rgb(str(rgb), [np.zeros((100, 100, 3), np.uint8)] * 16)
+    csv_path = tmp_path / "fixations.csv"
+    P.save_fixations_csv(str(csv_path), [(0, 10, 10)])
+    inputs = (["--recording", str(rgb), str(csv_path)] if command == "eval"
+              else ["--frames", str(rgb)])
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, command, "--preset", "sparse-fls", *inputs, "--out", str(out))
+    assert rc == 2
+    assert f"{rgb}: expected 210x160x3 frames, the sidecar gives (100, 100, 3)" in err
     assert not out.exists()
 
 

@@ -91,7 +91,6 @@ def test_blur_radius_follows_sigma():
     assert M.blur_radius_for(5.0) == 15
     assert M.blur_radius_for(2.0) == 6
     assert M.blur_radius_for(2.1) == 7
-    assert M.BlurParams().radius == M.blur_radius_for(M.BlurParams().sigma)
 
 
 def test_blur_spread_is_sigma_sized():
@@ -117,10 +116,9 @@ def test_blur_bytes_equal_scipy_gaussian_filter(seed, kind, shape, sigma):
         grid = rng.poisson(0.05, shape).astype(np.int64)
     else:
         grid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
-    params = M.BlurParams(sigma=sigma, radius=M.blur_radius_for(sigma))
-    got = M.gaussian_blur(grid, params)
+    got = M.gaussian_blur(grid, sigma)
     want = gaussian_filter(grid.astype(np.float64), sigma=sigma, mode="reflect",
-                           radius=params.radius)
+                           radius=M.blur_radius_for(sigma))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -134,16 +132,15 @@ def test_kl_of_matched_distributions_is_zero():
 
 
 def test_kl_two_cell_hand_value():
-    # identity blur: radius 0 truncates the kernel to a single tap
-    params = M.BlurParams(sigma=5.0, radius=0)
+    # identity blur: sigma 0 leaves the fixation grid as it is
     sal = np.array([[0.5, 0.5]])
     fix = np.array([[3, 1]])
     want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-    assert M.kl_divergence(sal, fix, params) == pytest.approx(want, abs=1e-6)
+    assert M.kl_divergence(sal, fix, 0.0) == pytest.approx(want, abs=1e-6)
 
 
 def test_kl_no_fixations_undefined():
-    val, reason = M._kl(np.ones((3, 3)), np.zeros((3, 3), np.int64), M.BlurParams())
+    val, reason = M._kl(np.ones((3, 3)), np.zeros((3, 3), np.int64), 5.0)
     assert val is None and reason == M.REASON_NO_FIXATIONS
 
 
@@ -167,7 +164,7 @@ def test_kl_nonnegative(seed):
     fix = rng.integers(0, 3, size=(12, 12))
     if fix.sum() == 0:
         fix[0, 0] = 1
-    assert M.kl_divergence(sal, fix, M.BlurParams(2.0, 6)) >= -1e-12
+    assert M.kl_divergence(sal, fix, 2.0) >= -1e-12
 
 
 # -- shuffled auc -------------------------------------------------------------------
@@ -268,7 +265,7 @@ def test_score_frame_reason_wiring():
     sal = np.full((4, 4), 1.0)
     fix = fix_at((4, 4), (1, 1))
     pool = [fix_at((4, 4), (2, 2))]
-    score = M.score_frame(7, sal, fix, pool, M.BlurParams(1.0, 3))
+    score = M.score_frame(7, sal, fix, pool, 1.0)
     assert score.frame == 7
     assert score.nss is None and score.reasons["nss"] == M.REASON_ZERO_VARIANCE
     assert score.kl is not None and "kl" not in score.reasons

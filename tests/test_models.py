@@ -210,9 +210,9 @@ def test_forward_runs_no_dense_layer_until_a_head_is_read(monkeypatch):
     monkeypatch.setattr(T, "linear", lambda v, weights, bias=None: (
         calls.append(weights.shape), linear(v, weights, bias))[1])
     out = model.forward(OBS)
-    assert calls == [] and model._dense == {}
+    assert calls == []
     assert out.value == out.value  # fc once, then the value head, both cached
-    assert calls == [(512, 3136), (1, 512)] and sorted(model._dense) == ["fc", "value"]
+    assert calls == [(512, 3136), (1, 512)]
     out.policy_logits
     assert calls == [(512, 3136), (1, 512), (4, 512)]
 
@@ -236,3 +236,17 @@ def test_forward_rejects_nan_weights():
     model.params["fc.weight"][0, 0] = np.nan
     with pytest.raises(EvaluationError):
         model.forward(OBS)
+
+
+def test_forward_runs_once_a_rejected_weight_is_repaired():
+    # a failed weight check caches nothing
+    cfg = models.preset_config("sparse-fls")
+    model, want = models.build_model(cfg, 0), models.build_model(cfg, 0).forward(OBS)
+    weight = model.params["block.conv1.weight"]
+    good, weight[0, 0, 0, 0] = weight[0, 0, 0, 0], np.inf
+    with pytest.raises(EvaluationError, match="NaN or Inf"):
+        model.forward(OBS)
+    weight[0, 0, 0, 0] = good
+    out = model.forward(OBS)
+    assert np.array_equal(out.attention_maps[0][1], want.attention_maps[0][1])
+    assert out.value == want.value

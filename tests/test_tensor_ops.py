@@ -13,9 +13,9 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def random_kernel(rng, cin, cout, k, stride=1, padding=0, bias=True):
-    return T.ConvKernel(k, k, cin, cout, stride, padding,
-                        weights=rng.standard_normal((cout, cin, k, k)).astype(np.float32),
-                        bias=rng.standard_normal(cout).astype(np.float32) if bias else None)
+    return T.ConvKernel(rng.standard_normal((cout, cin, k, k)).astype(np.float32),
+                        rng.standard_normal(cout).astype(np.float32) if bias else None,
+                        stride, padding)
 
 
 # -- conv2d ---------------------------------------------------------------------
@@ -40,8 +40,7 @@ def test_dense_layers_preserve_shape(k, p):
 
 
 def test_1x1_conv_is_affine():
-    kern = T.ConvKernel(1, 1, 1, 1, weights=np.full((1, 1, 1, 1), 2.5, np.float32),
-                        bias=np.array([-1.0], np.float32))
+    kern = T.ConvKernel(np.full((1, 1, 1, 1), 2.5, np.float32), np.array([-1.0], np.float32))
     out = T.conv2d(np.full((1, 1, 1), 3.0, np.float32), kern)
     assert out[0, 0, 0] == pytest.approx(2.5 * 3.0 - 1.0)
 
@@ -93,13 +92,24 @@ def test_conv2d_output_too_small():
         T.conv2d(rng.random((2, 2, 1)).astype(np.float32), random_kernel(rng, 1, 1, 5))
 
 
+@pytest.mark.parametrize("weights,bias,stride,padding", [
+    (np.ones((1, 3, 3), np.float32), None, 1, 0),
+    (np.ones((2, 1, 0, 3), np.float32), None, 1, 0),
+    (np.ones((2, 1, 3, 3), np.float32), np.zeros(3, np.float32), 1, 0),
+    (np.ones((2, 1, 3, 3), np.float32), None, 0, 0),
+    (np.ones((2, 1, 3, 3), np.float32), None, 1, -1),
+], ids=["3-d", "zero-dim", "bias-length", "stride-0", "padding-negative"])
+def test_conv_kernel_rejects_bad_geometry(weights, bias, stride, padding):
+    with pytest.raises(ConfigurationError):
+        T.ConvKernel(weights, bias, stride, padding)
+
+
 def test_integer_inputs_stay_exact():
     # float32 storage with float64 accumulation: small-integer fixtures come
     # out as exact integers
     rng = np.random.default_rng(3)
     x = rng.integers(0, 5, size=(9, 9, 2)).astype(np.float32)
-    kern = T.ConvKernel(3, 3, 2, 2, 1, 0,
-                        weights=rng.integers(-3, 4, size=(2, 2, 3, 3)).astype(np.float32))
+    kern = T.ConvKernel(rng.integers(-3, 4, size=(2, 2, 3, 3)).astype(np.float32))
     out = T.conv2d(x, kern)
     assert np.array_equal(out, np.round(out))
 
