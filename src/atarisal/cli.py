@@ -114,31 +114,47 @@ def cmd_params(args) -> int:
     return 0
 
 
+# -- frames to observations -------------------------------------------------------
+
+def _checked_frames(path: str) -> tuple[P.FrameFiles, int]:
+    """The frames at path, every one checked, and how many observations they make."""
+    frames = P.load_frames(path)
+    n_obs = len(frames) // P.RAW_PER_OBSERVATION
+    if not n_obs:
+        raise DataFormatError(f"{path}: fewer than {P.RAW_PER_OBSERVATION} frames")
+    return frames, n_obs
+
+
+def _observations(frames: P.FrameFiles, n_obs: int):
+    """Observations 0..n_obs-1 of frames, each built from its own 16 frames
+    when it is asked for, so only one stack exists at a time."""
+    for i in range(n_obs):
+        yield P.build_observations(frames[i * P.RAW_PER_OBSERVATION:
+                                          (i + 1) * P.RAW_PER_OBSERVATION])[0]
+
+
 # -- preprocess -------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    observations = P.build_observations(P.load_frames(args.frames))
-    if not observations:
-        raise DataFormatError(f"{args.frames}: fewer than {P.RAW_PER_OBSERVATION} frames")
+    frames, n_obs = _checked_frames(args.frames)
     records = P.load_fixations_csv(args.fixations) if args.fixations else None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rejected = 0
-    index = {"schema_version": SCHEMA_VERSION, "observations": len(observations),
-             "retained_indices": [list(P.retained_indices(i))
-                                  for i in range(len(observations))]}
-    for i, obs in enumerate(observations):
+    index = {"schema_version": SCHEMA_VERSION, "observations": n_obs,
+             "retained_indices": [list(P.retained_indices(i)) for i in range(n_obs)]}
+    for i, obs in enumerate(_observations(frames, n_obs)):
         np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
-        for i, bucket in enumerate(P.records_by_observation(records, len(observations))):
+        for i, bucket in enumerate(P.records_by_observation(records, n_obs)):
             fmap, rej = P.fixation_map(bucket, P.retained_indices(i))
             rejected += rej
             np.save(out / f"fix_{i:04d}.npy", fmap)
         index["rejected_fixations"] = rejected
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     _write_manifest(out, _manifest_dict(args, command="preprocess"))
-    print(f"wrote {len(observations)} observations to {out}")
+    print(f"wrote {n_obs} observations to {out}")
     if rejected:
         print(f"skipped {rejected} out-of-bounds fixation records")
     return 0
@@ -150,28 +166,29 @@ def _render_saliency(model: models.Model, obs: np.ndarray):
     return S.render_multi(model.forward(obs).attention_maps, model.plan)
 
 
-def _save_dumps(out: Path, sal_maps, pgm: bool) -> None:
-    """sal_NNNN.raw (and .pgm) per map: the layout `metrics --saliency` reads."""
+def _dumped(out: Path, sal_maps, pgm: bool):
+    """sal_maps, each written as it passes as out/sal_NNNN.raw (and .pgm):
+    the layout `metrics --saliency` reads."""
     out.mkdir(parents=True, exist_ok=True)
     for i, sal in enumerate(sal_maps):
         S.save_raw_saliency(str(out / f"sal_{i:04d}.raw"), sal)
         if pgm:
             S.save_pgm(str(out / f"sal_{i:04d}.pgm"), sal)
+        yield sal
 
 
 def cmd_saliency(args) -> int:
     cfg = config_from_args(args)
     model = load_model(cfg, args.weights, args.seed)
-    observations = P.build_observations(P.load_frames(args.frames))
-    if not observations:
-        raise DataFormatError(f"{args.frames}: fewer than {P.RAW_PER_OBSERVATION} frames")
+    frames, n_obs = _checked_frames(args.frames)
 
     out = Path(args.out)
-    sal_maps = (_render_saliency(model, obs) for obs in observations)
-    _save_dumps(out, (S.upscale_to_frame(s) for s in sal_maps) if args.upscale else sal_maps,
-                args.pgm)
+    sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))
+    for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
+                     args.pgm):
+        pass
     _write_manifest(out, _manifest_dict(args, command="saliency"))
-    print(f"rendered {len(observations)} saliency maps to {out}")
+    print(f"rendered {n_obs} saliency maps to {out}")
     return 0
 
 
@@ -208,32 +225,36 @@ def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
 
 def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
            sigma: float) -> None:
-    """Score (saliency maps, fixation records) per recording; write
-    frames_rec{i}.csv, summary.csv and log.txt. Map i is 84x84, upscaled here
-    when it is scored, or already 210x160. It meets the records on the raw
-    frames observation i retains; its sAUC negatives are the fixations of the
-    other frames of its recording, or of all recordings for pool_scope "all".
+    """Score (observation count, saliency maps, fixation records) per
+    recording; write frames_rec{i}.csv, summary.csv and log.txt. The maps
+    are any iterable of that many, taken one at a time as they are scored.
+    Map i is 84x84, upscaled here when it is scored, or already 210x160. It
+    meets the records on the raw frames observation i retains; its sAUC
+    negatives are the fixations of the other frames of its recording, or of
+    all recordings for pool_scope "all".
 
     sAUC needs the pooled total before any frame is scored, so a first pass
-    takes each recording's total map and counts from one bincount, and the
-    scoring pass builds each observation's fixation map as it scores it: no
-    map outlives its frame's scores."""
+    takes each recording's total map and counts from one bincount, which
+    needs only the observation counts, and the scoring pass builds each
+    observation's fixation map as it scores it: no map outlives its frame's
+    scores."""
     log_lines, buckets, totals = [], [], []
-    for ri, (sal_maps, records) in enumerate(recordings):
-        buckets.append(P.records_by_observation(records, len(sal_maps)))
-        total, rejected = P.total_fixation_map(records, len(sal_maps))
+    for ri, (n_obs, _, records) in enumerate(recordings):
+        buckets.append(P.records_by_observation(records, n_obs))
+        total, rejected = P.total_fixation_map(records, n_obs)
         totals.append(total)
         # a record is counted in a map, rejected as out of bounds, or on a
         # raw frame no scored observation retains
         discarded = len(records) - int(total.sum()) - rejected
-        log_lines.append(f"rec{ri}: {len(sal_maps)} observations, "
+        log_lines.append(f"rec{ri}: {n_obs} observations, "
                          f"{rejected} out-of-bounds fixation records skipped")
         log_lines.append(f"rec{ri}: {discarded} fixation records on discarded raw frames skipped")
 
     if pool_scope == "all":
         totals = [np.sum(totals, axis=0)] * len(totals)
     per_rec_scores = []
-    for ri, ((sal_maps, _), rec_buckets, total) in enumerate(zip(recordings, buckets, totals)):
+    for ri, ((_, sal_maps, _), rec_buckets, total) in enumerate(zip(recordings, buckets,
+                                                                    totals)):
         scores = []
         for i, (sal, bucket) in enumerate(zip(sal_maps, rec_buckets)):
             if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
@@ -289,7 +310,8 @@ def cmd_metrics(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _score(out, [(sal_maps, records)], "external", args.game, "recording", sigma)
+    _score(out, [(len(sal_maps), sal_maps, records)], "external", args.game, "recording",
+           sigma)
     _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
 
@@ -426,27 +448,21 @@ def cmd_eval(args) -> int:
         spec = EvalSpec.from_args(args)
     model = load_model(spec.config, spec.weights, spec.seed)
 
-    # Load everything up front so a corrupt input aborts before outputs exist:
-    # load_frames checks every frame, build_observations decodes the retained
-    # ones. Until its forward, an observation is its 113 KB float32 stack;
-    # after it, its 28 KB 84x84 map until that is scored.
-    loaded = []
-    for frames_path, fixations_path in spec.recordings:
-        observations = P.build_observations(P.load_frames(frames_path))
-        if not observations:
-            raise DataFormatError(f"{frames_path}: fewer than {P.RAW_PER_OBSERVATION} frames")
-        loaded.append((observations, P.load_fixations_csv(fixations_path)))
+    # Check every input before any output: load_frames checks each frame's
+    # header and size, and each gaze log is parsed whole. Then each
+    # observation is decoded, run, rendered, dumped and scored before the
+    # next is decoded, so memory does not grow with the recording.
+    checked = [(*_checked_frames(frames_path), P.load_fixations_csv(fixations_path))
+               for frames_path, fixations_path in spec.recordings]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
     recordings = []
-    for ri, (observations, records) in enumerate(loaded):
-        sal84s = [_render_saliency(model, obs) for obs in observations]
-        observations.clear()  # the stacks are spent once rendered
+    for ri, (frames, n_obs, records) in enumerate(checked):
+        sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))
         if spec.save_saliency:
-            _save_dumps(out / f"rec{ri}", sal84s, spec.pgm)
-        recordings.append((sal84s, records))
+            sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
+        recordings.append((n_obs, sal_maps, records))
 
     _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())

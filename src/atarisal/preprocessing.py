@@ -6,10 +6,12 @@ zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
 giving the frame count. `load_frames` checks every frame up front, each PPM
 header, its 210x160 size and each file's size against it, without reading
 any pixels, and returns a `FrameFiles` sequence that reads a frame from disk
-when it is indexed. `build_observations` indexes only the retained frames
-(offsets 2-3 of each group of 4), so the discarded half is validated but
-never decoded. It returns the observations as plain 84x84x4 float32 arrays;
-observation i is built from raw frames `retained_indices(i)`.
+when it is indexed; a slice of it reads nothing. `build_observations` indexes
+only the retained frames (offsets 2-3 of each group of 4), so the discarded
+half is validated but never decoded. It returns the observations as plain
+84x84x4 float32 arrays; observation i is built from raw frames
+`retained_indices(i)`, so building it from the 16-frame window
+`frames[16 * i:16 * (i + 1)]` gives the same array.
 
 Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
 from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
@@ -238,7 +240,11 @@ class FrameFiles(Sequence):
     payload and reads that one frame; nothing is cached, so a frame stays in
     memory only while the caller holds it. Reads are seek+read, not a memory
     map: every page of a map that gets touched counts toward RSS for as long
-    as the map exists."""
+    as the map exists. frames[a:b] is a FrameFiles over the same files that
+    reads nothing until it is indexed, so `build_observations(frames[16 * i:
+    16 * (i + 1)])` decodes observation i's retained frames alone. A file
+    cut short after its check fails when its frame is read, with the
+    truncation error."""
 
     def __init__(self, count: int, locate: Callable[[int], tuple], kind: str):
         self._count = count
@@ -248,7 +254,10 @@ class FrameFiles(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index: int) -> np.ndarray:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            indices = range(self._count)[index]
+            return FrameFiles(len(indices), lambda i: self._locate(indices[i]), self._kind)
         i = operator.index(index)
         if i < 0:
             i += self._count

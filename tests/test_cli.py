@@ -662,6 +662,60 @@ def test_eval_memory_stays_below_a_quarter_of_the_decoded_recording(tmp_path, ca
     assert peak < decoded / 4
 
 
+def test_eval_memory_in_use_does_not_grow_with_the_recording(tmp_path, capsys, monkeypatch):
+    # each observation is decoded, run, rendered, dumped and scored before
+    # the next one is decoded, so at the last forward a 512-frame recording
+    # holds what a 64-frame one does: no stack or map of an earlier one
+    weights = tmp_path / "w.flsw"
+    weights_io.save_model(str(weights), models.build_model(models.PRESETS["sparse-fls"], 3))
+    forward = models.Model.forward
+    in_use = []
+
+    def sampled(model, obs):
+        in_use.append(tracemalloc.get_traced_memory()[0])
+        return forward(model, obs)
+
+    monkeypatch.setattr(models.Model, "forward", sampled)
+    at_last_forward = []
+    for n_frames in (64, 512):
+        frames_dir, csv_path = write_recording(tmp_path / f"rec{n_frames}", n_frames, seed=7)
+        in_use.clear()
+        tracemalloc.start()
+        try:
+            rc = cli.main(["eval", "--preset", "sparse-fls", "--weights", str(weights),
+                           "--recording", str(frames_dir), str(csv_path),
+                           "--out", str(tmp_path / f"run{n_frames}"), "--save-saliency"])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(in_use) == n_frames // P.RAW_PER_OBSERVATION
+        at_last_forward.append(in_use[-1])
+    capsys.readouterr()
+    assert abs(at_last_forward[1] - at_last_forward[0]) < 0.25 * 2**20
+
+
+def test_eval_frame_truncated_after_its_check_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                         recording_32):
+    # a retained frame of observation 1 shrinks after load_frames checked it:
+    # it is read when observation 0 is already scored, so output has begun,
+    # and the run still ends in the truncation error naming the file
+    frames_dir, csv_path = recording_32
+    path = frames_dir / "frame_00018.ppm"
+    load_frames = P.load_frames
+
+    def load_then_truncate(frames_path):
+        frames = load_frames(frames_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        return frames
+
+    monkeypatch.setattr(P, "load_frames", load_then_truncate)
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path, "--save-saliency")
+    assert rc == 2
+    assert f"{path}: truncated PPM payload" in err
+    assert (out / "rec0" / "sal_0000.raw").exists()
+    assert not (out / "summary.csv").exists()
+
+
 def test_eval_bytes_do_not_depend_on_fixation_syntax(tmp_path, capsys, monkeypatch,
                                                      recording_32):
     # CRLF line ends, padding and quoted fields send the parse through the

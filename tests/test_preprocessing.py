@@ -455,3 +455,28 @@ def test_load_frames_reads_each_frame_when_indexed(tmp_path, suffix):
     assert np.array_equal(loaded[3], frames[3])
     with pytest.raises(DataFormatError, match=f"truncated {kind} payload"):
         loaded[4]
+
+
+def test_frame_files_slice_reads_nothing_until_indexed(tmp_path):
+    frames, _ = make_frames(8, seed=17)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i, frame in enumerate(frames):
+        P.save_ppm(str(frames_dir / f"frame_{i:05d}.ppm"), frame)
+    loaded = P.load_frames(str(frames_dir))
+    # a frame cut short after the check fails when it is read, not when a
+    # slice over it is taken
+    (frames_dir / "frame_00005.ppm").write_bytes(
+        (frames_dir / "frame_00005.ppm").read_bytes()[:-1])
+    window = loaded[4:8]
+    assert isinstance(window, P.FrameFiles) and len(window) == 4
+    assert all(np.array_equal(window[i], frames[j]) for i, j in ((0, 4), (2, 6), (-1, 7)))
+    with pytest.raises(DataFormatError, match="frame_00005.ppm: truncated PPM payload"):
+        window[1]
+    with pytest.raises(IndexError):
+        window[4]
+    assert [np.array_equal(f, frames[i]) for f, i in zip(loaded[6:0:-3], (6, 3))] == [True, True]
+    assert len(loaded[8:]) == 0
+    # a window of a window reads through to the same files
+    assert np.array_equal(loaded[2:8][1:3][1], frames[4])
+    assert P.build_observations(loaded[:0]) == []
