@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -114,6 +115,54 @@ def cmd_params(args) -> int:
     return 0
 
 
+# -- BLAS threads -----------------------------------------------------------------
+
+# A model with fewer conv multiply-adds per forward runs eval and saliency on
+# one BLAS thread. Sparse-block models take 8-58 M, in GEMMs that a second
+# thread barely shortens, and between them an idle OpenBLAS worker spins on
+# the core that decode, render and scoring need; dense-block models take
+# 665 M or more, and there the second thread pays.
+ONE_THREAD_CONV_MACS = 200_000_000
+
+
+def _openblas_thread_functions(libs: Path = Path(np.__file__).parent.parent / "numpy.libs"):
+    """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
+    bundles in libs, or None: a distro numpy, MKL or Accelerate has none."""
+    import ctypes
+
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by numpy; this opens no copy
+        except OSError:
+            continue
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def _blas_threads_for(plan: models.ModelPlan):
+    """Run the block on one BLAS thread when plan's forward has fewer than
+    ONE_THREAD_CONV_MACS conv multiply-adds, and put back the count it found;
+    otherwise, or with no known setter, leave the count alone. The count
+    changes timing only, never a byte."""
+    functions = (_openblas_thread_functions() if plan.conv_macs < ONE_THREAD_CONV_MACS
+                 else None)
+    before = functions[1]() if functions else 1
+    if before == 1:
+        yield
+        return
+    functions[0](1)
+    try:
+        yield
+    finally:
+        functions[0](before)
+
+
 # -- frames to observations -------------------------------------------------------
 
 def _checked_frames(path: str) -> tuple[P.FrameFiles, int]:
@@ -184,9 +233,10 @@ def cmd_saliency(args) -> int:
 
     out = Path(args.out)
     sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))
-    for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
-                     args.pgm):
-        pass
+    with _blas_threads_for(model.plan):
+        for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
+                         args.pgm):
+            pass
     _write_manifest(out, _manifest_dict(args, command="saliency"))
     print(f"rendered {n_obs} saliency maps to {out}")
     return 0
@@ -464,7 +514,8 @@ def cmd_eval(args) -> int:
             sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
         recordings.append((n_obs, sal_maps, records))
 
-    _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
+    with _blas_threads_for(model.plan):
+        _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())
     return 0
 

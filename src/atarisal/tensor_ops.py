@@ -3,23 +3,13 @@
 Pipeline code stores float32; every kernel here accumulates dot products in
 float64 and casts the result back to the input's dtype, so integer-valued
 fixtures stay exact and float64 inputs (used by the gradient checker) keep
-full precision. All functions are pure and safe to call concurrently; the
-BLAS thread count that conv2d sets changes timing only, never a byte.
+full precision. All functions are pure and safe to call concurrently.
 
 conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
 A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
 row), which bounds memory and keeps each GEMM operand cache-sized.
-
-Each block's GEMM runs on one BLAS thread when it has fewer than
-SMALL_GEMM_MACS multiply-adds, and on the ceiling otherwise: the thread
-count in effect when conv2d first runs, so an OPENBLAS_NUM_THREADS the user
-set is never exceeded. A second thread barely shortens a small product, and
-between products an idle OpenBLAS worker spins on a core the numpy work
-around the forward needs. The count is set through the OpenBLAS that
-numpy's wheel bundles, looked up at the first conv2d; with any other BLAS
-nothing is set.
 """
 
 from dataclasses import dataclass
@@ -36,15 +26,6 @@ SOFTPLUS_CUTOFF = 30.0
 
 # Byte cap of one conv2d patch block (float64 im2col rows).
 PATCH_BLOCK_BYTES = 4 * 2**20
-
-# A conv2d GEMM block with fewer multiply-adds (rows x depth x cout) runs on
-# one BLAS thread. Sparse-fls blocks are at most 7.2 M (attn.conv1), and
-# dense-fls blocks at least 16.3 M (block.conv1), but for attn.conv2 (0.39 M).
-SMALL_GEMM_MACS = 10_000_000
-
-# The thread-count setter and getter of the OpenBLAS in numpy's wheel
-_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_set_num_threads64_",
-                            "scipy_openblas_get_num_threads64_")
 
 _LN2 = float(np.log(2.0))
 
@@ -92,59 +73,6 @@ class ConvKernel:
         return cls(np.ones((1, 1, size, size), dtype=np.float32), stride=stride, padding=padding)
 
 
-def _openblas_thread_functions():
-    """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
-    bundles (numpy.libs/libscipy_openblas*.so), or None: a distro numpy, MKL
-    or Accelerate has no such library or symbols."""
-    import ctypes
-    from pathlib import Path
-
-    set_name, get_name = _OPENBLAS_THREAD_SYMBOLS
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))  # already loaded by numpy; this opens no copy
-        except OSError:
-            continue
-        set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
-        if set_threads is not None and get_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-class _BlasThreads:
-    """The BLAS thread count conv2d asks for, set only when it changes."""
-
-    def __init__(self, set_threads: Callable[[int], None], ceiling: int):
-        self.set_threads = set_threads
-        self.ceiling = ceiling
-        self.current = ceiling
-
-    def size_for(self, macs: int) -> None:
-        wanted = 1 if macs < SMALL_GEMM_MACS else self.ceiling
-        if wanted != self.current:
-            self.set_threads(wanted)
-            self.current = wanted
-
-
-# The BLAS thread count is one per process, so its record is module state:
-# a _BlasThreads after the first conv2d, or None when there is no setter.
-_LOOKUP_PENDING = object()
-_blas_threads = _LOOKUP_PENDING
-
-
-def _size_blas_threads(macs: int) -> None:
-    """Set the BLAS threads for one GEMM of macs multiply-adds."""
-    global _blas_threads
-    if _blas_threads is _LOOKUP_PENDING:
-        functions = _openblas_thread_functions()
-        _blas_threads = None if functions is None else _BlasThreads(functions[0],
-                                                                    max(1, functions[1]()))
-    if _blas_threads is not None:
-        _blas_threads.size_for(macs)
-
-
 def _check_feature_map(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x)
     _require(x.ndim == 3, f"{name} must be (height, width, channels), got shape {x.shape}")
@@ -158,10 +86,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Cross-correlate x (H, W, Cin) with kernel -> (H', W', Cout).
 
-    No kernel flip; zero padding; H' = floor((H + 2p - k) / s) + 1. Each
-    block's GEMM first gets one BLAS thread if it has fewer than
-    SMALL_GEMM_MACS multiply-adds, or else the ceiling; the bytes are the
-    same either way.
+    No kernel flip; zero padding; H' = floor((H + 2p - k) / s) + 1.
     """
     x = _check_feature_map(x)
     h, w, c = x.shape
@@ -182,7 +107,6 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     acc = np.empty((ho, wo, cout), dtype=np.float64)
     for r in range(0, ho, rows):
         block = patches[r:r + rows].reshape(-1, depth)  # the im2col copy
-        _size_blas_threads(block.shape[0] * depth * cout)
         np.matmul(block, kernel.gemm_weights, out=acc[r:r + rows].reshape(-1, cout))
     if kernel.bias is not None:
         acc += kernel.bias.astype(np.float64)

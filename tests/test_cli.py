@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from atarisal import cli, models, preprocessing as P, saliency as S, tensor_ops as T, weights_io
+from atarisal.errors import EvaluationError
 
 from conftest import write_recording
 from test_determinism import GOLDEN, digests
@@ -714,6 +715,123 @@ def test_eval_frame_truncated_after_its_check_is_exit_2(tmp_path, capsys, monkey
     assert f"{path}: truncated PPM payload" in err
     assert (out / "rec0" / "sal_0000.raw").exists()
     assert not (out / "summary.csv").exists()
+
+
+# -- BLAS threads per model -------------------------------------------------------
+
+def fake_blas(monkeypatch, threads):
+    """The counts the commands set, through a fake setter on a BLAS that
+    runs `threads` until something sets it."""
+    calls, state = [], {"threads": threads}
+
+    def set_threads(n):
+        calls.append(n)
+        state["threads"] = n
+
+    monkeypatch.setattr(cli, "_openblas_thread_functions",
+                        lambda: (set_threads, lambda: state["threads"]))
+    return calls, state
+
+
+@pytest.mark.parametrize("config,one_thread", [
+    *((models.PRESETS[name], name != "dense-fls") for name in sorted(models.PRESETS)),
+    (models.ModelConfig(attention="fls", placement="each-conv"), True),
+    (models.ModelConfig(block="dense", readout="sum-pool"), False),
+], ids=[*sorted(models.PRESETS), "sparse-fls-each-conv", "dense-no-attention"])
+def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, one_thread):
+    # every sparse-block model is small, every dense-block one large; the
+    # count found is put back afterwards
+    calls, state = fake_blas(monkeypatch, 3)
+    with cli._blas_threads_for(models.build_plan(config)):
+        assert state["threads"] == (1 if one_thread else 3)
+    assert calls == ([1, 3] if one_thread else [])
+    assert state["threads"] == 3
+
+
+def test_blas_threads_read_the_count_each_time(monkeypatch):
+    # a count someone else set in between is the one put back
+    calls, state = fake_blas(monkeypatch, 3)
+    plan = models.build_plan(models.PRESETS["sparse-fls"])
+    with cli._blas_threads_for(plan):
+        pass
+    state["threads"] = 2
+    with cli._blas_threads_for(plan):
+        pass
+    assert calls == [1, 3, 1, 2]
+
+
+def test_blas_threads_never_raise_a_count_of_one(monkeypatch):
+    calls, _ = fake_blas(monkeypatch, 1)
+    for preset in ("sparse-fls", "dense-fls"):
+        with cli._blas_threads_for(models.build_plan(models.PRESETS[preset])):
+            pass
+    assert calls == []
+
+
+def test_blas_threads_are_put_back_after_an_error(monkeypatch):
+    calls, state = fake_blas(monkeypatch, 2)
+    with pytest.raises(EvaluationError):
+        with cli._blas_threads_for(models.build_plan(models.PRESETS["sparse-fls"])):
+            raise EvaluationError("boom")
+    assert calls == [1, 2]
+
+
+def test_blas_threads_without_a_known_library_set_nothing(tmp_path, capsys, monkeypatch,
+                                                          recording_32):
+    assert cli._openblas_thread_functions(tmp_path) is None
+    frames_dir, csv_path = recording_32
+    rc, _, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 0
+    monkeypatch.setattr(cli, "_openblas_thread_functions", lambda: None)
+    rc, _, again = eval_frames(capsys, tmp_path / "again", frames_dir, csv_path)
+    assert rc == 0
+    assert digests(again) == digests(out)
+
+
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_commands_set_the_blas_threads_once(tmp_path, capsys, monkeypatch, recording_32,
+                                            command):
+    # one count for the whole run, in effect at every forward, not one per
+    # conv product
+    calls, state = fake_blas(monkeypatch, 2)
+    forward = models.Model.forward
+    seen = []
+
+    def counted(model, obs):
+        seen.append(state["threads"])
+        return forward(model, obs)
+
+    monkeypatch.setattr(models.Model, "forward", counted)
+    frames_dir, csv_path = recording_32
+    if command == "eval":
+        rc, _, _ = eval_frames(capsys, tmp_path, frames_dir, csv_path, "--save-saliency")
+    else:
+        rc, _, _ = run(capsys, "saliency", "--preset", "sparse-fls", "--frames", str(frames_dir),
+                       "--out", str(tmp_path / "sal"))
+    assert rc == 0
+    assert calls == [1, 2]
+    assert seen == [1, 1]
+
+
+def test_conv2d_bytes_do_not_depend_on_the_blas_threads():
+    # the setter of the OpenBLAS in numpy's wheel, on a dense-size product
+    functions = cli._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS exports no known thread setter")
+    set_threads, get_threads = functions
+    rng = np.random.default_rng(5)
+    x = rng.random((42, 42, 16)).astype(np.float32)
+    kern = T.ConvKernel(rng.uniform(-1, 1, (32, 16, 3, 3)).astype(np.float32),
+                        rng.uniform(-1, 1, 32).astype(np.float32), padding=1)
+    before = get_threads()
+    outputs = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            outputs.append(T.conv2d(x, kern).tobytes())
+    finally:
+        set_threads(before)
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_bytes_do_not_depend_on_fixation_syntax(tmp_path, capsys, monkeypatch,

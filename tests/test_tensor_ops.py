@@ -114,99 +114,6 @@ def test_integer_inputs_stay_exact():
     assert np.array_equal(out, np.round(out))
 
 
-# -- BLAS threads per conv2d product -------------------------------------------------
-
-def fake_blas(monkeypatch, ceiling):
-    """The counts conv2d sets, from a fresh lookup that finds a recording
-    setter and a BLAS running `ceiling` threads."""
-    calls = []
-    monkeypatch.setattr(T, "_openblas_thread_functions", lambda: (calls.append, lambda: ceiling))
-    monkeypatch.setattr(T, "_blas_threads", T._LOOKUP_PENDING)
-    return calls
-
-
-def conv_of_macs(rng, rows):
-    """(input, kernel) of a conv2d that is one GEMM of rows x 4 x 2 multiply-adds."""
-    return rng.random((rows, 1, 4)).astype(np.float32), random_kernel(rng, 4, 2, 1)
-
-
-def test_conv2d_gives_a_small_product_one_thread_and_a_large_one_the_ceiling(monkeypatch):
-    calls = fake_blas(monkeypatch, 4)
-    monkeypatch.setattr(T, "SMALL_GEMM_MACS", 80)
-    rng = np.random.default_rng(0)
-    T.conv2d(*conv_of_macs(rng, 9))   # 72 multiply-adds
-    assert calls == [1]
-    T.conv2d(*conv_of_macs(rng, 10))  # 80
-    assert calls == [1, 4]
-
-
-def test_conv2d_sets_the_count_only_when_it_changes(monkeypatch):
-    calls = fake_blas(monkeypatch, 2)
-    monkeypatch.setattr(T, "SMALL_GEMM_MACS", 80)
-    rng = np.random.default_rng(0)
-    for rows in (20, 20, 2, 2, 2, 20, 2):
-        T.conv2d(*conv_of_macs(rng, rows))
-    assert calls == [1, 2, 1]
-
-
-def test_conv2d_never_raises_a_ceiling_of_one(monkeypatch):
-    calls = fake_blas(monkeypatch, 1)
-    monkeypatch.setattr(T, "SMALL_GEMM_MACS", 80)
-    rng = np.random.default_rng(0)
-    for rows in (2, 20, 2, 200):
-        T.conv2d(*conv_of_macs(rng, rows))
-    assert calls == []
-
-
-@pytest.mark.parametrize("preset,calls", [("sparse-fls", [1]), ("dense-fls", [1, 3, 1])])
-def test_preset_layers_on_each_side_of_the_cutoff(monkeypatch, preset, calls):
-    # two forwards: every sparse-fls block is small; of dense-fls only
-    # attn.conv2 is, so each forward goes back to the ceiling for block.conv1
-    from atarisal import models
-
-    recorded = fake_blas(monkeypatch, 3)
-    model = models.build_model(models.PRESETS[preset], 0)
-    obs = np.random.default_rng(0).random((84, 84, 4)).astype(np.float32)
-    for _ in range(2):
-        model.forward(obs)
-    assert recorded == calls
-
-
-def test_conv2d_without_a_known_setter_sets_nothing(monkeypatch):
-    monkeypatch.setattr(T, "_OPENBLAS_THREAD_SYMBOLS", ("no_such_set", "no_such_get"))
-    assert T._openblas_thread_functions() is None
-    monkeypatch.setattr(T, "_blas_threads", T._LOOKUP_PENDING)
-    rng = np.random.default_rng(0)
-    x, kern = conv_of_macs(rng, 3)
-    want = naive_conv2d(x.astype(np.float64), kern.weights, kern.bias, 1, 0)
-    np.testing.assert_allclose(T.conv2d(x, kern), want, rtol=1e-5, atol=1e-5)
-    assert T._blas_threads is None
-
-
-def test_conv2d_bytes_do_not_depend_on_the_thread_rule(monkeypatch):
-    # the setter of the OpenBLAS in numpy's wheel: every block on one thread,
-    # then every block on a ceiling of two
-    functions = T._openblas_thread_functions()
-    if functions is None:
-        pytest.skip("numpy's BLAS exports no known thread setter")
-    set_threads, get_threads = functions
-    rng = np.random.default_rng(5)
-    x = rng.random((42, 42, 16)).astype(np.float32)
-    kern = random_kernel(rng, 16, 32, 3, padding=1)
-    before = get_threads()
-    outputs = []
-    try:
-        for cutoff, threads in ((10**12, 1), (0, 2)):
-            set_threads(2)
-            monkeypatch.setattr(T, "_blas_threads", T._BlasThreads(set_threads, 2))
-            monkeypatch.setattr(T, "SMALL_GEMM_MACS", cutoff)
-            outputs.append(T.conv2d(x, kern).tobytes())
-            assert get_threads() == threads
-    finally:
-        set_threads(before)  # what the module's own record says is in effect
-    assert outputs[0] == outputs[1]
-
-
 # -- transposed conv --------------------------------------------------------------
 
 def test_transposed_output_sizes():
