@@ -83,8 +83,15 @@ def gaussian_blur(grid: np.ndarray, sigma: float = 5.0) -> np.ndarray:
     taps = np.arange(-r, r + 1)
     weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
     weights = weights / weights.sum()
-    rows = _correlate_rows(grid, weights, r)
-    return np.ascontiguousarray(_correlate_rows(np.ascontiguousarray(rows.T), weights, r).T)
+    # A line of +0.0 bits blurs to +0.0 bits (0 * w = 0, 0 + 0 = 0), so each
+    # pass runs only on the lines holding other bits, -0.0 and NaN included.
+    rows = np.zeros(grid.shape)
+    cols = (grid.view(np.uint64) != 0).any(axis=0)
+    rows[:, cols] = _correlate_rows(grid[:, cols], weights, r)
+    live = (rows.view(np.uint64) != 0).any(axis=1)
+    out = np.zeros(grid.shape)
+    out[live] = _correlate_rows(np.ascontiguousarray(rows[live].T), weights, r).T
+    return out
 
 
 def _correlate_rows(grid: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
@@ -121,19 +128,6 @@ def kl_divergence(sal: np.ndarray, fix: np.ndarray, sigma: float = 5.0) -> Optio
     return _kl(sal, fix, sigma)[0]
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of values in float64, tied values sharing the mean of their
-    ranks: a group at sorted positions start..end-1 gets (start + 1 + end) / 2.
-    Every rank is an exact half-integer, so these equal scipy.stats.rankdata's."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], values.size)
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
-
-
 def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
     sal = np.asarray(sal, dtype=np.float64)
     pos_mask = np.asarray(positives) > 0
@@ -153,12 +147,13 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
         return None, REASON_NO_NEGATIVES
 
     pos_vals = sal[pos_mask]
-    neg_vals = sal[neg_mask]
-    # Mann-Whitney with midranks over all pos x neg pairs: exhaustive and exact.
-    ranks = _midranks(np.concatenate([pos_vals, neg_vals]))
-    n_pos, n_neg = pos_vals.size, neg_vals.size
-    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg)), None
+    neg_vals = np.sort(sal[neg_mask])
+    # Mann-Whitney U over all pos x neg pairs: each positive wins over the
+    # negatives below it and ties those equal to it. U is an exact half-integer.
+    below = np.searchsorted(neg_vals, pos_vals, side="left").sum(dtype=np.int64)
+    not_above = np.searchsorted(neg_vals, pos_vals, side="right").sum(dtype=np.int64)
+    u = (int(below) + int(not_above)) / 2
+    return float(u / (pos_vals.size * neg_vals.size)), None
 
 
 def shuffled_auc(sal: np.ndarray, positives: np.ndarray,

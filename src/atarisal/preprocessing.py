@@ -74,8 +74,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    top = a[y0][:, x0] * (1.0 - wx) + a[y0][:, x1] * wx
-    bot = a[y1][:, x0] * (1.0 - wx) + a[y1][:, x1] * wx
+    top_rows, bot_rows, left = a[y0], a[y1], 1.0 - wx
+    top = top_rows[:, x0] * left + top_rows[:, x1] * wx
+    bot = bot_rows[:, x0] * left + bot_rows[:, x1] * wx
     return (top * (1.0 - wy) + bot * wy).astype(np.float32)
 
 

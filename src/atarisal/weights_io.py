@@ -19,13 +19,15 @@ MAGIC = b"FLSW"
 VERSION = 1
 
 
-def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
-    """n bytes of f. The file's size is checked first, so a size field larger
-    than the file allocates nothing."""
-    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
-    if len(data) != n:
-        raise DataFormatError(f"{path}: truncated weight file while reading {what}")
-    return data
+def _read_exact(f: BinaryIO, n: int, what: str, path: str, dims=None):
+    """n bytes of f read in place: into a bytearray, or with dims into one
+    little-endian float32 array of that shape. The file's size is checked
+    first, so a size field larger than the file allocates nothing."""
+    if n <= os.fstat(f.fileno()).st_size - f.tell():
+        data = bytearray(n) if dims is None else np.empty(dims, "<f4")
+        if f.readinto(data) == n:
+            return data
+    raise DataFormatError(f"{path}: truncated weight file while reading {what}")
 
 
 def save_weights(path: str, params: dict[str, np.ndarray]) -> None:
@@ -63,10 +65,10 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name!r}", path))
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"dims of {name!r}", path))
             size = math.prod(dims)  # exact: np.prod wraps past int64
-            payload = _read_exact(f, 4 * size, f"payload of {name!r}", path)
+            payload = _read_exact(f, 4 * size, f"payload of {name!r}", path, dims)
             if name in params:
                 raise DataFormatError(f"{path}: duplicate tensor {name!r}")
-            params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+            params[name] = payload.astype(np.float32, copy=False)
             if not np.isfinite(params[name]).all():
                 raise DataFormatError(f"{path}: tensor {name!r} contains NaN or Inf")
         trailing = f.read(1)

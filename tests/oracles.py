@@ -46,6 +46,24 @@ def paint_receptive_fields(attention, kernel, stride, padding, out_size):
     return out
 
 
+def bilinear_resize(img, out_h, out_w):
+    """Half-pixel-center bilinear resample as first written, gathering each
+    corner row again for each product; float32 output."""
+    a = np.asarray(img, dtype=np.float64)
+    h, w = a.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = a[y0][:, x0] * (1.0 - wx) + a[y0][:, x1] * wx
+    bot = a[y1][:, x0] * (1.0 - wx) + a[y1][:, x1] * wx
+    return (top * (1.0 - wy) + bot * wy).astype(np.float32)
+
+
 def pairwise_auc(pos_vals, neg_vals):
     """All pos x neg comparisons, ties at half weight."""
     wins = 0.0

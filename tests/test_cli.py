@@ -1095,7 +1095,7 @@ def test_report_missing_summary_is_exit_2(tmp_path, capsys):
 # -- module entry point ----------------------------------------------------------------
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the start-up; the sAUC midranks need only numpy
+    # scipy.stats costs most of the start-up; the sAUC counts need only numpy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.run([sys.executable, "-c", "import sys, atarisal.cli; "

@@ -101,21 +101,42 @@ def test_blur_spread_is_sigma_sized():
     assert out[42, 47] / out[42, 42] == pytest.approx(math.exp(-0.5), rel=1e-3)
 
 
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["counts", "floats"]),
+def blur_grid(rng, kind, shape):
+    """A grid of the given kind. "rows" and "columns" put counts on one to
+    three lines among the two at each reflect edge; "negative-zeros" has
+    -0.0 columns, alone or beside counts."""
+    if kind == "counts":
+        return rng.poisson(0.05, shape).astype(np.int64)
+    if kind == "floats":
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
+    grid = np.zeros(shape)
+    if kind in ("rows", "columns"):
+        n = shape[0] if kind == "rows" else shape[1]
+        edges = sorted({0, min(1, n - 1), max(n - 2, 0), n - 1})
+        lines = rng.choice(edges, size=rng.integers(1, min(3, len(edges)) + 1), replace=False)
+        view = grid if kind == "rows" else grid.T
+        view[lines] = rng.poisson(0.5, (len(lines), view.shape[1]))
+    elif kind == "negative-zeros":
+        grid[:, rng.random(shape[1]) < 0.3] = -0.0
+        if rng.random() < 0.5:
+            grid[rng.random(shape) < 0.05] += 1.0
+    return grid
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["counts", "floats", "rows", "columns", "zeros", "negative-zeros"]),
        shape=st.sampled_from([(210, 160), (1, 1), (1, 7), (9, 2), (40, 13)]),
        sigma=st.one_of(st.sampled_from([0.0, 1e-16, 1e-15, 1e-9, 0.3, 5.0, 70.0]),
                        st.floats(0.0, 70.0)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_blur_bytes_equal_scipy_gaussian_filter(seed, kind, shape, sigma):
     # the oracle; atarisal itself does not import scipy. Radii up to 210 reach
-    # past every edge of the small grids, so reflection repeats.
+    # past every edge of the small grids, so reflection repeats. The sparse
+    # kinds check that lines of +0.0 bits, which the blur skips, come out as
+    # scipy's +0.0, and that -0.0 lines are blurred.
     from scipy.ndimage import gaussian_filter
 
-    rng = np.random.default_rng(seed)
-    if kind == "counts":
-        grid = rng.poisson(0.05, shape).astype(np.int64)
-    else:
-        grid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
+    grid = blur_grid(np.random.default_rng(seed), kind, shape)
     got = M.gaussian_blur(grid, sigma)
     want = gaussian_filter(grid.astype(np.float64), sigma=sigma, mode="reflect",
                            radius=M.blur_radius_for(sigma))
@@ -245,18 +266,26 @@ FLOAT32_TIES = [float(np.float32(v)) for v in (-0.0, 0.0, 0.1, 0.2, 1 / 3, 1e-8,
 
 
 @given(values=st.one_of(
-    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=80),
-    st.lists(st.sampled_from(FLOAT32_TIES), min_size=1, max_size=80),
-    st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=80),
-    st.tuples(st.floats(allow_nan=False), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
-))
+    st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=80),
+    st.lists(st.sampled_from(FLOAT32_TIES), min_size=2, max_size=80),
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=2, max_size=80),
+    st.lists(st.floats(-1e6, 1e6, width=32), min_size=2, max_size=80),
+    st.tuples(st.floats(allow_nan=False), st.integers(2, 40)).map(lambda t: [t[0]] * t[1]),
+), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_midranks_equal_scipy_rankdata_bytes(values):
+def test_sauc_bytes_equal_rankdata_mann_whitney(values, data):
     from scipy.stats import rankdata  # the oracle; atarisal itself does not import scipy.stats
 
-    x = np.asarray(values, dtype=np.float64)
-    got, want = M._midranks(x), rankdata(x)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # one row of cells: the first n_pos are fixated here, the rest in another frame
+    sal = np.asarray(values, dtype=np.float64)[None, :]
+    n_pos = data.draw(st.integers(1, sal.size - 1))
+    pos = np.zeros(sal.shape, np.int64)
+    pos[0, :n_pos] = 1
+    got = M.shuffled_auc(sal, pos, [1 - pos])
+    n_neg = sal.size - n_pos
+    u = rankdata(sal[0])[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
+    want = float(u / (n_pos * n_neg))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # -- score_frame / aggregate --------------------------------------------------------

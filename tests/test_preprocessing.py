@@ -60,6 +60,19 @@ def test_resize_preserves_horizontal_ramp():
     np.testing.assert_allclose(out[40, 1:-1], xs[1:-1], atol=1e-3)
 
 
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.sampled_from([((210, 160), (84, 84)), ((84, 84), (210, 160))]))
+@settings(max_examples=20, deadline=None)
+def test_resize_bytes_equal_reference(seed, sizes):
+    # both directions the pipeline takes: frame to observation, map to frame
+    (h, w), (out_h, out_w) = sizes
+    rng = np.random.default_rng(seed)
+    img = (rng.standard_normal((h, w)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+    got = P.bilinear_resize(img, out_h, out_w)
+    want = oracles.bilinear_resize(img, out_h, out_w)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_max_merge():
     rng = np.random.default_rng(1)
     a = rng.random((84, 84)).astype(np.float32)

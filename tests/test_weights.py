@@ -173,3 +173,19 @@ def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, message):
     assert rc == 2
     assert f"{path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_load_peak_memory_is_near_the_parameters(tmp_path):
+    # each payload is read straight into its array: no bytes copy beside it
+    import tracemalloc
+
+    path = str(tmp_path / "sparse.flsw")
+    weights_io.save_model(path, models.build_model(models.PRESETS["sparse-fls"], 0))
+    tracemalloc.start()
+    try:
+        params = weights_io.load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.nbytes for p in params.values())
+    assert peak < 1.5 * param_bytes, (peak, param_bytes)
