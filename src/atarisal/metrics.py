@@ -152,7 +152,7 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
     # negatives below it and ties those equal to it. U is an exact half-integer.
     below = np.searchsorted(neg_vals, pos_vals, side="left").sum(dtype=np.int64)
     not_above = np.searchsorted(neg_vals, pos_vals, side="right").sum(dtype=np.int64)
-    u = (int(below) + int(not_above)) / 2
+    u = (below + not_above) / 2
     return float(u / (pos_vals.size * neg_vals.size)), None
 
 
