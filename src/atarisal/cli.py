@@ -280,8 +280,9 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     are any iterable of that many, taken one at a time as they are scored.
     Map i is 84x84, upscaled here when it is scored, or already 210x160. It
     meets the records on the raw frames observation i retains; its sAUC
-    negatives are the fixations of the other frames of its recording, or of
-    all recordings for pool_scope "all".
+    negatives are the pixels its recording's total map counts, or all
+    recordings' for pool_scope "all", less those it fixates itself, which
+    `metrics.shuffled_auc` drops from any pool.
 
     sAUC needs the pooled total before any frame is scored, so a first pass
     takes each recording's total map and counts from one bincount, which
@@ -310,7 +311,7 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
             if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
                 sal = S.upscale_to_frame(sal)
             fix, _ = P.fixation_map(bucket, P.retained_indices(i))
-            scores.append(M.score_frame(i, sal, fix, [total - fix], sigma))
+            scores.append(M.score_frame(i, sal, fix, [total], sigma))
         per_rec_scores.append(scores)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
         for name in M.METRIC_NAMES:
@@ -429,6 +430,8 @@ class EvalSpec:
         _check_sigma(self.sigma)
         _check_summary_field("model.label", self.label)
         _check_summary_field("--game", self.game)
+        if self.pgm and not self.save_saliency:
+            raise ConfigurationError("--pgm writes views of the dumps and needs --save-saliency")
 
     @classmethod
     def from_args(cls, args) -> "EvalSpec":

@@ -39,11 +39,16 @@ class FrameScore:
 
 
 def _check_shapes(sal: np.ndarray, fix: np.ndarray):
-    sal = np.asarray(sal)
-    fix = np.asarray(fix)
+    """sal as column-major float64 and fix as row-major float64, each copied
+    only if it is not so already. numpy's float64 sums depend on the memory
+    layout, so a score depends only on the values once the layout is fixed:
+    column-major is what `saliency.upscale_to_frame` returns, and row-major
+    what `preprocessing.fixation_map` returns."""
+    sal = np.asarray(sal, dtype=np.float64, order="F")
+    fix = np.asarray(fix, dtype=np.float64, order="C")
     if sal.shape != fix.shape:
         raise ConfigurationError(f"saliency {sal.shape} vs fixation {fix.shape} shape mismatch")
-    return sal.astype(np.float64), fix.astype(np.float64)
+    return sal, fix
 
 
 def _nss(sal: np.ndarray, fix: np.ndarray):
@@ -158,14 +163,19 @@ def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
 
 def shuffled_auc(sal: np.ndarray, positives: np.ndarray,
                  negative_pool: Sequence[np.ndarray]) -> Optional[float]:
-    """Ranking AUC of saliency at fixated pixels vs pixels fixated in other
-    frames (ties at half weight). None when either set is empty."""
+    """Ranking AUC of saliency at fixated pixels vs the pixels that some map
+    of negative_pool counts and positives does not (ties at half weight).
+    None when either set is empty."""
     return _sauc(sal, positives, negative_pool)[0]
 
 
 def score_frame(frame: int, sal: np.ndarray, fix: np.ndarray,
                 negative_pool: Sequence[np.ndarray],
                 sigma: float = 5.0) -> FrameScore:
+    """NSS, KL and sAUC of one frame, or the reason each is undefined. The
+    map and the fixation map are converted to float64 once, here, and every
+    metric reads those copies."""
+    sal, fix = _check_shapes(sal, fix)
     score = FrameScore(frame=frame)
     score.nss, r = _nss(sal, fix)
     if r:

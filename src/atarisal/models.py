@@ -15,9 +15,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .errors import ConfigurationError, EvaluationError
-
-INPUT_SIZE = 84
-INPUT_CHANNELS = 4
+from .preprocessing import OBS_SIZE as INPUT_SIZE, STACK_DEPTH as INPUT_CHANNELS
 
 BLOCK_KINDS = ("sparse", "dense")
 ATTENTION_KINDS = ("fls", "fls-1x1", "rs", "daqn", "mousavi")

@@ -7,11 +7,11 @@ giving the frame count. `load_frames` checks every frame up front, each PPM
 header, its 210x160 size and each file's size against it, without reading
 any pixels, and returns a `FrameFiles` sequence that reads a frame from disk
 when it is indexed; a slice of it reads nothing. `build_observations` indexes
-only the retained frames (offsets 2-3 of each group of 4), so the discarded
-half is validated but never decoded. It returns the observations as plain
-84x84x4 float32 arrays; observation i is built from raw frames
-`retained_indices(i)`, so building it from the 16-frame window
-`frames[16 * i:16 * (i + 1)]` gives the same array.
+only `retained_indices(i)` of each whole observation i (offsets 2-3 of each
+group of 4), so the discarded half and an incomplete tail are validated but
+never decoded. It returns the observations as plain 84x84x4 float32 arrays;
+building observation i from the 16-frame window `frames[16 * i:16 * (i + 1)]`
+gives the same array.
 
 Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
 from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
@@ -25,12 +25,11 @@ scorer needs no map held per observation.
 import csv
 import io
 import json
-import operator
 import os
 import warnings
 from collections.abc import Sequence
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -99,27 +98,18 @@ def retained_indices(observation_index: int) -> tuple[int, ...]:
 
 
 def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Group raw frames in fours, keep the 3rd and 4th of each group
-    (grayscale, resize, pixelwise max), stack four processed frames per
-    observation, scale by 1/255. Observation i is an 84x84x4 float32 array
-    in [0, 1] whose channel c is its c-th oldest processed frame, built from
-    raw frames retained_indices(i); observations never share raw frames, and
-    incomplete tails are dropped. Only the kept frames are indexed, so a
-    `FrameFiles` sequence decodes nothing else. A stack is built as soon as
-    its four processed frames exist, so only the stacks accumulate; the kept
-    frames of an incomplete tail are still decoded and shape-checked."""
-    observations, processed = [], []
-    for g in range(len(frames) // RAW_PER_PROCESSED):
-        merged = None
-        for o in RETAIN_OFFSETS:
-            idx = RAW_PER_PROCESSED * g + o
-            img = resize_84(grayscale(_check_frame(frames[idx], idx)))
-            merged = img if merged is None else max_merge(merged, img)
-        processed.append(merged)
-        if len(processed) == STACK_DEPTH:  # no processed frame outlives its stack
-            stack = np.stack(processed, axis=-1)
-            processed = []
-            observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
+    """One 84x84x4 float32 observation in [0, 1] per whole 16 raw frames;
+    an incomplete tail is never indexed. Observation i indexes exactly raw
+    frames retained_indices(i), the 3rd and 4th of each group of 4: each is
+    grayscaled and resized, each pair is merged by pixelwise max, and channel
+    c, the c-th oldest merged pair, is scaled by 1/255. Observations never
+    share raw frames, so a `FrameFiles` sequence decodes nothing else."""
+    observations = []
+    for i in range(len(frames) // RAW_PER_OBSERVATION):
+        # decoded lazily and zipped with itself, so only one pair is alive at a time
+        kept = (resize_84(grayscale(_check_frame(frames[j], j))) for j in retained_indices(i))
+        stack = np.stack([max_merge(a, b) for a, b in zip(kept, kept)], axis=-1)
+        observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
     return observations
 
 
@@ -234,40 +224,34 @@ def save_fixations_csv(path: str, rows: Iterable[Iterable[int]]) -> None:
 # -- frame file formats --------------------------------------------------------
 
 class FrameFiles(Sequence):
-    """The raw frames of a recording, checked up front and read on demand.
+    """The raw 210x160 frames of a recording, checked up front and read on
+    demand: a list of (path, payload offset) locations, one per frame.
 
-    Whoever builds one has checked every frame's header and that its file
-    holds the whole payload. frames[i] opens frame i's file, seeks to its
-    payload and reads that one frame; nothing is cached, so a frame stays in
-    memory only while the caller holds it. Reads are seek+read, not a memory
-    map: every page of a map that gets touched counts toward RSS for as long
-    as the map exists. frames[a:b] is a FrameFiles over the same files that
-    reads nothing until it is indexed, so `build_observations(frames[16 * i:
-    16 * (i + 1)])` decodes observation i's retained frames alone. A file
-    cut short after its check fails when its frame is read, with the
-    truncation error."""
+    Whoever builds one has checked every frame's header, its 210x160 size
+    and that its file holds the whole payload. frames[i] opens frame i's
+    file, seeks to its payload and reads that one frame; nothing is cached,
+    so a frame stays in memory only while the caller holds it. Reads are
+    seek+read, not a memory map: every page of a map that gets touched
+    counts toward RSS for as long as the map exists. frames[a:b] is a
+    FrameFiles over the slice of the locations and reads nothing until it is
+    indexed, so `build_observations(frames[16 * i:16 * (i + 1)])` decodes
+    observation i's retained frames alone. A file cut short after its check
+    fails when its frame is read, with the truncation error."""
 
-    def __init__(self, count: int, locate: Callable[[int], tuple], kind: str):
-        self._count = count
-        self._locate = locate  # index -> (path, payload offset, height, width)
-        self._kind = kind      # the file format, for the message of a short payload
+    def __init__(self, locations: list[tuple[str, int]], kind: str):
+        self._locations = locations
+        self._kind = kind  # the file format, for the message of a short payload
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._locations)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            indices = range(self._count)[index]
-            return FrameFiles(len(indices), lambda i: self._locate(indices[i]), self._kind)
-        i = operator.index(index)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError(f"frame index {index} out of range for {self._count} frames")
-        path, offset, height, width = self._locate(i)
+            return FrameFiles(self._locations[index], self._kind)
+        path, offset = self._locations[index]
         with open(path, "rb") as f:
             f.seek(offset)
-            return _payload(f, path, height, width, self._kind)
+            return _payload(f, path, FRAME_HEIGHT, FRAME_WIDTH, self._kind)
 
 
 def _payload(f: BinaryIO, path: str, height: int, width: int, kind: str) -> np.ndarray:
@@ -331,26 +315,39 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
         f.write(frame.tobytes())
 
 
-def load_raw_rgb(path: str) -> FrameFiles:
-    """Concatenated raw RGB frames, read on demand; the JSON sidecar path.json
-    holds frames/width/height, and the file's size must match it exactly."""
+def read_sidecar(path: str, keys: tuple[str, ...]) -> list[int]:
+    """The values of keys in the JSON sidecar path.json, each a JSON integer:
+    a float, a string, a bool or a missing key is an error naming the
+    sidecar, as is a file that is not UTF-8 JSON."""
     sidecar = path + ".json"
     try:
         with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)
     except ValueError:  # JSONDecodeError or UnicodeDecodeError
         raise DataFormatError(f"{sidecar}: invalid JSON sidecar") from None
-    try:
-        count, width, height = int(meta["frames"]), int(meta["width"]), int(meta["height"])
-    except (KeyError, TypeError, ValueError):
-        raise DataFormatError(f"{sidecar}: sidecar needs integer frames/width/height") from None
-    if count < 0 or width < 1 or height < 1:
-        raise DataFormatError(f"{sidecar}: {count} frames of {width}x{height} is not a valid size")
+    meta = meta if isinstance(meta, dict) else {}
+    for key in keys:
+        if type(meta.get(key)) is not int:  # a bool is an int subclass, not a JSON integer
+            raise DataFormatError(f"{sidecar}: sidecar needs an integer {key}, "
+                                  f"got {meta.get(key)!r}")
+    return [meta[key] for key in keys]
+
+
+def load_raw_rgb(path: str) -> FrameFiles:
+    """Concatenated raw RGB frames, read on demand. The JSON sidecar
+    path.json holds integer frames/width/height; the frames must be 210x160,
+    and the file's size must match the sidecar exactly."""
+    count, width, height = read_sidecar(path, ("frames", "width", "height"))
+    if count < 0:
+        raise DataFormatError(f"{path}.json: frame count {count} is negative")
+    if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):
+        raise DataFormatError(f"{path}: expected {FRAME_HEIGHT}x{FRAME_WIDTH}x3 frames, "
+                              f"the sidecar gives {(height, width, 3)}")
     size = os.stat(path).st_size
-    frame_bytes = width * height * 3
+    frame_bytes = FRAME_HEIGHT * FRAME_WIDTH * 3
     if size != count * frame_bytes:
         raise DataFormatError(f"{path}: {size} bytes, sidecar implies {count * frame_bytes}")
-    return FrameFiles(count, lambda i: (path, i * frame_bytes, height, width), "raw RGB")
+    return FrameFiles([(path, i * frame_bytes) for i in range(count)], "raw RGB")
 
 
 def save_raw_rgb(path: str, frames: Sequence[np.ndarray]) -> None:
@@ -386,13 +383,8 @@ def load_frames(path: str) -> FrameFiles:
                 if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):  # retained or not
                     raise DataFormatError(f"{fp}: frame {i}: expected {FRAME_HEIGHT}x"
                                           f"{FRAME_WIDTH}x3, got {(height, width, 3)}")
-                located.append((fp, f.tell(), height, width))
-        return FrameFiles(len(located), located.__getitem__, "PPM")
+                located.append((fp, f.tell()))
+        return FrameFiles(located, "PPM")
     if p.is_file() and p.suffix == ".rgb":
-        frames = load_raw_rgb(str(p))
-        height, width = frames._locate(0)[2:]  # the sidecar's size, shared by every frame
-        if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):
-            raise DataFormatError(f"{path}: expected {FRAME_HEIGHT}x{FRAME_WIDTH}x3 frames, "
-                                  f"the sidecar gives {(height, width, 3)}")
-        return frames
+        return load_raw_rgb(str(p))
     raise DataFormatError(f"{path}: expected a frame directory or a .rgb file")

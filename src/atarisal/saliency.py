@@ -23,7 +23,7 @@ import numpy as np
 from . import models
 from .errors import ConfigurationError, DataFormatError
 from .models import RFGeometry, render_output_size
-from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize
+from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize, read_sidecar
 
 
 def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:
@@ -87,17 +87,12 @@ def save_raw_saliency(path: str, sal: np.ndarray) -> None:
 
 
 def load_raw_saliency(path: str) -> np.ndarray:
-    """A save_raw_saliency dump, exactly the size its sidecar implies, with
-    finite non-negative values (KL divergence reads it as a distribution)."""
-    sidecar = path + ".json"
-    try:
-        with open(sidecar, encoding="utf-8") as f:
-            meta = json.load(f)
-        width, height = int(meta["width"]), int(meta["height"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        raise DataFormatError(f"{sidecar}: invalid saliency sidecar") from None
+    """A save_raw_saliency dump, exactly the size its sidecar's integer
+    width/height imply, with finite non-negative values (KL divergence reads
+    it as a distribution)."""
+    width, height = read_sidecar(path, ("width", "height"))
     if width < 1 or height < 1:
-        raise DataFormatError(f"{sidecar}: saliency size {width}x{height} is not positive")
+        raise DataFormatError(f"{path}.json: saliency size {width}x{height} is not positive")
     size = os.stat(path).st_size
     if size != 4 * width * height:
         raise DataFormatError(f"{path}: {size} bytes, sidecar implies {width}x{height} float32 "

@@ -199,6 +199,24 @@ def test_preprocess_negative_rgb_sidecar_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sidecar", [
+    {"frames": 16.7, "width": 160.0, "height": "210"},
+    {"frames": 16.0, "width": 160, "height": 210},
+    {"frames": 16, "width": "160", "height": 210},
+    {"frames": True, "width": 160, "height": 210},
+], ids=["all", "float", "string", "bool"])
+def test_preprocess_rgb_sidecar_sizes_must_be_json_integers(tmp_path, capsys, sidecar):
+    # int() would truncate 16.7 and read "160", and True is the integer 1
+    rgb = tmp_path / "rec.rgb"
+    rgb.write_bytes(bytes(16 * 160 * 210 * 3))
+    (tmp_path / "rec.rgb.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(rgb), "--out", str(out))
+    assert rc == 2
+    assert f"{rgb}.json: sidecar needs an integer" in err
+    assert not out.exists()
+
+
 def test_preprocess_negative_ppm_size_is_exit_2(tmp_path, capsys):
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
@@ -324,6 +342,20 @@ def test_metrics_negative_saliency_sidecar_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sidecar", [{"width": 84.9, "height": 84}, {"width": "84", "height": 84},
+                                     {"width": 84, "height": True}],
+                         ids=["float", "string", "bool"])
+def test_metrics_saliency_sidecar_sizes_must_be_json_integers(tmp_path, capsys, sidecar):
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 32)
+    (sal_dir / "sal_0001.raw.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert f"{sal_dir / 'sal_0001.raw.json'}: sidecar needs an integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["sparse-fls", "dense-fls"])
 def test_metrics_on_eval_dumps_reproduces_eval_scores(tmp_path, capsys, recording_32, preset):
     # eval and metrics share one scoring path, so re-scoring eval's own dumps
@@ -340,10 +372,16 @@ def test_metrics_on_eval_dumps_reproduces_eval_scores(tmp_path, capsys, recordin
     assert (out / "frames_rec0.csv").read_bytes() == (run_dir / "frames_rec0.csv").read_bytes()
 
 
-def test_metrics_scores_frame_size_dumps_as_upscaled_ones(tmp_path, capsys, recording_32):
+def test_metrics_scores_frame_size_dumps_as_upscaled_ones(tmp_path, capsys):
     # _score upscales an 84x84 dump when it scores it and takes a 210x160 one
-    # as it is; saliency --upscale writes that same upscale ahead of time
-    frames_dir, csv_path = recording_32
+    # as it is; saliency --upscale writes that same upscale ahead of time.
+    # Both score as eval scores its own upscale, whatever the memory layout
+    # of each: on this recording, float64 sums over a 210x160 dump in its
+    # row-major layout differ from eval's in the last bit
+    frames_dir, csv_path = write_recording(tmp_path / "rec", 48, seed=12)
+    run_dir = tmp_path / "run"
+    assert run(capsys, "eval", "--preset", "sparse-fls",
+               "--recording", str(frames_dir), str(csv_path), "--out", str(run_dir))[0] == 0
     outputs = []
     for tag, extra in (("84", []), ("210", ["--upscale"])):
         assert run(capsys, "saliency", "--preset", "sparse-fls", "--frames", str(frames_dir),
@@ -353,6 +391,7 @@ def test_metrics_scores_frame_size_dumps_as_upscaled_ones(tmp_path, capsys, reco
                    "--fixations", str(csv_path), "--out", str(out))[0] == 0
         outputs.append([(out / name).read_bytes() for name in ("frames_rec0.csv", "summary.csv")])
     assert outputs[0] == outputs[1]
+    assert outputs[1][0] == (run_dir / "frames_rec0.csv").read_bytes()
 
 
 def test_fixations_on_discarded_frames_are_counted(tmp_path, capsys, recording_32):
@@ -949,6 +988,22 @@ def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, 
     rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
     assert rc == 2
     assert key in err
+    assert not out2.exists()
+
+
+def test_eval_pgm_without_save_saliency_is_exit_1(tmp_path, capsys, recording_32):
+    # --pgm writes views of the dumps, so alone it would write nothing
+    rc, err, out = eval_frames(capsys, tmp_path, *recording_32, "--pgm")
+    assert rc == 1
+    assert "--pgm" in err and "--save-saliency" in err
+    assert not out.exists()
+
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest.update(pgm=True))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 1
+    assert "--pgm" in err and "--save-saliency" in err
     assert not out2.exists()
 
 

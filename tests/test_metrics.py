@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atarisal import metrics as M
 from atarisal.errors import ConfigurationError
@@ -288,7 +289,33 @@ def test_sauc_bytes_equal_rankdata_mann_whitney(values, data):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sauc_pool_of_the_total_equals_the_total_less_the_frame(data):
+    # _sauc drops the positives from the pool, so a frame's own counts in
+    # the pooled total change nothing: total >= fix cell by cell
+    shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    counts = arrays(np.int64, shape, elements=st.integers(0, 2))
+    fix, others = data.draw(counts), data.draw(counts)
+    sal = data.draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.5, 1.0])))
+    total = fix + others
+    assert M._sauc(sal, fix, [total]) == M._sauc(sal, fix, [total - fix])
+
+
 # -- score_frame / aggregate --------------------------------------------------------
+
+def test_score_frame_depends_only_on_the_map_values():
+    # numpy's float64 sums depend on the memory layout, so score_frame must
+    # convert every map to one layout before it sums
+    rng = np.random.default_rng(3)
+    sal = rng.random((210, 160)).astype(np.float32)
+    fix = rng.integers(0, 3, size=(210, 160)) * (rng.random((210, 160)) > 0.9)
+    pool = [fix + rng.integers(0, 2, size=(210, 160))]
+    scores = [M.score_frame(0, order(sal), layout(fix), pool)
+              for order in (np.ascontiguousarray, np.asfortranarray)
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert all(score == scores[0] for score in scores)
+
 
 def test_score_frame_reason_wiring():
     sal = np.full((4, 4), 1.0)

@@ -111,6 +111,14 @@ def test_31_frames_drop_incomplete_tail():
     assert len(P.build_observations(frames)) == 1
 
 
+def test_incomplete_tail_is_never_indexed():
+    # observation i indexes only retained_indices(i), so no frame of a tail
+    # too short for an observation is decoded or checked
+    frames, _ = make_frames(16, seed=3)
+    assert np.array_equal(P.build_observations(frames + [None] * 15)[0],
+                          P.build_observations(frames)[0])
+
+
 def test_constant_stream_gives_identical_channels():
     frames = [solid_frame(90, 90, 90)] * 32
     obs = P.build_observations(frames)
