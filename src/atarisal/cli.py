@@ -29,7 +29,7 @@ from .errors import ConfigurationError, DataFormatError, EvaluationError
 
 SCHEMA_VERSION = 1
 
-FRAME_CSV_HEADER = "frame,nss,kl,sauc,valid_nss,valid_kl,valid_sauc"
+FRAME_CSV_HEADER = ",".join(["frame", *M.METRIC_NAMES, *("valid_" + n for n in M.METRIC_NAMES)])
 SUMMARY_CSV_HEADER = "model,game,metric,mean,std,n"
 
 
@@ -91,11 +91,16 @@ def _check_seed(seed: int) -> None:
 
 def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
     """The weights file's model, or else a fresh one initialized from seed;
-    seed is checked either way but draws nothing when weights is given."""
+    seed is checked either way but draws nothing when weights is given. A
+    fresh model too large to allocate is an error naming its size."""
     _check_seed(seed)
     if weights:
         return W.load_into_model(models.build_plan(cfg), weights)
-    return models.build_model(cfg, seed)
+    try:
+        return models.build_model(cfg, seed)
+    except (MemoryError, ValueError):  # ValueError: a tensor past numpy's largest dimension
+        raise ConfigurationError(f"a model of {models.count_params(cfg):,} parameters does not "
+                                 "fit in memory") from None
 
 
 # -- params ----------------------------------------------------------------------
@@ -261,8 +266,8 @@ def _check_summary_field(name: str, value: str) -> None:
 
 
 def _write_frame_csv(path: Path, scores) -> None:
-    rows = (f"{s.frame},{_fmt(s.nss)},{_fmt(s.kl)},{_fmt(s.sauc)},"
-            f"{int(s.nss is not None)},{int(s.kl is not None)},{int(s.sauc is not None)}"
+    rows = (",".join([str(s.frame), *(_fmt(getattr(s, name)) for name in M.METRIC_NAMES),
+                      *(str(int(getattr(s, name) is not None)) for name in M.METRIC_NAMES)])
             for s in scores)
     path.write_text("\n".join([FRAME_CSV_HEADER, *rows]) + "\n")
 
@@ -361,8 +366,8 @@ def cmd_metrics(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _score(out, [(len(sal_maps), sal_maps, records)], "external", args.game, "recording",
-           sigma)
+    _score(out, [(len(sal_maps), sal_maps, records)], "external", args.game,
+           EvalSpec.pool_scope, sigma)
     _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
 
@@ -420,7 +425,7 @@ class EvalSpec:
     seed: int = 0
     game: str = "unlabeled"
     pool_scope: str = "recording"
-    sigma: float = 5.0
+    sigma: float = M.DEFAULT_SIGMA
     save_saliency: bool = False
     pgm: bool = False
 
@@ -466,7 +471,7 @@ class EvalSpec:
                                   f"{{frames, fixations}} paths, got {recordings!r}")
         _checked(data, {f.name: f.type for f in fields(cls) if f.default is not MISSING},
                  source, "")
-        if data.get("pool_scope", "recording") not in POOL_SCOPES:
+        if data.get("pool_scope", cls.pool_scope) not in POOL_SCOPES:
             raise DataFormatError(f"{source}: pool_scope must be one of "
                                   f"{', '.join(POOL_SCOPES)}, got {data['pool_scope']!r}")
         return cls(label=entry["label"], config=models.ModelConfig(**config),
@@ -588,6 +593,7 @@ def cmd_gradcheck(args) -> int:
 # -- report -------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    columns = SUMMARY_CSV_HEADER.split(",")
     rows = []
     for run_dir in args.runs:
         path = Path(run_dir) / "summary.csv"
@@ -601,12 +607,12 @@ def cmd_report(args) -> int:
             raise DataFormatError(f"{path}: unexpected summary header")
         for line in lines[1:]:
             fields = line.split(",")
-            if len(fields) != 6:
+            if len(fields) != len(columns):
                 raise DataFormatError(f"{path}: malformed summary row {line!r}")
             rows.append(fields)
 
-    table = [SUMMARY_CSV_HEADER.split(",")] + sorted(rows)
-    widths = [max(len(r[i]) for r in table) for i in range(6)]
+    table = [columns] + sorted(rows)
+    widths = [max(map(len, column)) for column in zip(*table)]
     text = "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) + "\n" for r in table)
     if args.out:
         Path(args.out).write_text(text)
@@ -635,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saliency", help="render per-observation saliency maps")
     add_config_flags(p)
     p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=EvalSpec.seed)
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--upscale", action="store_true", help="export at 160x210 instead of 84x84")
@@ -646,8 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--saliency", required=True, help="directory of sal_*.raw dumps")
     p.add_argument("--fixations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--game", default="unlabeled")
-    p.add_argument("--sigma", type=float, default=5.0)
+    p.add_argument("--game", default=EvalSpec.game)
+    p.add_argument("--sigma", type=float, default=M.DEFAULT_SIGMA)
     p.set_defaults(func=cmd_metrics)
 
     # an eval flag that was not given is absent from args: EvalSpec and

@@ -22,7 +22,8 @@ EPSILON = 1e-9  # additive smoothing for the KL distributions
 # flagging a genuinely varying one.
 VARIANCE_EPS = 1e-6
 
-METRIC_NAMES = ("nss", "kl", "sauc")
+METRIC_NAMES = ("nss", "kl", "sauc")  # FrameScore fields and CSV columns, in column order
+DEFAULT_SIGMA = 5.0  # default std of the Gaussian blur of the fixation map, in pixels
 
 REASON_ZERO_VARIANCE = "zero-variance-saliency"
 REASON_NO_FIXATIONS = "no-fixations"
@@ -51,13 +52,12 @@ def _check_shapes(sal: np.ndarray, fix: np.ndarray):
     return sal, fix
 
 
-def _nss(sal: np.ndarray, fix: np.ndarray):
-    sal, fix = _check_shapes(sal, fix)
+def _nss(sal: np.ndarray, fix: np.ndarray, total: float):
+    """NSS of _check_shapes' sal and fix, total being fix's sum."""
     mean = float(sal.mean())
     std = float(sal.std())  # population std
     if std <= VARIANCE_EPS * max(1.0, abs(mean)):
         return None, REASON_ZERO_VARIANCE
-    total = float(fix.sum())
     if total == 0.0:
         return None, REASON_NO_FIXATIONS
     normalized = (sal - mean) / std
@@ -67,10 +67,11 @@ def _nss(sal: np.ndarray, fix: np.ndarray):
 def nss(sal: np.ndarray, fix: np.ndarray) -> Optional[float]:
     """Mean of the zero-mean unit-std normalized saliency over fixated pixels,
     weighted by fixation counts. None if saliency is constant or no fixations."""
-    return _nss(sal, fix)[0]
+    sal, fix = _check_shapes(sal, fix)
+    return _nss(sal, fix, float(fix.sum()))[0]
 
 
-def gaussian_blur(grid: np.ndarray, sigma: float = 5.0) -> np.ndarray:
+def gaussian_blur(grid: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
     """Separable Gaussian with a normalized kernel truncated at radius
     blur_radius_for(sigma), reflect padding.
 
@@ -114,9 +115,9 @@ def _correlate_rows(grid: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray
     return out
 
 
-def _kl(sal: np.ndarray, fix: np.ndarray, sigma: float):
-    sal, fix = _check_shapes(sal, fix)
-    if float(fix.sum()) == 0.0:
+def _kl(sal: np.ndarray, fix: np.ndarray, total: float, sigma: float):
+    """KL divergence of _check_shapes' sal and fix, total being fix's sum."""
+    if total == 0.0:
         return None, REASON_NO_FIXATIONS
     if float(sal.min()) < 0.0:
         raise ConfigurationError("saliency map must be non-negative for KL divergence")
@@ -127,10 +128,12 @@ def _kl(sal: np.ndarray, fix: np.ndarray, sigma: float):
     return float((f * np.log(f / s)).sum()), None
 
 
-def kl_divergence(sal: np.ndarray, fix: np.ndarray, sigma: float = 5.0) -> Optional[float]:
+def kl_divergence(sal: np.ndarray, fix: np.ndarray,
+                  sigma: float = DEFAULT_SIGMA) -> Optional[float]:
     """KL(blurred-fixation distribution || saliency distribution); both sides
     smoothed by EPSILON per cell and normalized to sum 1. None without fixations."""
-    return _kl(sal, fix, sigma)[0]
+    sal, fix = _check_shapes(sal, fix)
+    return _kl(sal, fix, float(fix.sum()), sigma)[0]
 
 
 def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
@@ -171,21 +174,19 @@ def shuffled_auc(sal: np.ndarray, positives: np.ndarray,
 
 def score_frame(frame: int, sal: np.ndarray, fix: np.ndarray,
                 negative_pool: Sequence[np.ndarray],
-                sigma: float = 5.0) -> FrameScore:
+                sigma: float = DEFAULT_SIGMA) -> FrameScore:
     """NSS, KL and sAUC of one frame, or the reason each is undefined. The
-    map and the fixation map are converted to float64 once, here, and every
-    metric reads those copies."""
+    map and the fixation map are converted to float64 and the fixation map
+    summed once, here, and every metric reads those."""
     sal, fix = _check_shapes(sal, fix)
+    total = float(fix.sum())
     score = FrameScore(frame=frame)
-    score.nss, r = _nss(sal, fix)
-    if r:
-        score.reasons["nss"] = r
-    score.kl, r = _kl(sal, fix, sigma)
-    if r:
-        score.reasons["kl"] = r
-    score.sauc, r = _sauc(sal, fix, negative_pool)
-    if r:
-        score.reasons["sauc"] = r
+    results = (_nss(sal, fix, total), _kl(sal, fix, total, sigma),
+               _sauc(sal, fix, negative_pool))
+    for name, (value, reason) in zip(METRIC_NAMES, results):
+        setattr(score, name, value)
+        if reason:
+            score.reasons[name] = reason
     return score
 
 

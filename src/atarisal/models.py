@@ -21,7 +21,7 @@ BLOCK_KINDS = ("sparse", "dense")
 ATTENTION_KINDS = ("fls", "fls-1x1", "rs", "daqn", "mousavi")
 PLACEMENTS = ("block", "first-conv", "each-conv")
 READOUTS = ("flatten", "sum-pool")
-HEADS = ("fc", "policy", "value")  # dense layers after the readout, in parameter order
+HEADS = {"fc": "readout", "policy": "fc", "value": "fc"}  # dense layer -> the layer it reads
 
 
 @dataclass(frozen=True)
@@ -263,13 +263,10 @@ def param_shapes(plan: ModelPlan) -> dict[str, tuple[int, ...]]:
         shapes[f"{lp.name}.weight"] = (lp.spec.out_channels, lp.in_channels,
                                        lp.spec.kernel, lp.spec.kernel)
         shapes[f"{lp.name}.bias"] = (lp.spec.out_channels,)
-    cfg = plan.config
-    shapes["fc.weight"] = (cfg.fc_width, plan.readout_width)
-    shapes["fc.bias"] = (cfg.fc_width,)
-    shapes["policy.weight"] = (cfg.num_actions, cfg.fc_width)
-    shapes["policy.bias"] = (cfg.num_actions,)
-    shapes["value.weight"] = (1, cfg.fc_width)
-    shapes["value.bias"] = (1,)
+    widths = {name: shape[0] for name, shape in plan.trace}
+    for head, reads in HEADS.items():
+        shapes[f"{head}.weight"] = (widths[head], widths[reads])
+        shapes[f"{head}.bias"] = (widths[head],)
     return shapes
 
 
@@ -311,24 +308,23 @@ class ModelOutput:
 class Model:
     plan: ModelPlan
     params: dict[str, np.ndarray]
-    # Conv kernels by layer name, built at the first forward once every param
-    # is finite; a kernel caches its float64 weights, so conv weights edited
-    # after that forward do not count.
-    _kernels: Optional[dict[str, T.ConvKernel]] = field(default=None, repr=False, compare=False)
 
     @property
     def config(self) -> ModelConfig:
         return self.plan.config
 
-    def _prepare(self) -> None:
-        if self._kernels is not None:
-            return
+    @cached_property
+    def _kernels(self) -> dict[str, T.ConvKernel]:
+        """Conv kernels by layer name, built at the first forward once every
+        param is finite; a failed check caches nothing. A kernel caches its
+        float64 weights, so conv weights edited in place after that forward
+        do not count; a model made by `dataclasses.replace` builds its own."""
         if not all(np.isfinite(v).all() for v in self.params.values()):
             raise EvaluationError("model weights contain NaN or Inf")
-        self._kernels = {lp.name: T.ConvKernel(self.params[f"{lp.name}.weight"],
-                                               self.params[f"{lp.name}.bias"],
-                                               lp.spec.stride, lp.spec.padding)
-                         for lp in self.plan.conv_layers}
+        return {lp.name: T.ConvKernel(self.params[f"{lp.name}.weight"],
+                                      self.params[f"{lp.name}.bias"],
+                                      lp.spec.stride, lp.spec.padding)
+                for lp in self.plan.conv_layers}
 
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
@@ -350,7 +346,7 @@ class Model:
 
     def forward(self, obs: np.ndarray) -> ModelOutput:
         """Evaluate one 84x84x4 observation with values in [0, 1]."""
-        self._prepare()
+        kernels = self._kernels  # a non-finite weight is reported before a bad observation
         cfg = self.config
         x = np.asarray(obs)
         if x.shape != (INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS):
@@ -369,7 +365,7 @@ class Model:
         maps: list[tuple[str, np.ndarray]] = []
         features = None
         for i, lp in enumerate(self.plan.block_layers, start=1):
-            x = T.conv2d(x, self._kernels[lp.name])
+            x = T.conv2d(x, kernels[lp.name])
             ap = by_layer.get(i)
             # final_relu=False drops the activation right before an attention
             # read point, so the module (and the gate) sees pre-activation values.

@@ -315,6 +315,12 @@ def save_ppm(path: str, frame: np.ndarray) -> None:
         f.write(frame.tobytes())
 
 
+def write_sidecar(path: str, **ints: int) -> None:
+    """The JSON sidecar path.json of a .rgb or .raw file: ints, in order, on one line."""
+    with open(path + ".json", "w") as f:
+        f.write(json.dumps(ints) + "\n")
+
+
 def read_sidecar(path: str, keys: tuple[str, ...]) -> list[int]:
     """The values of keys in the JSON sidecar path.json, each a JSON integer:
     a float, a string, a bool or a missing key is an error naming the
@@ -356,9 +362,7 @@ def save_raw_rgb(path: str, frames: Sequence[np.ndarray]) -> None:
     with open(path, "wb") as f:
         for frame in frames:
             f.write(frame.tobytes())
-    with open(path + ".json", "w") as f:
-        json.dump({"frames": len(frames), "width": w, "height": h}, f)
-        f.write("\n")
+    write_sidecar(path, frames=len(frames), width=w, height=h)
 
 
 def load_frames(path: str) -> FrameFiles:

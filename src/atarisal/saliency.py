@@ -15,7 +15,6 @@ order, starting from +0.0, so the bytes equal `tensor_ops.transposed_conv2d`
 with `ConvKernel.ones` for every input.
 """
 
-import json
 import os
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import models
 from .errors import ConfigurationError, DataFormatError
 from .models import RFGeometry, render_output_size
-from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize, read_sidecar
+from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize, read_sidecar, write_sidecar
 
 
 def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:
@@ -81,9 +80,7 @@ def save_raw_saliency(path: str, sal: np.ndarray) -> None:
     sal = np.ascontiguousarray(sal, dtype="<f4")
     with open(path, "wb") as f:
         f.write(sal.tobytes())
-    with open(path + ".json", "w") as f:
-        json.dump({"width": sal.shape[1], "height": sal.shape[0]}, f)
-        f.write("\n")
+    write_sidecar(path, width=sal.shape[1], height=sal.shape[0])
 
 
 def load_raw_saliency(path: str) -> np.ndarray:
@@ -102,7 +99,7 @@ def load_raw_saliency(path: str) -> np.ndarray:
         raise DataFormatError(f"{path}: saliency contains NaN or Inf")
     if (data < 0).any():
         raise DataFormatError(f"{path}: saliency contains negative values")
-    return data.reshape(height, width).astype(np.float32)
+    return data.reshape(height, width).astype(np.float32, copy=False)
 
 
 def save_pgm(path: str, sal: np.ndarray) -> None:

@@ -82,14 +82,12 @@ def load_into_model(plan: ModelPlan, path: str) -> Model:
     must match plan's exactly, and no initializer runs."""
     loaded = load_weights(path)
     expected = param_shapes(plan)
-    missing = sorted(set(expected) - set(loaded))
-    extra = sorted(set(loaded) - set(expected))
-    if missing:
-        raise DataFormatError(f"{path}: missing tensor {missing[0]!r}"
-                              + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""))
-    if extra:
-        raise DataFormatError(f"{path}: unexpected tensor {extra[0]!r}"
-                              + (f" (+{len(extra) - 1} more)" if len(extra) > 1 else ""))
+    for kind, names in (("missing", set(expected) - set(loaded)),
+                        ("unexpected", set(loaded) - set(expected))):
+        if names:
+            first, *more = sorted(names)
+            raise DataFormatError(f"{path}: {kind} tensor {first!r}"
+                                  + (f" (+{len(more)} more)" if more else ""))
     for name, shape in expected.items():
         if tuple(loaded[name].shape) != shape:
             raise DataFormatError(

@@ -1039,6 +1039,36 @@ def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
     assert not out.exists()
 
 
+# 10**12 actions or fc units make a float64 weight draw of 3.64 or 22.3 PiB,
+# past the 128 TiB x86-64 user address space, so it fails at once under any
+# overcommit policy and allocates nothing; 10**19 rows are past numpy's
+# largest dimension
+HUGE = 10**12
+
+
+@pytest.mark.parametrize("actions", [HUGE, 10**19])
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32, command,
+                                               actions):
+    frames_dir, csv_path = recording_32
+    inputs = (["--recording", str(frames_dir), str(csv_path)] if command == "eval"
+              else ["--frames", str(frames_dir)])
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, command, "--preset", "sparse-fls", "--actions", str(actions),
+                     *inputs, "--out", str(out))
+    n_params = models.count_params(models.preset_config("sparse-fls", num_actions=actions))
+    assert rc == 1 and f"{n_params:,} parameters" in err and not out.exists()
+
+
+def test_manifest_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32):
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest["model"]["config"].update(fc_width=HUGE))
+    out = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out))
+    n_params = models.count_params(models.preset_config("sparse-fls", fc_width=HUGE))
+    assert rc == 1 and f"{n_params:,} parameters" in err and not out.exists()
+
+
 @pytest.mark.parametrize("label", ["fls,v2", "fls\r", "fls\nv2"])
 def test_manifest_label_that_would_split_a_summary_row_is_exit_1(tmp_path, capsys,
                                                                  recording_32, label):

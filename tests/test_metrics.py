@@ -28,12 +28,12 @@ def test_nss_single_fixation_known_value():
 
 
 def test_nss_constant_saliency_undefined():
-    val, reason = M._nss(np.full((4, 4), 3.0), fix_at((4, 4), (0, 0)))
+    val, reason = M._nss(np.full((4, 4), 3.0), fix_at((4, 4), (0, 0)), 1.0)
     assert val is None and reason == M.REASON_ZERO_VARIANCE
 
 
 def test_nss_no_fixations_undefined():
-    val, reason = M._nss(np.arange(16.0).reshape(4, 4), np.zeros((4, 4), np.int64))
+    val, reason = M._nss(np.arange(16.0).reshape(4, 4), np.zeros((4, 4), np.int64), 0.0)
     assert val is None and reason == M.REASON_NO_FIXATIONS
 
 
@@ -162,7 +162,7 @@ def test_kl_two_cell_hand_value():
 
 
 def test_kl_no_fixations_undefined():
-    val, reason = M._kl(np.ones((3, 3)), np.zeros((3, 3), np.int64), 5.0)
+    val, reason = M._kl(np.ones((3, 3)), np.zeros((3, 3), np.int64), 0.0, 5.0)
     assert val is None and reason == M.REASON_NO_FIXATIONS
 
 

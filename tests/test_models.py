@@ -238,6 +238,17 @@ def test_forward_rejects_nan_weights():
         model.forward(OBS)
 
 
+def test_replaced_model_runs_its_own_params():
+    # a model made by dataclasses.replace builds its own conv kernels, so it
+    # runs the params it was given, also after a forward of the original
+    cfg = models.preset_config("sparse-fls")
+    model, other = models.build_model(cfg, 0), models.build_model(cfg, 1)
+    model.forward(OBS)
+    out, want = replace(model, params=other.params).forward(OBS), other.forward(OBS)
+    assert np.array_equal(out.attention_maps[0][1], want.attention_maps[0][1])
+    assert out.value == want.value
+
+
 def test_forward_runs_once_a_rejected_weight_is_repaired():
     # a failed weight check caches nothing
     cfg = models.preset_config("sparse-fls")

@@ -1,4 +1,4 @@
-import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,10 +239,24 @@ def test_raw_export_round_trip(tmp_path):
     sal = np.random.default_rng(6).random((84, 84)).astype(np.float32)
     path = str(tmp_path / "sal.raw")
     S.save_raw_saliency(path, sal)
-    with open(path + ".json") as f:
-        meta = json.load(f)
-    assert meta == {"width": 84, "height": 84}
+    with open(path + ".json", "rb") as f:
+        assert f.read() == b'{"width": 84, "height": 84}\n'
     assert np.array_equal(S.load_raw_saliency(path), sal)
+
+
+def test_raw_load_holds_one_copy_of_the_dump(tmp_path):
+    # the array np.fromfile reads is the map returned, not copied again
+    sal = np.random.default_rng(7).random((210, 160)).astype(np.float32)
+    path = str(tmp_path / "sal.raw")
+    S.save_raw_saliency(path, sal)
+    tracemalloc.start()
+    try:
+        loaded = S.load_raw_saliency(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, sal)
+    assert peak < 1.5 * sal.nbytes
 
 
 def test_raw_export_size_check(tmp_path):
