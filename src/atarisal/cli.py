@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -115,8 +116,7 @@ def cmd_params(args) -> int:
         weight, bias = shapes[f"{name}.weight"], shapes[f"{name}.bias"]
         wstr, ostr = "x".join(map(str, weight)), "x".join(map(str, out_shapes[name]))
         print(f"{name:<14} {wstr:<20} {ostr:<16} {math.prod(weight) + math.prod(bias):>12,}")
-    total = sum(math.prod(shape) for shape in shapes.values())
-    print(f"{'total':<14} {'':<20} {'':<16} {total:>12,}")
+    print(f"{'total':<14} {'':<20} {'':<16} {models.count_params(plan.config):>12,}")
     return 0
 
 
@@ -281,8 +281,8 @@ def _write_summary_csv(path: Path, label: str, game: str, summary) -> None:
 def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
            sigma: float) -> None:
     """Score (observation count, saliency maps, fixation records) per
-    recording; write frames_rec{i}.csv, summary.csv and log.txt. The maps
-    are any iterable of that many, taken one at a time as they are scored.
+    recording, taking the maps, any iterable of that many, one at a time;
+    then make out and write frames_rec{i}.csv, summary.csv and log.txt.
     Map i is 84x84, upscaled here when it is scored, or already 210x160. It
     meets the records on the raw frames observation i retains; its sAUC
     negatives are the pixels its recording's total map counts, or all
@@ -318,11 +318,12 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
             fix, _ = P.fixation_map(bucket, P.retained_indices(i))
             scores.append(M.score_frame(i, sal, fix, [total], sigma))
         per_rec_scores.append(scores)
+        out.mkdir(parents=True, exist_ok=True)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
         for name in M.METRIC_NAMES:
-            undefined = sum(1 for s in scores if getattr(s, name) is None)
-            if undefined:
-                log_lines.append(f"rec{ri}: {undefined} frames undefined for {name}")
+            reasons = Counter(s.reasons[name] for s in scores if name in s.reasons)
+            for reason, undefined in sorted(reasons.items()):
+                log_lines.append(f"rec{ri}: {undefined} frames undefined for {name}: {reason}")
 
     _write_summary_csv(out / "summary.csv", label, game, M.aggregate(per_rec_scores))
     log = "\n".join(log_lines) + "\n"
@@ -350,35 +351,39 @@ def _dump_files(directory: str) -> list[Path]:
     return [by_index[i] for i in range(len(by_index))]
 
 
+def _checked_dump(path: Path) -> np.ndarray:
+    """The dump at path at its stored size; _score upscales an 84x84 one."""
+    sal = S.load_raw_saliency(str(path))
+    if sal.shape not in ((models.INPUT_SIZE, models.INPUT_SIZE), (P.FRAME_HEIGHT, P.FRAME_WIDTH)):
+        raise DataFormatError(f"{path}: unexpected saliency shape {sal.shape}")
+    return sal
+
+
 def cmd_metrics(args) -> int:
     sigma = _check_sigma(args.sigma)
     _check_summary_field("--game", args.game)
     sal_files = _dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
-    sal_maps = []  # at their stored size; _score upscales the 84x84 ones
-    for sf in sal_files:
-        sal = S.load_raw_saliency(str(sf))
-        if sal.shape not in ((models.INPUT_SIZE, models.INPUT_SIZE),
-                             (P.FRAME_HEIGHT, P.FRAME_WIDTH)):
-            raise DataFormatError(f"{sf}: unexpected saliency shape {sal.shape}")
-        sal_maps.append(sal)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _score(out, [(len(sal_maps), sal_maps, records)], "external", args.game,
-           EvalSpec.pool_scope, sigma)
+    _score(out, [(len(sal_files), map(_checked_dump, sal_files), records)], "external",
+           args.game, EvalSpec.pool_scope, sigma)
     _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
 
 
 # -- manifests ----------------------------------------------------------------------
 
+def _model_label(args) -> str:
+    """The model's name in manifests and summary rows: its preset, if any."""
+    return getattr(args, "preset", None) or "custom"
+
+
 def _manifest_dict(args, command: str) -> dict:
     """Manifest of a preprocess, saliency or metrics run: the flags it was given."""
     data = {"schema_version": SCHEMA_VERSION, "command": command}
     if hasattr(args, "block"):  # only parsers with model-config flags
-        data["model"] = {"label": args.preset or "custom", "config": asdict(config_from_args(args))}
+        data["model"] = {"label": _model_label(args), "config": asdict(config_from_args(args))}
     for key in ("weights", "seed", "game", "sigma", "pgm", "upscale", "frames", "fixations",
                 "saliency"):
         if hasattr(args, key):
@@ -444,7 +449,7 @@ class EvalSpec:
         # in args only when it was given
         flags = {f.name: getattr(args, f.name) for f in fields(cls)
                  if f.default is not MISSING and hasattr(args, f.name)}
-        return cls(label=getattr(args, "preset", None) or "custom", config=config_from_args(args),
+        return cls(label=_model_label(args), config=config_from_args(args),
                    recordings=tuple(map(tuple, getattr(args, "recording", ()))), **flags)
 
     @classmethod
@@ -514,7 +519,6 @@ def cmd_eval(args) -> int:
                for frames_path, fixations_path in spec.recordings]
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     recordings = []
     for ri, (frames, n_obs, records) in enumerate(checked):
         sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))

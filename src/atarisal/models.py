@@ -7,6 +7,7 @@ Training is out of scope: weights come from build_model's initializer or a
 weight file.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -271,7 +272,8 @@ def param_shapes(plan: ModelPlan) -> dict[str, tuple[int, ...]]:
 
 
 def count_params(config: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(build_plan(config)).values())
+    # exact: np.prod wraps past int64
+    return sum(math.prod(s) for s in param_shapes(build_plan(config)).values())
 
 
 @dataclass

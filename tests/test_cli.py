@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atarisal import cli, models, preprocessing as P, saliency as S, tensor_ops as T, weights_io
+from atarisal import cli, metrics as M, models, preprocessing as P, saliency as S, tensor_ops as T
+from atarisal import weights_io
 from atarisal.errors import EvaluationError
 
 from conftest import write_recording
@@ -314,8 +316,8 @@ def test_metrics_rejects_nan_in_saliency_dump(tmp_path, capsys, recording_32):
     assert not (out / "summary.csv").exists()
 
 
-# one small negative cell is smoothed away by the upscale and scored without
-# complaint; a negative block reaches the KL check
+# a single negative cell, which the upscale would smooth away, is rejected
+# when the dump is read, as a negative block is
 @pytest.mark.parametrize("cells", [np.s_[10, 10], np.s_[10:20, 10:20]], ids=["cell", "block"])
 def test_metrics_rejects_negative_saliency_dump(tmp_path, capsys, cells):
     sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 48)
@@ -445,6 +447,43 @@ def test_metrics_dump_without_a_fresh_index_is_exit_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_metrics_memory_in_use_does_not_grow_with_the_dump_count(tmp_path, capsys, monkeypatch):
+    # each dump is read, checked and scored before the next is read, so at the
+    # last frame's scoring 64 dumps hold what 8 do: no map of an earlier one
+    rng = np.random.default_rng(4)
+    n_dumps = 64
+    csv_path = tmp_path / "fixations.csv"
+    P.save_fixations_csv(str(csv_path), [(i, int(x), int(y)) for i in range(
+        n_dumps * P.RAW_PER_OBSERVATION) for x, y in rng.integers(0, 160, size=(4, 2))])
+    score_frame = M.score_frame
+    in_use = []
+
+    def sampled(*args, **kwargs):
+        in_use.append(tracemalloc.get_traced_memory()[0])
+        return score_frame(*args, **kwargs)
+
+    monkeypatch.setattr(M, "score_frame", sampled)
+    at_last_score = []
+    for count in (8, n_dumps):
+        sal_dir = tmp_path / f"sal{count}"
+        sal_dir.mkdir()
+        for i in range(count):
+            S.save_raw_saliency(str(sal_dir / f"sal_{i:04d}.raw"),
+                                rng.random((models.INPUT_SIZE, models.INPUT_SIZE)))
+        in_use.clear()
+        tracemalloc.start()
+        try:
+            rc = cli.main(["metrics", "--saliency", str(sal_dir), "--fixations", str(csv_path),
+                           "--out", str(tmp_path / f"scores{count}")])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(in_use) == count
+        at_last_score.append(in_use[-1])
+    capsys.readouterr()
+    assert abs(at_last_score[1] - at_last_score[0]) < 0.25 * 2**20
+
+
 def test_dump_files_are_ordered_by_index(tmp_path):
     for i in range(12):
         (tmp_path / f"sal_{i}.raw").write_bytes(b"")
@@ -492,6 +531,41 @@ def test_eval_end_to_end(tmp_path, capsys, recording_32):
     assert manifest["command"] == "eval"
     assert manifest["model"]["config"]["attention"] == "fls"
     assert (out / "log.txt").read_text().startswith("rec0: 2 observations")
+
+
+# nature-cnn has no attention, so every map it renders is all zeros; the only
+# fixations of the second case are on the retained frames of observation 0,
+# so its sAUC has no negatives and the other two observations no fixations
+@pytest.mark.parametrize("preset,fixations,undefined", [
+    ("nature-cnn", None, ["rec0: 3 frames undefined for nss: zero-variance-saliency"]),
+    ("sparse-fls", [(2, 50, 60), (3, 51, 61)], [
+        "rec0: 2 frames undefined for nss: no-fixations",
+        "rec0: 2 frames undefined for kl: no-fixations",
+        "rec0: 2 frames undefined for sauc: no-fixations",
+        "rec0: 1 frames undefined for sauc: no-negatives"]),
+], ids=["constant-maps", "few-fixations"])
+def test_log_counts_undefined_frames_by_reason(tmp_path, capsys, preset, fixations, undefined):
+    frames_dir, csv_path = write_recording(tmp_path / "rec", 48, seed=3)
+    if fixations is not None:
+        P.save_fixations_csv(str(csv_path), fixations)
+    out = tmp_path / "run"
+    rc, stdout, _ = run(capsys, "eval", "--preset", preset,
+                        "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+    assert rc == 0
+    assert [line for line in (out / "log.txt").read_text().splitlines()
+            if "undefined" in line] == undefined
+    assert all(line in stdout for line in undefined)
+
+
+def test_manifests_label_a_config_without_a_preset_custom(tmp_path, capsys, recording_32):
+    frames_dir, csv_path = recording_32
+    assert run(capsys, "saliency", "--frames", str(frames_dir),
+               "--out", str(tmp_path / "sal"))[0] == 0
+    assert run(capsys, "eval", "--recording", str(frames_dir), str(csv_path),
+               "--out", str(tmp_path / "run"))[0] == 0
+    for out in ("sal", "run"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["model"]["label"] == "custom"
 
 
 def test_eval_manifest_rerun_reproduces_outputs(tmp_path, capsys, recording_32):
@@ -1042,22 +1116,29 @@ def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
 # 10**12 actions or fc units make a float64 weight draw of 3.64 or 22.3 PiB,
 # past the 128 TiB x86-64 user address space, so it fails at once under any
 # overcommit policy and allocates nothing; 10**19 rows are past numpy's
-# largest dimension
+# largest dimension. At 2**54 actions the policy weight alone holds
+# 512 * 2**54 = 2**63 values, past int64.
 HUGE = 10**12
 
 
-@pytest.mark.parametrize("actions", [HUGE, 10**19])
+@pytest.mark.parametrize("actions", [HUGE, 10**19, 2**54, 2**60])
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32, command,
                                                actions):
+    # the error, count_params and the params total all give the exact count
+    cfg = models.preset_config("sparse-fls", num_actions=actions)
+    n_params = sum(math.prod(shape)
+                   for shape in models.param_shapes(models.build_plan(cfg)).values())
+    assert models.count_params(cfg) == n_params
+    rc, stdout, _ = run(capsys, "params", "--preset", "sparse-fls", "--actions", str(actions))
+    assert rc == 0 and stdout.splitlines()[-1].split() == ["total", f"{n_params:,}"]
     frames_dir, csv_path = recording_32
     inputs = (["--recording", str(frames_dir), str(csv_path)] if command == "eval"
               else ["--frames", str(frames_dir)])
     out = tmp_path / "run"
     rc, _, err = run(capsys, command, "--preset", "sparse-fls", "--actions", str(actions),
                      *inputs, "--out", str(out))
-    n_params = models.count_params(models.preset_config("sparse-fls", num_actions=actions))
-    assert rc == 1 and f"{n_params:,} parameters" in err and not out.exists()
+    assert rc == 1 and f"a model of {n_params:,} parameters" in err and not out.exists()
 
 
 def test_manifest_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32):
