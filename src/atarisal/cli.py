@@ -504,7 +504,7 @@ def cmd_eval(args) -> int:
         try:
             with open(args.manifest, encoding="utf-8") as f:
                 data = json.load(f)
-        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+        except (ValueError, RecursionError):  # bad JSON or UTF-8, or nesting too deep
             raise DataFormatError(f"{args.manifest}: invalid manifest JSON") from None
         spec = EvalSpec.from_dict(data, args.manifest)
     else:

@@ -15,15 +15,15 @@ gives the same array.
 
 Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
 from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
-rows (frame_index, x, y): numpy's C reader parses the body, and the csv row
-loop takes over for any syntax it refuses. Bucketing rows by observation is
-one stable sort, and each observation's count map is one np.bincount;
-`total_fixation_map` is their sum over a recording in one np.bincount, so a
-scorer needs no map held per observation.
+rows (frame_index, x, y): numpy's C reader parses the body from the open
+file, so no copy of the text is held, and for any syntax it refuses the file
+goes back to the body's start for the csv row loop. Bucketing rows by
+observation is one stable sort, and each observation's count map is one
+np.bincount; `total_fixation_map` is their sum over a recording in one
+np.bincount, so a scorer needs no map held per observation.
 """
 
 import csv
-import io
 import json
 import os
 import warnings
@@ -161,37 +161,42 @@ FIXATION_HEADER = ["frame_index", "x", "y"]
 
 def load_fixations_csv(path: str) -> np.ndarray:
     """The (n, 3) int64 rows (frame_index, x, y) of a fixation CSV, in file
-    order. numpy's C reader parses the body; input it refuses (quoted
-    fields, `1_0`, non-ASCII digits, values outside int64, any syntax
-    error) or reads with other than 3 columns goes through the csv row
-    loop, which accepts what csv and int() accept and names the failing
-    line otherwise."""
+    order, parsed from the open file with no copy of its text. numpy's C
+    reader parses the body; input it refuses (quoted fields, `1_0`, non-ASCII
+    digits, values outside int64, any syntax error) or reads with other than
+    3 columns sends the file back to the body's start for the csv row loop,
+    which accepts what csv and int() accept and names the failing line
+    otherwise."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
-    lines = io.StringIO(text, newline="")
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty fixation file") from None
-    if header != FIXATION_HEADER:
-        raise DataFormatError(
-            f"{path}: expected header {','.join(FIXATION_HEADER)!r}, got {','.join(header)!r}")
-    body = lines.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2,
-                              comments=None, quotechar=None)
-        if rows.shape[1] == 3:
-            return rows
-    except (ValueError, Warning):
-        pass
-    lines.seek(body)
-    return _fixation_rows(path, reader)
+            line = f.readline()
+            if not line:
+                raise DataFormatError(f"{path}: empty fixation file")
+            try:
+                header = next(csv.reader([line]))
+            except csv.Error as e:  # e.g. a field longer than csv's limit
+                raise DataFormatError(f"{path}: {e}") from None
+            if header != FIXATION_HEADER:
+                raise DataFormatError(
+                    f"{path}: expected header {','.join(FIXATION_HEADER)!r}, got {','.join(header)!r}")
+            body = f.tell()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. "input contained no data"
+                    rows = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2,
+                                      comments=None, quotechar=None)
+                if rows.shape[1] == 3:
+                    return rows
+            except (ValueError, Warning):
+                pass
+            f.seek(body)
+            reader = csv.reader(f)
+            try:
+                return _fixation_rows(path, reader)
+            except csv.Error as e:  # line_num counts the body lines read, the failing one too
+                raise DataFormatError(f"{path}:{reader.line_num + 1}: {e}") from None
+    except UnicodeDecodeError:  # raised per decoded chunk, so it carries no file offset
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
 
 
 def _fixation_rows(path: str, reader) -> np.ndarray:
@@ -329,7 +334,7 @@ def read_sidecar(path: str, keys: tuple[str, ...]) -> list[int]:
     try:
         with open(sidecar, encoding="utf-8") as f:
             meta = json.load(f)
-    except ValueError:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError):  # bad JSON or UTF-8, or nesting too deep
         raise DataFormatError(f"{sidecar}: invalid JSON sidecar") from None
     meta = meta if isinstance(meta, dict) else {}
     for key in keys:

@@ -998,6 +998,60 @@ def test_eval_non_utf8_fixations_is_exit_2(tmp_path, capsys, recording_32):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_eval_fixation_field_over_the_csv_limit_is_exit_2(tmp_path, capsys, recording_32, where):
+    frames_dir, csv_path = recording_32
+    long_field = "1" * 131_073
+    if where == "header":
+        csv_path.write_text(f"frame_index,x,{long_field}\n0,1,2\n")
+        want = f"{csv_path}: field larger than field limit"
+    else:
+        n_lines = len(csv_path.read_text().splitlines())
+        with open(csv_path, "a") as f:
+            f.write(f"2,{long_field},10\n")
+        want = f"{csv_path}:{n_lines + 1}: field larger than field limit"
+    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
+    assert rc == 2
+    assert want in err
+    assert not out.exists()
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # json.load raises RecursionError on it
+
+
+def test_eval_deeply_nested_manifest_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(DEEP_JSON)
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--manifest", str(path), "--out", str(out))
+    assert rc == 2
+    assert f"{path}: invalid manifest JSON" in err
+    assert not out.exists()
+
+
+def test_eval_deeply_nested_rgb_sidecar_is_exit_2(tmp_path, capsys):
+    rgb = tmp_path / "rec.rgb"
+    P.save_raw_rgb(str(rgb), [np.zeros((210, 160, 3), np.uint8)] * 16)
+    (tmp_path / "rec.rgb.json").write_text(DEEP_JSON)
+    csv_path = tmp_path / "fixations.csv"
+    P.save_fixations_csv(str(csv_path), [(0, 10, 10)])
+    rc, err, out = eval_frames(capsys, tmp_path, rgb, csv_path)
+    assert rc == 2
+    assert f"{rgb}.json: invalid JSON sidecar" in err
+    assert not out.exists()
+
+
+def test_metrics_deeply_nested_dump_sidecar_is_exit_2(tmp_path, capsys):
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 32)
+    (sal_dir / "sal_0001.raw.json").write_text(DEEP_JSON)
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert f"{sal_dir / 'sal_0001.raw.json'}: invalid JSON sidecar" in err
+    assert not out.exists()
+
+
 def test_eval_non_utf8_manifest_is_exit_2(tmp_path, capsys, recording_32):
     path = edited_manifest(tmp_path, capsys, recording_32, lambda manifest: None)
     path.write_bytes(path.read_bytes().replace(b'"game": "unlabeled"', b'"game": "\xff"'))

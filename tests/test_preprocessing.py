@@ -370,6 +370,63 @@ def test_fixation_csv_empty_file(tmp_path):
         P.load_fixations_csv(str(path))
 
 
+def test_fixation_csv_parse_peak_stays_near_the_array(tmp_path):
+    # the log is parsed from the file: no copy of its text is held beside the array
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    n = 131_072
+    records = np.stack([rng.integers(0, 10_000, n), rng.integers(0, 160, n),
+                        rng.integers(0, 210, n)], axis=1)
+    path = str(tmp_path / "long.csv")
+    P.save_fixations_csv(path, records)
+    tracemalloc.start()
+    try:
+        rows = P.load_fixations_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(rows, records)
+    assert peak < 1.5 * rows.nbytes, (peak, rows.nbytes)
+
+
+@pytest.mark.parametrize("odd,want_error", [('"7",8,9', None),
+                                            ("1,2.5,3", "non-integer field")])
+def test_fixation_csv_row_loop_restarts_after_a_long_parsed_prefix(tmp_path, odd, want_error):
+    # numpy's reader has read 110,000 rows, several chunks of the file, before
+    # it refuses row 110,000 and the row loop starts again at the body's start
+    lines = [f"{i},{i % 160},{i % 210}" for i in range(120_000)]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("frame_index,x,y\n" + "\n".join(lines) + "\n")
+    lines[110_000] = odd
+    path = tmp_path / "odd.csv"
+    path.write_text("frame_index,x,y\n" + "\n".join(lines) + "\n")
+    if want_error is None:
+        got = P.load_fixations_csv(str(path))
+        want = P.load_fixations_csv(str(plain))
+        want[110_000] = (7, 8, 9)
+        np.testing.assert_array_equal(got, want)
+        assert oracles.csv_fixation_rows(path) == ("rows", got.tolist())
+    else:
+        assert oracles.csv_fixation_rows(path) == ("error", f"{path}:110002: {want_error}")
+        with pytest.raises(DataFormatError) as e:
+            P.load_fixations_csv(str(path))
+        assert str(e.value) == f"{path}:110002: {want_error}"
+
+
+def test_fixation_csv_field_over_the_csv_limit_is_an_error(tmp_path):
+    # csv refuses a field over 131,072 characters with csv.Error, not a ValueError
+    long_field = "1" * 131_073
+    header = tmp_path / "header.csv"
+    header.write_text(f"frame_index,x,{long_field}\n0,1,2\n")
+    with pytest.raises(DataFormatError, match=r"header\.csv: field larger than field limit"):
+        P.load_fixations_csv(str(header))
+    body = tmp_path / "body.csv"
+    body.write_text(f"frame_index,x,y\n0,1,2\n\n3,4,{long_field}\n5,6,7\n")
+    with pytest.raises(DataFormatError, match=r"body\.csv:4: field larger than field limit"):
+        P.load_fixations_csv(str(body))
+
+
 # -- frame files ----------------------------------------------------------------------
 
 def test_ppm_round_trip(tmp_path):
