@@ -202,10 +202,8 @@ def cmd_preprocess(args) -> int:
         np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
         for i, bucket in enumerate(P.records_by_observation(records, n_obs)):
-            fmap, rej = P.fixation_map(bucket, P.retained_indices(i))
-            rejected += rej
-            np.save(out / f"fix_{i:04d}.npy", fmap)
-        index["rejected_fixations"] = rejected
+            np.save(out / f"fix_{i:04d}.npy", P.fixation_map(bucket, P.retained_indices(i))[0])
+        rejected = index["rejected_fixations"] = P.total_fixation_map(records, n_obs)[1]
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     _write_manifest(out, _manifest_dict(args, command="preprocess"))
     print(f"wrote {n_obs} observations to {out}")
@@ -291,12 +289,11 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
 
     sAUC needs the pooled total before any frame is scored, so a first pass
     takes each recording's total map and counts from one bincount, which
-    needs only the observation counts, and the scoring pass builds each
-    observation's fixation map as it scores it: no map outlives its frame's
-    scores."""
-    log_lines, buckets, totals = [], [], []
+    needs only the observation counts, and the scoring pass buckets one
+    recording's records at a time and maps each observation as it scores it:
+    no bucket or map outlives its frame's scores."""
+    log_lines, totals = [], []
     for ri, (n_obs, _, records) in enumerate(recordings):
-        buckets.append(P.records_by_observation(records, n_obs))
         total, rejected = P.total_fixation_map(records, n_obs)
         totals.append(total)
         # a record is counted in a map, rejected as out of bounds, or on a
@@ -309,10 +306,10 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     if pool_scope == "all":
         totals = [np.sum(totals, axis=0)] * len(totals)
     per_rec_scores = []
-    for ri, ((_, sal_maps, _), rec_buckets, total) in enumerate(zip(recordings, buckets,
-                                                                    totals)):
+    for ri, ((n_obs, sal_maps, records), total) in enumerate(zip(recordings, totals)):
         scores = []
-        for i, (sal, bucket) in enumerate(zip(sal_maps, rec_buckets)):
+        buckets = P.records_by_observation(records, n_obs)
+        for i, (sal, bucket) in enumerate(zip(sal_maps, buckets)):
             if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
                 sal = S.upscale_to_frame(sal)
             fix, _ = P.fixation_map(bucket, P.retained_indices(i))

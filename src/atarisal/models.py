@@ -168,9 +168,15 @@ class ModelPlan:
     config: ModelConfig
     block_layers: tuple[LayerPlan, ...]
     attentions: tuple[AttentionPlan, ...]
-    feature_shape: tuple[int, int, int]
-    readout_width: int
     trace: tuple[tuple[str, tuple[int, ...]], ...]  # layer name -> output shape
+
+    @property
+    def feature_shape(self) -> tuple[int, int, int]:  # the last block layer's output
+        return dict(self.trace)[self.block_layers[-1].name]
+
+    @property
+    def readout_width(self) -> int:
+        return dict(self.trace)["readout"][0]
 
     @property
     def conv_layers(self) -> tuple[LayerPlan, ...]:
@@ -253,8 +259,7 @@ def build_plan(config: ModelConfig) -> ModelPlan:
     trace.append(("policy", (config.num_actions,)))
     trace.append(("value", (1,)))
 
-    return ModelPlan(config, tuple(block_layers), tuple(attentions),
-                     (fh, fw, fc_), readout_width, tuple(trace))
+    return ModelPlan(config, tuple(block_layers), tuple(attentions), tuple(trace))
 
 
 def param_shapes(plan: ModelPlan) -> dict[str, tuple[int, ...]]:

@@ -18,9 +18,10 @@ from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
 rows (frame_index, x, y): numpy's C reader parses the body from the open
 file, so no copy of the text is held, and for any syntax it refuses the file
 goes back to the body's start for the csv row loop. Bucketing rows by
-observation is one stable sort, and each observation's count map is one
-np.bincount; `total_fixation_map` is their sum over a recording in one
-np.bincount, so a scorer needs no map held per observation.
+observation is one stable argsort, each bucket gathered when reached. Each
+count map is one np.bincount over a row mask; `total_fixation_map` reads its
+mask from the 16-frame retention window, so a scorer needs no map held per
+observation and no copy of the rows.
 """
 
 import csv
@@ -113,45 +114,45 @@ def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
     return observations
 
 
-def _retained_map(rows: np.ndarray, retained: np.ndarray) -> tuple[np.ndarray, int]:
-    """Count map of the rows on the given raw frame indices, and how many of
-    those rows lie outside the frame: the one rule of which records a map
-    counts and which it rejects."""
-    rows = rows[np.isin(rows[:, 0], retained)]
+def _retained_map(rows: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, int]:
+    """Count map of the rows where the boolean mask kept is true, and how
+    many of those rows lie outside the frame: the one rule of which records a
+    map counts and which it rejects. It never gathers rows[kept]."""
     x, y = rows[:, 1], rows[:, 2]
-    inside = (0 <= x) & (x < FRAME_WIDTH) & (0 <= y) & (y < FRAME_HEIGHT)
+    inside = kept & (0 <= x) & (x < FRAME_WIDTH) & (0 <= y) & (y < FRAME_HEIGHT)
     pixels = y[inside] * FRAME_WIDTH + x[inside]
     fmap = np.bincount(pixels, minlength=FRAME_HEIGHT * FRAME_WIDTH).astype(np.int64, copy=False)
-    return fmap.reshape(FRAME_HEIGHT, FRAME_WIDTH), len(rows) - len(pixels)
+    return fmap.reshape(FRAME_HEIGHT, FRAME_WIDTH), int(np.count_nonzero(kept)) - len(pixels)
 
 
 def fixation_map(rows: np.ndarray, retained: Iterable[int]) -> tuple[np.ndarray, int]:
     """Count map over the raw frame grid from the (n, 3) int64 rows landing
     on the given retained frame indices. Returns (map, out-of-bounds reject
     count)."""
-    return _retained_map(rows, np.fromiter(retained, dtype=np.int64))
+    return _retained_map(rows, np.isin(rows[:, 0], np.fromiter(retained, dtype=np.int64)))
 
 
 def total_fixation_map(rows: np.ndarray, n_observations: int) -> tuple[np.ndarray, int]:
     """The sum over observations 0..n_observations-1 of fixation_map(rows,
-    retained_indices(i)), map and reject count, from one np.bincount over the
-    rows on any of their retained frames. Counts are integers, so the sum is
-    exact."""
-    retained = np.add.outer(np.arange(n_observations, dtype=np.int64) * RAW_PER_OBSERVATION,
-                            retained_indices(0)).ravel()
-    return _retained_map(rows, retained)
+    retained_indices(i)), map and reject count, from one np.bincount. As
+    retained_indices(i) is retained_indices(0) shifted by 16 i, a row counts
+    when its frame lies in [0, 16 n_observations) and a 16-entry window read
+    at frame % 16 is true there. Counts are integers, so the sum is exact."""
+    window = np.isin(np.arange(RAW_PER_OBSERVATION), retained_indices(0))
+    frame = rows[:, 0]
+    kept = (0 <= frame) & (frame < n_observations * RAW_PER_OBSERVATION)
+    return _retained_map(rows, kept & window[frame % RAW_PER_OBSERVATION])
 
 
-def records_by_observation(rows: np.ndarray, n_observations: int) -> list[np.ndarray]:
-    """Bucket i holds, in input order, the (n, 3) int64 rows on the 16 raw
-    frames observation i consumes: one stable sort by observation index, cut
-    at 0..n_observations. A row whose observation index is outside
-    [0, n_observations) goes to no bucket."""
+def records_by_observation(rows: np.ndarray, n_observations: int) -> Iterable[np.ndarray]:
+    """Bucket i, yielded in turn, holds in input order the rows on the 16 raw
+    frames observation i consumes: one stable argsort by observation index,
+    cut at 0..n_observations and gathered a bucket at a time. A row whose
+    observation index is outside [0, n_observations) goes to no bucket."""
     obs = rows[:, 0] // RAW_PER_OBSERVATION
     order = np.argsort(obs, kind="stable")
-    cuts = np.searchsorted(obs[order], np.arange(n_observations + 1))
-    rows = rows[order]
-    return [rows[cuts[i]:cuts[i + 1]] for i in range(n_observations)]
+    cuts = np.searchsorted(obs, np.arange(n_observations + 1), sorter=order)
+    return (rows[order[a:b]] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 # -- fixation CSV --------------------------------------------------------------
@@ -201,11 +202,13 @@ def load_fixations_csv(path: str) -> np.ndarray:
 
 def _fixation_rows(path: str, reader) -> np.ndarray:
     """The body rows csv yields after the header, each 3 fields that int()
-    reads and int64 holds; blank rows are skipped."""
+    reads and int64 holds; blank rows are skipped. A message names the file
+    line the row ends on, which a quoted line break puts past its row count."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num + 1  # line_num counts body lines; the header is line 1
         if len(row) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:

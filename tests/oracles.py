@@ -86,9 +86,10 @@ def csv_fixation_rows(path):
         header = next(reader)
         assert header == ["frame_index", "x", "y"]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the line the row ends on, header included
             if len(row) != 3:
                 return "error", f"{path}:{lineno}: expected 3 fields, got {len(row)}"
             try:

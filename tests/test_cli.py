@@ -484,6 +484,30 @@ def test_metrics_memory_in_use_does_not_grow_with_the_dump_count(tmp_path, capsy
     assert abs(at_last_score[1] - at_last_score[0]) < 0.25 * 2**20
 
 
+def test_score_holds_less_than_the_gaze_rows_it_scores(tmp_path, capsys):
+    # the records are bucketed through one argsort and counted through masks:
+    # what stays after bucketing is the order, and no copy of the rows is made
+    rng = np.random.default_rng(5)
+    n_rows, n_obs = 2**20, 16
+    rows = np.stack([rng.integers(0, n_obs * P.RAW_PER_OBSERVATION, n_rows),
+                     rng.integers(-5, 165, n_rows), rng.integers(-5, 215, n_rows)], axis=1)
+    maps = [rng.random((models.INPUT_SIZE, models.INPUT_SIZE)) for _ in range(n_obs)]
+    tracemalloc.start()
+    try:
+        buckets = P.records_by_observation(rows, n_obs)
+        after_bucketing = tracemalloc.get_traced_memory()[0]
+        del buckets
+        tracemalloc.reset_peak()
+        cli._score(tmp_path / "scores", [(n_obs, maps, rows)], "m", "g", "recording",
+                   M.DEFAULT_SIGMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert after_bucketing <= 0.4 * rows.nbytes, (after_bucketing, rows.nbytes)
+    assert peak < rows.nbytes, (peak, rows.nbytes)
+
+
 def test_dump_files_are_ordered_by_index(tmp_path):
     for i in range(12):
         (tmp_path / f"sal_{i}.raw").write_bytes(b"")

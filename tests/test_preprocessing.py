@@ -205,17 +205,21 @@ def test_records_by_observation_buckets_in_input_order():
     records = np.array([(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)], dtype=np.int64)
     buckets = P.records_by_observation(records, 2)
     assert [b[:, 0].tolist() for b in buckets] == [[3, 0, 15], [17, 16, 31]]
-    assert P.records_by_observation(records, 0) == []
+    assert list(P.records_by_observation(records, 0)) == []
 
 
-@given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 4))
+@given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 4),
+       extremes=st.lists(st.sampled_from([-2**63, -2**62, 2**62, 2**63 - 1]), max_size=6))
 @settings(max_examples=40, deadline=None)
-def test_binned_fixation_maps_match_full_scans(seed, n_obs):
+def test_binned_fixation_maps_match_full_scans(seed, n_obs, extremes):
     # the reference: every record offered to every observation's map
     rng = np.random.default_rng(seed)
     records = np.stack([rng.integers(-20, 16 * n_obs + 20, 60), rng.integers(-5, 170, 60),
                         rng.integers(-5, 220, 60)], axis=1)
-    buckets = P.records_by_observation(records, n_obs)
+    # frames at the int64 extremes, where frame % 16, frame // 16 and the
+    # 16 n_obs bound would break first
+    records[:len(extremes), 0] = extremes
+    buckets = list(P.records_by_observation(records, n_obs))
     assert len(buckets) == n_obs
     total_map, total_rej = np.zeros((P.FRAME_HEIGHT, P.FRAME_WIDTH), np.int64), 0
     for i, bucket in enumerate(buckets):
@@ -332,6 +336,15 @@ def test_fixation_csv_not_utf8(tmp_path):
     path.write_bytes(b"frame_index,x,y\n0,1,2\n\xff,1,2\n")
     with pytest.raises(DataFormatError, match="latin.csv: not UTF-8"):
         P.load_fixations_csv(str(path))
+
+
+def test_fixation_csv_error_names_the_line_the_row_ends_on(tmp_path):
+    # a quoted line break puts the body's second row on the file's line 4
+    path = tmp_path / "ml.csv"
+    path.write_text('frame_index,x,y\n"5\n",1,2\n0,1.5,2\n')
+    with pytest.raises(DataFormatError, match=r"ml\.csv:4: non-integer field"):
+        P.load_fixations_csv(str(path))
+    assert oracles.csv_fixation_rows(path) == ("error", f"{path}:4: non-integer field")
 
 
 def test_fixation_csv_two_columns_are_an_error(tmp_path):
