@@ -453,8 +453,10 @@ class EvalSpec:
     def from_dict(cls, data, source: str) -> "EvalSpec":
         """The spec of an eval manifest; a missing key takes its default, and an
         unknown key or a bad value is an error naming the key."""
-        if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
-            raise DataFormatError(f"{source}: unsupported manifest schema")
+        if not (isinstance(data, dict) and type(data.get("schema_version")) is int
+                and data["schema_version"] == SCHEMA_VERSION):  # true and 1.0 equal 1
+            raise DataFormatError(f"{source}: unsupported manifest schema; schema_version "
+                                  f"must be the integer {SCHEMA_VERSION}")
         if data.get("command") != "eval":
             raise DataFormatError(f"{source}: not an eval manifest")
         data = {k: v for k, v in data.items() if k not in ("schema_version", "command")}
@@ -463,6 +465,8 @@ class EvalSpec:
         if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
                 and isinstance(entry.get("config"), dict)):
             raise DataFormatError(f"{source}: manifest needs model.label and model.config")
+        _checked({k: v for k, v in entry.items() if k not in ("label", "config")}, {},
+                 source, "model.")
         config = _checked(entry["config"], {f.name: f.type for f in fields(models.ModelConfig)},
                           source, "model.config.")
         recordings = data.pop("recordings", [])

@@ -137,11 +137,8 @@ def kl_divergence(sal: np.ndarray, fix: np.ndarray,
 
 
 def _sauc(sal: np.ndarray, positives: np.ndarray, negative_pool):
-    sal = np.asarray(sal, dtype=np.float64)
-    pos_mask = np.asarray(positives) > 0
-    if pos_mask.shape != sal.shape:
-        raise ConfigurationError(
-            f"saliency {sal.shape} vs fixation {pos_mask.shape} shape mismatch")
+    """sAUC of _check_shapes' sal and positives."""
+    pos_mask = positives > 0
     neg_mask = np.zeros_like(pos_mask)
     for other in negative_pool:
         other = np.asarray(other)
@@ -169,6 +166,7 @@ def shuffled_auc(sal: np.ndarray, positives: np.ndarray,
     """Ranking AUC of saliency at fixated pixels vs the pixels that some map
     of negative_pool counts and positives does not (ties at half weight).
     None when either set is empty."""
+    sal, positives = _check_shapes(sal, positives)
     return _sauc(sal, positives, negative_pool)[0]
 
 

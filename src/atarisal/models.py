@@ -202,16 +202,11 @@ def build_plan(config: ModelConfig) -> ModelPlan:
     trace = [("input", (size, size, chans))]
 
     block_layers = []
-    block_shapes = []
     for i, spec in enumerate(specs, start=1):
-        out = T.conv_output_size(size, spec.kernel, spec.stride, spec.padding)
-        if out < 1:
-            raise ConfigurationError(
-                f"block layer {i}: non-positive output size {out} from input {size}")
+        size = T.conv_output_size(size, spec.kernel, spec.stride, spec.padding)
         name = f"block.conv{i}"
         block_layers.append(LayerPlan(name, spec, chans))
-        size, chans = out, spec.out_channels
-        block_shapes.append((size, size, chans))
+        chans = spec.out_channels
         trace.append((name, (size, size, chans)))
 
     if config.attention is None:
@@ -225,16 +220,12 @@ def build_plan(config: ModelConfig) -> ModelPlan:
 
     attentions = []
     for tag, after, prefix in placements:
-        h, w, c = block_shapes[after - 1]
+        _, (h, w, c) = trace[after]  # trace[i] is block layer i's output
         layer_specs, post = _attention_layers(config.attention, config.daqn_width,
                                               config.softplus2)
         layers = []
         in_c = c
         for j, spec in enumerate(layer_specs, start=1):
-            out = T.conv_output_size(h, spec.kernel, spec.stride, spec.padding)
-            if out != h:
-                raise ConfigurationError(
-                    f"attention {tag} layer {j}: expected shape-preserving conv, got {out} from {h}")
             layers.append(LayerPlan(f"{prefix}.conv{j}", spec, in_c))
             in_c = spec.out_channels
             trace.append((f"{prefix}.conv{j}", (h, w, in_c)))
@@ -250,9 +241,8 @@ def build_plan(config: ModelConfig) -> ModelPlan:
                 + (" (pad_input_1px widens a shape-preserving block's maps)"
                    if config.pad_input_1px else ""))
         attentions.append(AttentionPlan(tag, after, tuple(layers), post, geometry))
-        trace.append((f"{prefix} [map]", (h, w, 1)))
 
-    fh, fw, fc_ = block_shapes[-1]
+    _, (fh, fw, fc_) = trace[n]
     readout_width = fh * fw * fc_ if config.readout == "flatten" else fc_
     trace.append(("readout", (readout_width,)))
     trace.append(("fc", (config.fc_width,)))

@@ -152,7 +152,7 @@ def records_by_observation(rows: np.ndarray, n_observations: int) -> Iterable[np
     obs = rows[:, 0] // RAW_PER_OBSERVATION
     order = np.argsort(obs, kind="stable")
     cuts = np.searchsorted(obs, np.arange(n_observations + 1), sorter=order)
-    return (rows[order[a:b]] for a, b in zip(cuts[:-1], cuts[1:]))
+    return (rows.take(order[a:b], axis=0) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 # -- fixation CSV --------------------------------------------------------------
@@ -294,10 +294,9 @@ def _ppm_header(f: BinaryIO, path: str) -> tuple[int, int]:
     read, so a header larger than its file allocates nothing."""
     if _ppm_token(f, path) != b"P6":
         raise DataFormatError(f"{path}: not a binary P6 PPM")
+    tokens = [_ppm_token(f, path) for _ in range(3)]
     try:
-        width = int(_ppm_token(f, path))
-        height = int(_ppm_token(f, path))
-        maxval = int(_ppm_token(f, path))
+        width, height, maxval = map(int, tokens)
     except ValueError:
         raise DataFormatError(f"{path}: malformed PPM header") from None
     if maxval != 255:

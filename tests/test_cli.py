@@ -230,6 +230,23 @@ def test_preprocess_negative_ppm_size_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header,message", [
+    (b"P3\n160 210\n255\n", "not a binary P6 PPM"),
+    (b"P6\n160 2l0\n255\n", "malformed PPM header"),
+    (b"P6\n160 210", "truncated PPM header"),
+], ids=["not-p6", "malformed", "cut-in-header"])
+def test_preprocess_bad_ppm_header_is_exit_2(tmp_path, capsys, header, message):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    path = frames_dir / "frame_00000.ppm"
+    path.write_bytes(header)
+    out = tmp_path / "proc"
+    rc, _, err = run(capsys, "preprocess", "--frames", str(frames_dir), "--out", str(out))
+    assert rc == 2
+    assert f"{path}: {message}" in err
+    assert not out.exists()
+
+
 # -- saliency -----------------------------------------------------------------------
 
 def test_saliency_exports(tmp_path, capsys, recording_32):
@@ -421,6 +438,18 @@ def saliency_dumps(tmp_path, capsys, n_frames):
     assert run(capsys, "saliency", "--preset", "sparse-fls",
                "--frames", str(frames_dir), "--out", str(sal_dir))[0] == 0
     return sal_dir, csv_path
+
+
+def test_metrics_dump_of_another_size_is_exit_2(tmp_path, capsys):
+    # only 84x84 and 210x160 dumps are scored
+    sal_dir, csv_path = saliency_dumps(tmp_path, capsys, 32)
+    S.save_raw_saliency(str(sal_dir / "sal_0001.raw"), np.zeros((100, 100), np.float32))
+    out = tmp_path / "scores"
+    rc, _, err = run(capsys, "metrics", "--saliency", str(sal_dir),
+                     "--fixations", str(csv_path), "--out", str(out))
+    assert rc == 2
+    assert f"{sal_dir / 'sal_0001.raw'}: unexpected saliency shape (100, 100)" in err
+    assert not out.exists()
 
 
 def test_metrics_missing_middle_dump_is_exit_2(tmp_path, capsys):
@@ -1130,10 +1159,17 @@ def edited_manifest(tmp_path, capsys, recording, edit):
 @pytest.mark.parametrize("key,value", [
     ("sigma", "5"), ("sigma", True), ("seed", "0"),
     ("recordings", 3), ("pool_scope", "bogus"), ("save_saliency", "no"), ("fc_width", "x"),
+    # a bool or a float equal to 1 is not the integer schema version
+    ("schema_version", 2), ("schema_version", True), ("schema_version", 1.0),
+    ("model", {"config": {}}), ("model.extra", 1),
 ])
 def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, value):
     def edit(manifest):
-        (manifest["model"]["config"] if key == "fc_width" else manifest)[key] = value
+        *path, name = ("model.config." + key if key == "fc_width" else key).split(".")
+        where = manifest
+        for part in path:
+            where = where[part]
+        where[name] = value
 
     edited = edited_manifest(tmp_path, capsys, recording_32, edit)
     out2 = tmp_path / "run2"
@@ -1141,6 +1177,36 @@ def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, 
     assert rc == 2
     assert key in err
     assert not out2.exists()
+
+
+@pytest.mark.parametrize("manifest", [[], "eval", 1, None])
+def test_eval_manifest_that_is_not_an_object_is_exit_2(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "eval", "--manifest", str(path), "--out", str(out))
+    assert rc == 2
+    assert f"{path}: unsupported manifest schema" in err
+    assert not out.exists()
+
+
+# a model.config that ModelConfig refuses is exit 1, as the same config from flags is
+@pytest.mark.parametrize("config,named", [
+    ({"attention": "bogus"}, "attention"), ({"placement": "bogus"}, "placement"),
+    ({"readout": "bogus"}, "readout"), ({"fc_width": 0}, "fc_width"),
+    ({"attention": None, "softplus2": True}, "softplus2"),
+    ({"attention": None, "normalize_output": True}, "normalize_output"),
+    ({"attention": None, "final_relu": False}, "final_relu"),
+])
+def test_eval_manifest_config_that_model_config_refuses_is_exit_1(tmp_path, capsys,
+                                                                    recording_32, config, named):
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest["model"]["config"].update(config))
+    out = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out))
+    assert rc == 1
+    assert named in err
+    assert not out.exists()
 
 
 def test_eval_pgm_without_save_saliency_is_exit_1(tmp_path, capsys, recording_32):
@@ -1320,6 +1386,17 @@ def test_report_rejects_bad_header(tmp_path, capsys):
     (d / "summary.csv").write_text("wrong,header\n")
     rc, _, _ = run(capsys, "report", "--runs", str(d))
     assert rc == 2
+
+
+def test_report_malformed_row_is_exit_2(tmp_path, capsys):
+    d = tmp_path / "a"
+    d.mkdir()
+    (d / "summary.csv").write_text(cli.SUMMARY_CSV_HEADER + "\nsparse-fls,pong,nss,1.5,0.25\n")
+    table = tmp_path / "table.txt"
+    rc, _, err = run(capsys, "report", "--runs", str(d), "--out", str(table))
+    assert rc == 2
+    assert f"{d / 'summary.csv'}: malformed summary row" in err
+    assert not table.exists()
 
 
 def test_report_non_utf8_summary_is_exit_2(tmp_path, capsys):

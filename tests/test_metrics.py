@@ -220,6 +220,14 @@ def test_sauc_overlap_cells_stay_positive():
     assert M.shuffled_auc(sal, pos, pool) == 1.0
 
 
+def test_sauc_shape_mismatch():
+    pos = np.zeros((2, 2), np.int64)
+    with pytest.raises(ConfigurationError, match=r"saliency \(2, 2\) vs fixation \(2, 3\)"):
+        M.shuffled_auc(np.zeros((2, 2)), np.zeros((2, 3), np.int64), [])
+    with pytest.raises(ConfigurationError, match=r"negative-pool map shape \(3, 2\) mismatch"):
+        M.shuffled_auc(np.zeros((2, 2)), pos, [pos, np.zeros((3, 2), np.int64)])
+
+
 def test_sauc_no_fixations_reason():
     val, reason = M._sauc(np.ones((2, 2)), np.zeros((2, 2), np.int64),
                           [fix_at((2, 2), (0, 0))])

@@ -231,6 +231,15 @@ def test_forward_rejects_out_of_range():
         model.forward(np.full((84, 84, 4), 1.5, np.float32))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_forward_rejects_non_finite_observation(value):
+    model = models.build_model(models.preset_config("nature-cnn"), 0)
+    obs = OBS.copy()
+    obs[3, 5, 1] = value
+    with pytest.raises(EvaluationError, match="observation contains NaN or Inf"):
+        model.forward(obs)
+
+
 def test_forward_rejects_nan_weights():
     model = models.build_model(models.preset_config("nature-cnn"), 0)
     model.params["fc.weight"][0, 0] = np.nan

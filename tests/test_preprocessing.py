@@ -119,6 +119,13 @@ def test_incomplete_tail_is_never_indexed():
                           P.build_observations(frames)[0])
 
 
+def test_build_observations_rejects_a_frame_of_another_size():
+    frames = [solid_frame(0, 0, 0)] * 16
+    frames[6] = np.zeros((100, 160, 3), np.uint8)  # retained: offset 2 of its group
+    with pytest.raises(DataFormatError, match=r"frame 6: expected 210x160x3, got \(100, 160, 3\)"):
+        P.build_observations(frames)
+
+
 def test_constant_stream_gives_identical_channels():
     frames = [solid_frame(90, 90, 90)] * 32
     obs = P.build_observations(frames)

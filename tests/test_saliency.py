@@ -50,11 +50,13 @@ def test_compose_geometry_per_preset(preset, tag, geom, n):
 
 @pytest.mark.parametrize("block", models.BLOCK_KINDS)
 @pytest.mark.parametrize("placement", models.PLACEMENTS)
-@pytest.mark.parametrize("pad", [False, True])
-def test_every_plan_it_builds_renders_its_maps_to_84(block, placement, pad):
+@pytest.mark.parametrize("pad,attention", [  # the fls cases keep their plain ids
+    pytest.param(pad, kind, id=str(pad) if kind == "fls" else f"{pad}-{kind}")
+    for kind in models.ATTENTION_KINDS for pad in (False, True)])
+def test_every_plan_it_builds_renders_its_maps_to_84(block, placement, pad, attention):
     # build_plan refuses a read point whose map would not render onto the
     # 84x84 input, so the render never meets one
-    cfg = models.ModelConfig(block=block, attention="fls", placement=placement,
+    cfg = models.ModelConfig(block=block, attention=attention, placement=placement,
                              pad_input_1px=pad)
     try:
         plan = models.build_plan(cfg)
@@ -62,8 +64,14 @@ def test_every_plan_it_builds_renders_its_maps_to_84(block, placement, pad):
         assert block == "dense" and pad and "not the 84x84 input" in str(e)
         return
     shapes = dict(plan.trace)
+    # the fixed layer specs give every block layer a map and keep every
+    # attention conv shape-preserving; build_plan relies on both
+    assert all(shapes[lp.name][0] >= 1 for lp in plan.block_layers)
     for ap in plan.attentions:
         side = shapes[plan.block_layers[ap.after_layer - 1].name][0]
+        for lp in ap.layers:
+            assert T.conv_output_size(side, lp.spec.kernel, lp.spec.stride,
+                                      lp.spec.padding) == side
         assert S.render(np.ones((side, side, 1), np.float32), ap.geometry).shape == (84, 84)
 
 

@@ -156,16 +156,20 @@ def test_non_finite_weight_file_is_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name,dims,message", [
-    (b"t", (100000, 100000), "truncated weight file while reading payload of 't'"),
+@pytest.mark.parametrize("name,dims,count,message", [
+    (b"t", (100000, 100000), 1, "truncated weight file while reading payload of 't'"),
     # the product overflows int64, where np.prod would wrap to 0
-    (b"t", (65536, 65536, 65536, 65536, 2), "truncated weight file while reading payload of 't'"),
-    (b"\xfft", (1,), "tensor name is not UTF-8 (byte 0)"),
-], ids=["dims-larger-than-file", "dims-overflow-int64", "name-not-utf8"])
-def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, message):
+    (b"t", (65536, 65536, 65536, 65536, 2), 1,
+     "truncated weight file while reading payload of 't'"),
+    (b"\xfft", (1,), 1, "tensor name is not UTF-8 (byte 0)"),
+    (b"t", (1,), 2, "duplicate tensor 't'"),
+], ids=["dims-larger-than-file", "dims-overflow-int64", "name-not-utf8", "duplicate-tensor"])
+def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, count, message):
+    # count copies of one tensor record with a 4-byte payload
+    tensor = (struct.pack("<H", len(name)) + name
+              + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(4))
     path = tmp_path / "bad.flsw"
-    path.write_bytes(b"FLSW" + struct.pack("<IIH", 1, 1, len(name)) + name
-                     + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(4))
+    path.write_bytes(b"FLSW" + struct.pack("<II", 1, count) + tensor * count)
     out = tmp_path / "run"
     # eval loads the weights before it looks at any recording
     rc = cli.main(["eval", "--preset", "daqn", "--weights", str(path),
