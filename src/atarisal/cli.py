@@ -202,8 +202,10 @@ def cmd_preprocess(args) -> int:
         np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
         for i, bucket in enumerate(P.records_by_observation(records, n_obs)):
-            np.save(out / f"fix_{i:04d}.npy", P.fixation_map(bucket, P.retained_indices(i))[0])
-        rejected = index["rejected_fixations"] = P.total_fixation_map(records, n_obs)[1]
+            fix, bucket_rejected = P.fixation_map(bucket, P.retained_indices(i))
+            np.save(out / f"fix_{i:04d}.npy", fix)
+            rejected += bucket_rejected
+        index["rejected_fixations"] = rejected
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     _write_manifest(out, _manifest_dict(args, command="preprocess"))
     print(f"wrote {n_obs} observations to {out}")
@@ -214,8 +216,19 @@ def cmd_preprocess(args) -> int:
 
 # -- saliency rendering -------------------------------------------------------------
 
-def _render_saliency(model: models.Model, obs: np.ndarray):
-    return S.render_multi(model.forward(obs).attention_maps, model.plan)
+def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles, n_obs: int):
+    """The rendered 84x84 saliency map of each observation of frames, made
+    when it is asked for. Forward and render run with numpy's floating-point
+    warnings off, and each map is checked once: one that is not finite, as
+    weights that overflow float32 make, is an error naming the frames and
+    the observation, never a NaN score or a warning."""
+    for i, obs in enumerate(_observations(frames, n_obs)):
+        with np.errstate(all="ignore"):
+            sal = S.render_multi(model.forward(obs).attention_maps, model.plan)
+        if not np.isfinite(sal).all():
+            raise EvaluationError(f"{frames_path}: observation {i}: the model's saliency map "
+                                  "is not finite")
+        yield sal
 
 
 def _dumped(out: Path, sal_maps, pgm: bool):
@@ -235,7 +248,7 @@ def cmd_saliency(args) -> int:
     frames, n_obs = _checked_frames(args.frames)
 
     out = Path(args.out)
-    sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))
+    sal_maps = _saliency_maps(model, args.frames, frames, n_obs)
     with _blas_threads_for(model.plan):
         for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
                          args.pgm):
@@ -516,13 +529,13 @@ def cmd_eval(args) -> int:
     # header and size, and each gaze log is parsed whole. Then each
     # observation is decoded, run, rendered, dumped and scored before the
     # next is decoded, so memory does not grow with the recording.
-    checked = [(*_checked_frames(frames_path), P.load_fixations_csv(fixations_path))
+    checked = [(frames_path, *_checked_frames(frames_path), P.load_fixations_csv(fixations_path))
                for frames_path, fixations_path in spec.recordings]
 
     out = Path(args.out)
     recordings = []
-    for ri, (frames, n_obs, records) in enumerate(checked):
-        sal_maps = (_render_saliency(model, obs) for obs in _observations(frames, n_obs))
+    for ri, (frames_path, frames, n_obs, records) in enumerate(checked):
+        sal_maps = _saliency_maps(model, frames_path, frames, n_obs)
         if spec.save_saliency:
             sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
         recordings.append((n_obs, sal_maps, records))

@@ -5,6 +5,17 @@ Frames where a metric is undefined carry a reason code instead of a value:
 "zero-variance-saliency", "no-fixations", or "no-negatives". Aggregation
 drops those frames per metric, averages within each recording first, then
 reports mean and population std across recordings.
+
+Conventions, set against the MIT saliency benchmark code of Bylinskii et
+al. ("What do different evaluation metrics tell us about saliency models?",
+arXiv:1604.03605):
+- KL adds EPSILON to every cell of both maps before normalizing them; the
+  MIT code normalizes first and puts eps inside the ratio and the log.
+- sAUC's positives and negatives are pixel sets, not fixation multisets: a
+  pixel fixated twice is one positive. NSS weights each fixated pixel by its
+  fixation count, so repeated fixations count again there.
+- sAUC is the exact Mann-Whitney count over all pairs; the MIT code
+  averages the AUC over randomly sampled splits of the negatives.
 """
 
 import math

@@ -105,7 +105,8 @@ def preset_config(name: str, **overrides) -> ModelConfig:
 
 
 def _attention_layers(kind: str, daqn_width: int, softplus2: bool):
-    """Layer specs for one attention instance plus its output reduction.
+    """Layer specs for one attention instance of kind, one of
+    ATTENTION_KINDS (ModelConfig checks it), plus its output reduction.
 
     post = "direct": the last conv's activation already is the 1-channel map.
     post = "softmax-mean": per-channel spatial softmax, then mean over
@@ -120,9 +121,7 @@ def _attention_layers(kind: str, daqn_width: int, softplus2: bool):
         return (ConvSpec(512, 1, 1, 0, "elu"), ConvSpec(2, 1, 1, 0, "identity")), "softmax-mean"
     if kind == "daqn":
         return (ConvSpec(daqn_width, 1, 1, 0, "tanh"), ConvSpec(1, 1, 1, 0, "identity")), "softmax-mean"
-    if kind == "mousavi":
-        return (ConvSpec(64, 1, 1, 0, "tanh"),), "softmax-mean"
-    raise ConfigurationError(f"unknown attention {kind!r}")
+    return (ConvSpec(64, 1, 1, 0, "tanh"),), "softmax-mean"  # mousavi
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,6 @@ class ModelPlan:
     block_layers: tuple[LayerPlan, ...]
     attentions: tuple[AttentionPlan, ...]
     trace: tuple[tuple[str, tuple[int, ...]], ...]  # layer name -> output shape
-
-    @property
-    def feature_shape(self) -> tuple[int, int, int]:  # the last block layer's output
-        return dict(self.trace)[self.block_layers[-1].name]
 
     @property
     def readout_width(self) -> int:
@@ -332,8 +327,7 @@ class Model:
             a = T.spatial_softmax(a)
             c = a.shape[2]
             a = T.sum_pool_channels(a)
-            if c > 1:
-                a = (a.astype(np.float64) / c).astype(np.float32)
+            a = (a.astype(np.float64) / c).astype(np.float32)  # exact for c = 1
         if self.config.normalize_output:
             total = float(a.astype(np.float64).sum())
             if total <= 0.0:

@@ -38,6 +38,7 @@ from .errors import DataFormatError
 
 FRAME_WIDTH = 160
 FRAME_HEIGHT = 210
+FRAME_BYTES = FRAME_HEIGHT * FRAME_WIDTH * 3  # one RGB frame's payload
 OBS_SIZE = 84
 STACK_DEPTH = 4
 RAW_PER_PROCESSED = 4       # raw frames consumed per processed frame
@@ -259,16 +260,10 @@ class FrameFiles(Sequence):
         path, offset = self._locations[index]
         with open(path, "rb") as f:
             f.seek(offset)
-            return _payload(f, path, FRAME_HEIGHT, FRAME_WIDTH, self._kind)
-
-
-def _payload(f: BinaryIO, path: str, height: int, width: int, kind: str) -> np.ndarray:
-    """The height x width x 3 frame at f's position; a short read (the file
-    shrank after its size was checked) is the truncation error."""
-    payload = f.read(height * width * 3)
-    if len(payload) != height * width * 3:
-        raise DataFormatError(f"{path}: truncated {kind} payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+            payload = f.read(FRAME_BYTES)
+        if len(payload) != FRAME_BYTES:  # the file shrank after its size was checked
+            raise DataFormatError(f"{path}: truncated {self._kind} payload")
+        return np.frombuffer(payload, dtype=np.uint8).reshape(FRAME_HEIGHT, FRAME_WIDTH, 3)
 
 
 def _ppm_token(f: BinaryIO, path: str) -> bytes:
@@ -306,12 +301,6 @@ def _ppm_header(f: BinaryIO, path: str) -> tuple[int, int]:
     if os.fstat(f.fileno()).st_size - f.tell() < width * height * 3:
         raise DataFormatError(f"{path}: truncated PPM payload")
     return height, width
-
-
-def load_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        height, width = _ppm_header(f, path)
-        return _payload(f, path, height, width, "PPM")
 
 
 def save_ppm(path: str, frame: np.ndarray) -> None:
@@ -357,10 +346,9 @@ def load_raw_rgb(path: str) -> FrameFiles:
         raise DataFormatError(f"{path}: expected {FRAME_HEIGHT}x{FRAME_WIDTH}x3 frames, "
                               f"the sidecar gives {(height, width, 3)}")
     size = os.stat(path).st_size
-    frame_bytes = FRAME_HEIGHT * FRAME_WIDTH * 3
-    if size != count * frame_bytes:
-        raise DataFormatError(f"{path}: {size} bytes, sidecar implies {count * frame_bytes}")
-    return FrameFiles([(path, i * frame_bytes) for i in range(count)], "raw RGB")
+    if size != count * FRAME_BYTES:
+        raise DataFormatError(f"{path}: {size} bytes, sidecar implies {count * FRAME_BYTES}")
+    return FrameFiles([(path, i * FRAME_BYTES) for i in range(count)], "raw RGB")
 
 
 def save_raw_rgb(path: str, frames: Sequence[np.ndarray]) -> None:

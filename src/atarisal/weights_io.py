@@ -24,7 +24,11 @@ def _read_exact(f: BinaryIO, n: int, what: str, path: str, dims=None):
     little-endian float32 array of that shape. The file's size is checked
     first, so a size field larger than the file allocates nothing."""
     if n <= os.fstat(f.fileno()).st_size - f.tell():
-        data = bytearray(n) if dims is None else np.empty(dims, "<f4")
+        try:
+            data = bytearray(n) if dims is None else np.empty(dims, "<f4")
+        except ValueError:  # more dims than numpy's arrays take: 64 from numpy 2, 32 before
+            raise DataFormatError(f"{path}: {what} has {len(dims)} dims, more than numpy "
+                                  "allows") from None
         if f.readinto(data) == n:
             return data
     raise DataFormatError(f"{path}: truncated weight file while reading {what}")

@@ -161,6 +161,17 @@ def test_kl_two_cell_hand_value():
     assert M.kl_divergence(sal, fix, 0.0) == pytest.approx(want, abs=1e-6)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 5.0])
+def test_kl_against_a_uniform_map_is_the_negative_entropy_plus_log_n(sigma):
+    # with s = 1/N everywhere, KL(f || s) = sum f log f + log N, f being the
+    # blurred fixation map smoothed by EPSILON per cell and normalized
+    fix = fix_at((210, 160), (10, 10), (100, 80), (100, 80), (200, 150))
+    f = M.gaussian_blur(fix, sigma) + M.EPSILON
+    f /= f.sum()
+    want = float((f * np.log(f)).sum()) + math.log(fix.size)
+    assert M.kl_divergence(np.full(fix.shape, 0.25), fix, sigma) == pytest.approx(want, rel=1e-12)
+
+
 def test_kl_no_fixations_undefined():
     val, reason = M._kl(np.ones((3, 3)), np.zeros((3, 3), np.int64), 0.0, 5.0)
     assert val is None and reason == M.REASON_NO_FIXATIONS

@@ -58,7 +58,7 @@ def test_shape_propagation_matches_forward(preset, overrides, feat_shape, attn_s
     plan = models.build_plan(cfg)
     model = models.build_model(cfg, 0)
     out = model.forward(OBS)
-    assert plan.feature_shape == feat_shape
+    assert dict(plan.trace)[plan.block_layers[-1].name] == feat_shape
     assert out.features.shape == feat_shape
     assert [(t, a.shape) for t, a in out.attention_maps] == attn_shapes
     assert out.embedding.shape == (512,)

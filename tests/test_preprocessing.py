@@ -451,32 +451,29 @@ def test_fixation_csv_field_over_the_csv_limit_is_an_error(tmp_path):
 
 def test_ppm_round_trip(tmp_path):
     frame = make_frames(1, seed=10)[0][0]
-    path = str(tmp_path / "f.ppm")
-    P.save_ppm(path, frame)
-    assert np.array_equal(P.load_ppm(path), frame)
+    P.save_ppm(str(tmp_path / "f.ppm"), frame)
+    assert np.array_equal(P.load_frames(str(tmp_path))[0], frame)
 
 
 def test_ppm_header_comments_are_skipped(tmp_path):
-    payload = bytes(range(6)) * 1  # 2x1 image
-    path = tmp_path / "c.ppm"
-    path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + payload)
-    img = P.load_ppm(str(path))
-    assert img.shape == (1, 2, 3)
-    assert img.ravel().tolist() == list(range(6))
+    # the blank line after the magic is whitespace between tokens
+    payload = bytes(i % 256 for i in range(P.FRAME_BYTES))
+    (tmp_path / "c.ppm").write_bytes(b"P6\n\n# a comment\n160 210\n# another\n255\n" + payload)
+    img = P.load_frames(str(tmp_path))[0]
+    assert img.shape == (210, 160, 3)
+    assert img.ravel().tolist() == list(payload)
 
 
 def test_ppm_wrong_maxval(tmp_path):
-    path = tmp_path / "m.ppm"
-    path.write_bytes(b"P6\n2 1\n65535\n" + b"\x00" * 12)
+    (tmp_path / "m.ppm").write_bytes(b"P6\n160 210\n65535\n" + b"\x00" * 2 * P.FRAME_BYTES)
     with pytest.raises(DataFormatError, match="maxval"):
-        P.load_ppm(str(path))
+        P.load_frames(str(tmp_path))
 
 
 def test_ppm_truncated_payload(tmp_path):
-    path = tmp_path / "t.ppm"
-    path.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 10)
+    (tmp_path / "t.ppm").write_bytes(b"P6\n160 210\n255\n" + b"\x00" * 10)
     with pytest.raises(DataFormatError, match="truncated"):
-        P.load_ppm(str(path))
+        P.load_frames(str(tmp_path))
 
 
 def test_raw_rgb_round_trip(tmp_path):

@@ -156,6 +156,55 @@ def test_non_finite_weight_file_is_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_weights_that_overflow_float32_are_exit_1_with_no_nan_written(tmp_path, capsys,
+                                                                      recording_32, command):
+    # every conv weight times 1e30 is still finite float32, so the file loads;
+    # the forward overflows, and the map that is not finite stops the run at
+    # observation 0, with no RuntimeWarning (the suite makes them errors)
+    frames_dir, csv_path = recording_32
+    params = models.build_model(models.PRESETS["sparse-fls"], 3).params
+    path = tmp_path / "big.flsw"
+    weights_io.save_weights(str(path), {
+        name: t * np.float32(1e30) if ".conv" in name and name.endswith(".weight") else t
+        for name, t in params.items()})
+    out = tmp_path / "run"
+    inputs = (["--recording", str(frames_dir), str(csv_path), "--save-saliency"]
+              if command == "eval" else ["--frames", str(frames_dir)])
+    rc = cli.main([command, "--preset", "sparse-fls", "--weights", str(path), *inputs,
+                   "--out", str(out)])
+    assert rc == 1
+    assert (f"{frames_dir}: observation 0: the model's saliency map is not finite"
+            in capsys.readouterr().err)
+    assert not (out / "summary.csv").exists()
+    for written in out.rglob("*"):
+        if written.suffix == ".raw":
+            assert np.isfinite(np.fromfile(written, "<f4")).all(), written
+        elif written.is_file():
+            assert b"nan" not in written.read_bytes().lower(), written
+
+
+def test_normalizing_a_map_with_non_positive_sum_is_exit_1(tmp_path, capsys, recording_32):
+    # softplus of -1e4 is 0 in float32, so the attention map sums to 0
+    frames_dir, csv_path = recording_32
+    model = models.build_model(models.preset_config("sparse-fls", normalize_output=True), 0)
+    model.params["attn.conv2.bias"][:] = -1e4
+    path = tmp_path / "zero.flsw"
+    weights_io.save_model(str(path), model)
+    out = tmp_path / "run"
+    rc = cli.main(["eval", "--preset", "sparse-fls", "--normalize-output", "--weights", str(path),
+                   "--recording", str(frames_dir), str(csv_path), "--out", str(out)])
+    assert rc == 1
+    assert "cannot normalize an attention map with non-positive sum" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_save_weights_rejects_a_name_past_the_u16_length_field(tmp_path):
+    with pytest.raises(DataFormatError, match="tensor name too long"):
+        weights_io.save_weights(str(tmp_path / "long.flsw"),
+                                {"t" * 65536: np.zeros(1, np.float32)})
+
+
 @pytest.mark.parametrize("name,dims,count,message", [
     (b"t", (100000, 100000), 1, "truncated weight file while reading payload of 't'"),
     # the product overflows int64, where np.prod would wrap to 0
@@ -176,6 +225,21 @@ def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, count, me
                    "--recording", "frames", "fixations.csv", "--out", str(out)])
     assert rc == 2
     assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ndim", [65, 255])
+def test_weight_tensor_with_more_dims_than_numpy_allows_is_exit_2(tmp_path, capsys, ndim):
+    # numpy 2 takes 64 dims and numpy 1.x 32; the u8 field holds up to 255
+    path = tmp_path / "dims.flsw"
+    path.write_bytes(b"FLSW" + struct.pack("<IIH", 1, 1, 1) + b"t"
+                     + struct.pack(f"<B{ndim}I", ndim, *(1,) * ndim) + bytes(4))
+    out = tmp_path / "run"
+    rc = cli.main(["eval", "--preset", "daqn", "--weights", str(path),
+                   "--recording", "frames", "fixations.csv", "--out", str(out)])
+    assert rc == 2
+    assert (f"{path}: payload of 't' has {ndim} dims, more than numpy allows"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
