@@ -122,14 +122,6 @@ def cmd_params(args) -> int:
 
 # -- BLAS threads -----------------------------------------------------------------
 
-# A model with fewer conv multiply-adds per forward runs eval and saliency on
-# one BLAS thread. Sparse-block models take 8-58 M, in GEMMs that a second
-# thread barely shortens, and between them an idle OpenBLAS worker spins on
-# the core that decode, render and scoring need; dense-block models take
-# 665 M or more, and there the second thread pays.
-ONE_THREAD_CONV_MACS = 200_000_000
-
-
 def _openblas_thread_functions(libs: Path = Path(np.__file__).parent.parent / "numpy.libs"):
     """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
     bundles in libs, or None: a distro numpy, MKL or Accelerate has none."""
@@ -150,20 +142,22 @@ def _openblas_thread_functions(libs: Path = Path(np.__file__).parent.parent / "n
 
 
 @contextmanager
-def _blas_threads_for(plan: models.ModelPlan):
-    """Run the block on one BLAS thread when plan's forward has fewer than
-    ONE_THREAD_CONV_MACS conv multiply-adds, and put back the count it found;
-    otherwise, or with no known setter, leave the count alone. The count
-    changes timing only, never a byte."""
-    functions = (_openblas_thread_functions() if plan.conv_macs < ONE_THREAD_CONV_MACS
-                 else None)
+def _block_threads():
+    """Run the block with OpenBLAS on one thread and conv2d's row blocks on
+    as many threads as OpenBLAS had, then put that count back, also on an
+    error. An idle OpenBLAS worker spins between products, through every
+    copy, decode and score; a block worker waits for work without spinning.
+    With a count of one, or no known setter, nothing changes and the blocks
+    run serially. The threads change timing only, never a byte."""
+    functions = _openblas_thread_functions()
     before = functions[1]() if functions else 1
     if before == 1:
         yield
         return
     functions[0](1)
     try:
-        yield
+        with T.block_workers(before):
+            yield
     finally:
         functions[0](before)
 
@@ -249,7 +243,7 @@ def cmd_saliency(args) -> int:
 
     out = Path(args.out)
     sal_maps = _saliency_maps(model, args.frames, frames, n_obs)
-    with _blas_threads_for(model.plan):
+    with _block_threads():
         for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
                          args.pgm):
             pass
@@ -540,7 +534,7 @@ def cmd_eval(args) -> int:
             sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
         recordings.append((n_obs, sal_maps, records))
 
-    with _blas_threads_for(model.plan):
+    with _block_threads():
         _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())
     return 0

@@ -178,13 +178,6 @@ class ModelPlan:
         """Block layers, then each attention module's layers, in parameter order."""
         return self.block_layers + tuple(lp for ap in self.attentions for lp in ap.layers)
 
-    @property
-    def conv_macs(self) -> int:
-        """Multiply-adds of every conv layer in one forward."""
-        out_shapes = dict(self.trace)
-        return sum(int(np.prod(out_shapes[lp.name])) * lp.spec.kernel ** 2 * lp.in_channels
-                   for lp in self.conv_layers)
-
 
 def build_plan(config: ModelConfig) -> ModelPlan:
     """Propagate shapes, lay out every parameter tensor, and compose the

@@ -9,11 +9,18 @@ conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
 A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
-row), which bounds memory and keeps each GEMM operand cache-sized.
+row), which bounds memory and keeps each GEMM operand cache-sized. Inside
+`block_workers(n)` a layer's blocks are shared among n threads; the cap then
+applies per worker, each of which holds one patch buffer and one float64
+accumulator. The blocks and their products are the same whatever n is, so
+the output bytes are too.
 """
 
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,6 +90,77 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+class _BlockPool:
+    """workers - 1 threads that take conv2d's block tasks from one queue;
+    the thread that calls run is the other worker."""
+
+    def __init__(self, workers: int):
+        import queue  # here, not at import: only commands that run a model start a pool
+
+        self.workers = workers
+        self._tasks = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._serve, name=f"conv2d-block-{i}",
+                                          daemon=True) for i in range(1, workers)]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self):
+        while (item := self._tasks.get()) is not None:
+            task, finished = item
+            del item
+            task()
+            del task  # let go of the layer's buffers before the caller goes on
+            finished.release()
+
+    def run(self, work: Callable[[int], None], n: int) -> None:
+        """work(0) here and work(1), ..., work(n - 1) on the pool's threads,
+        each under this thread's numpy error state, which threads do not
+        inherit. Returns once every call has ended, raising the first error."""
+        errors: list[Optional[BaseException]] = [None] * n
+        finished = threading.Semaphore(0)
+        errstate = np.geterr()
+
+        def task(i):
+            try:
+                with np.errstate(**errstate):
+                    work(i)
+            except BaseException as e:  # raised below, once every task has ended
+                errors[i] = e
+
+        for i in range(1, n):
+            self._tasks.put((partial(task, i), finished))
+        task(0)
+        for _ in range(1, n):
+            finished.acquire()
+        for e in errors:
+            if e is not None:
+                raise e
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._tasks.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+# The pool of the innermost `block_workers` block of this context, if any.
+_POOL: ContextVar[Optional[_BlockPool]] = ContextVar("conv2d_block_pool", default=None)
+
+
+@contextmanager
+def block_workers(workers: int):
+    """Within the block, conv2d shares a layer's row blocks among `workers`
+    threads: the calling one and workers - 1 started here and joined on exit.
+    With one worker, or outside any such block, conv2d runs serially."""
+    pool = _BlockPool(workers)
+    token = _POOL.set(pool)
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+        pool.close()
+
+
 def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Cross-correlate x (H, W, Cin) with kernel -> (H', W', Cout).
 
@@ -98,19 +176,42 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     _require(ho >= 1 and wo >= 1,
              f"non-positive conv output size {ho}x{wo} for input {h}x{w}")
 
-    xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=np.float64)
-    xp[p:p + h, p:p + w, :] = x
+    xp = x
+    if p:
+        xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[p:p + h, p:p + w, :] = x
     # (H', W', Cin, kh, kw) window view -> (ho, wo, kh, kw, Cin), no copy yet
     patches = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
     depth = kh * kw * c
-    rows = max(1, PATCH_BLOCK_BYTES // (wo * depth * xp.itemsize))
-    acc = np.empty((ho, wo, cout), dtype=np.float64)
-    for r in range(0, ho, rows):
-        block = patches[r:r + rows].reshape(-1, depth)  # the im2col copy
-        np.matmul(block, kernel.gemm_weights, out=acc[r:r + rows].reshape(-1, cout))
-    if kernel.bias is not None:
-        acc += kernel.bias.astype(np.float64)
-    return acc.astype(x.dtype)
+    rows = min(ho, max(1, PATCH_BLOCK_BYTES // (wo * depth * 8)))  # float64 patch rows
+    starts = range(0, ho, rows)
+    pool = _POOL.get()
+    workers = min(len(starts), pool.workers if pool else 1)
+    gemm_weights = kernel.gemm_weights
+    bias = None if kernel.bias is None else kernel.bias.astype(np.float64)
+    out = np.empty((ho, wo, cout), dtype=x.dtype)
+    out_rows = out.reshape(ho * wo, cout)
+    # one patch buffer and one accumulator per worker, made on this thread so
+    # that no worker thread allocates (and grows a malloc arena of its own)
+    buffers = [(np.empty((rows * wo, depth), np.float64), np.empty((rows * wo, cout), np.float64))
+               for _ in range(workers)]
+
+    def work(i):  # blocks starts[i::workers]
+        patch, acc = buffers[i]
+        for r in starts[i::workers]:
+            n = min(rows, ho - r)
+            block, block_acc = patch[:n * wo], acc[:n * wo]
+            np.copyto(block.reshape(n, wo, kh, kw, c), patches[r:r + n])  # the im2col copy
+            np.matmul(block, gemm_weights, out=block_acc)
+            if bias is not None:
+                block_acc += bias
+            out_rows[r * wo:(r + n) * wo] = block_acc
+
+    if workers == 1:
+        work(0)
+    else:
+        pool.run(work, workers)
+    return out
 
 
 def transposed_conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:

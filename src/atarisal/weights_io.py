@@ -35,14 +35,18 @@ def _read_exact(f: BinaryIO, n: int, what: str, path: str, dims=None):
 
 
 def save_weights(path: str, params: dict[str, np.ndarray]) -> None:
-    """Write tensors in dict order; order is part of the file's identity."""
+    """Write tensors in dict order; order is part of the file's identity.
+    Every name is checked before the file is opened, so a bad one leaves
+    no partial file."""
+    names = [name.encode("utf-8") for name in params]
+    for i, encoded in enumerate(names):
+        if len(encoded) > 0xFFFF:
+            raise DataFormatError(f"tensor name too long: tensor {i}'s name is {len(encoded)} "
+                                  "bytes in UTF-8, more than the 65535 its length field holds")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise DataFormatError(f"tensor name too long: {name!r}")
+        for encoded, tensor in zip(names, params.values()):
             arr = np.ascontiguousarray(tensor, dtype=np.float32)
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atarisal import preprocessing as P
+from atarisal import cli, preprocessing as P, tensor_ops as T
 
 
 def make_frames(n_frames, seed=0, square=8):
@@ -52,3 +52,29 @@ def recording_32(tmp_path):
 @pytest.fixture
 def recording_64(tmp_path):
     return write_recording(tmp_path, 64, seed=5)
+
+
+def fake_blas(monkeypatch, threads):
+    """The counts the commands set, through a fake setter on a BLAS that
+    runs `threads` until something sets it."""
+    calls, state = [], {"threads": threads}
+
+    def set_threads(n):
+        calls.append(n)
+        state["threads"] = n
+
+    monkeypatch.setattr(cli, "_openblas_thread_functions",
+                        lambda: (set_threads, lambda: state["threads"]))
+    return calls, state
+
+
+def count_pool_runs(monkeypatch):
+    """The worker counts of every pooled conv2d from now on."""
+    runs, pool_run = [], T._BlockPool.run
+
+    def counted(pool, work, n):
+        runs.append(n)
+        return pool_run(pool, work, n)
+
+    monkeypatch.setattr(T._BlockPool, "run", counted)
+    return runs

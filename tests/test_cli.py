@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from atarisal import cli, metrics as M, models, preprocessing as P, saliency as 
 from atarisal import weights_io
 from atarisal.errors import EvaluationError
 
-from conftest import write_recording
+from conftest import count_pool_runs, fake_blas, write_recording
 from test_determinism import GOLDEN, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -883,63 +884,61 @@ def test_eval_frame_truncated_after_its_check_is_exit_2(tmp_path, capsys, monkey
     assert not (out / "summary.csv").exists()
 
 
-# -- BLAS threads per model -------------------------------------------------------
+# -- BLAS and block threads --------------------------------------------------------
 
-def fake_blas(monkeypatch, threads):
-    """The counts the commands set, through a fake setter on a BLAS that
-    runs `threads` until something sets it."""
-    calls, state = [], {"threads": threads}
-
-    def set_threads(n):
-        calls.append(n)
-        state["threads"] = n
-
-    monkeypatch.setattr(cli, "_openblas_thread_functions",
-                        lambda: (set_threads, lambda: state["threads"]))
-    return calls, state
+OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
 
-@pytest.mark.parametrize("config,one_thread", [
-    *((models.PRESETS[name], name != "dense-fls") for name in sorted(models.PRESETS)),
-    (models.ModelConfig(attention="fls", placement="each-conv"), True),
-    (models.ModelConfig(block="dense", readout="sum-pool"), False),
+@pytest.mark.parametrize("config,pooled_convs", [
+    *((models.PRESETS[name], 5 if name == "dense-fls" else 0) for name in sorted(models.PRESETS)),
+    (models.ModelConfig(attention="fls", placement="each-conv"), 1),
+    (models.ModelConfig(block="dense", readout="sum-pool"), 3),
 ], ids=[*sorted(models.PRESETS), "sparse-fls-each-conv", "dense-no-attention"])
-def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, one_thread):
-    # every sparse-block model is small, every dense-block one large; the
-    # count found is put back afterwards
+def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, pooled_convs):
+    # every forward, small or large, runs on one BLAS thread; the count found
+    # sizes the block pool and is put back afterwards. Dense layers have 3-42
+    # row blocks and share them among all 3 workers; of the sparse layers
+    # only each-conv's attn1.conv2 has more than one block (2), and every
+    # other runs serially
     calls, state = fake_blas(monkeypatch, 3)
-    with cli._blas_threads_for(models.build_plan(config)):
-        assert state["threads"] == (1 if one_thread else 3)
-    assert calls == ([1, 3] if one_thread else [])
+    pooled = count_pool_runs(monkeypatch)
+    model = models.build_model(config, 0)
+    with cli._block_threads():
+        assert state["threads"] == 1
+        assert T._POOL.get().workers == 3
+        model.forward(OBS)
+    assert calls == [1, 3]
     assert state["threads"] == 3
+    assert T._POOL.get() is None
+    assert pooled == [3 if config.block == "dense" else 2] * pooled_convs
 
 
 def test_blas_threads_read_the_count_each_time(monkeypatch):
-    # a count someone else set in between is the one put back
+    # a count someone else set in between is the one put back, and sizes the pool
     calls, state = fake_blas(monkeypatch, 3)
-    plan = models.build_plan(models.PRESETS["sparse-fls"])
-    with cli._blas_threads_for(plan):
-        pass
-    state["threads"] = 2
-    with cli._blas_threads_for(plan):
-        pass
+    workers = []
+    for _ in range(2):
+        with cli._block_threads():
+            workers.append(T._POOL.get().workers)
+        state["threads"] = 2
     assert calls == [1, 3, 1, 2]
+    assert workers == [3, 2]
 
 
 def test_blas_threads_never_raise_a_count_of_one(monkeypatch):
     calls, _ = fake_blas(monkeypatch, 1)
-    for preset in ("sparse-fls", "dense-fls"):
-        with cli._blas_threads_for(models.build_plan(models.PRESETS[preset])):
-            pass
+    with cli._block_threads():
+        assert T._POOL.get() is None
     assert calls == []
 
 
 def test_blas_threads_are_put_back_after_an_error(monkeypatch):
     calls, state = fake_blas(monkeypatch, 2)
     with pytest.raises(EvaluationError):
-        with cli._blas_threads_for(models.build_plan(models.PRESETS["sparse-fls"])):
+        with cli._block_threads():
             raise EvaluationError("boom")
     assert calls == [1, 2]
+    assert T._POOL.get() is None
 
 
 def test_blas_threads_without_a_known_library_set_nothing(tmp_path, capsys, monkeypatch,
@@ -977,6 +976,30 @@ def test_commands_set_the_blas_threads_once(tmp_path, capsys, monkeypatch, recor
     assert rc == 0
     assert calls == [1, 2]
     assert seen == [1, 1]
+
+
+@pytest.mark.parametrize("command", ["eval", "saliency"])
+def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording_32, command):
+    # dense-fls runs its blocks on a pool of the two threads found, which
+    # the command joins before it returns
+    fake_blas(monkeypatch, 2)
+    forward = models.Model.forward
+    during = []
+
+    def counted(model, obs):
+        during.append(set(threading.enumerate()))
+        return forward(model, obs)
+
+    monkeypatch.setattr(models.Model, "forward", counted)
+    before = set(threading.enumerate())
+    frames_dir, csv_path = recording_32
+    inputs = (["--recording", str(frames_dir), str(csv_path)] if command == "eval"
+              else ["--frames", str(frames_dir)])
+    rc, _, _ = run(capsys, command, "--preset", "dense-fls", *inputs,
+                   "--out", str(tmp_path / "run"))
+    assert rc == 0
+    assert during and all(len(threads - before) == 1 for threads in during)
+    assert set(threading.enumerate()) == before
 
 
 def test_conv2d_bytes_do_not_depend_on_the_blas_threads():

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from atarisal import tensor_ops as T
 from atarisal.errors import ConfigurationError
 
+from conftest import count_pool_runs
 from oracles import naive_conv2d
 
 seeds = st.integers(0, 2**32 - 1)
@@ -90,6 +93,68 @@ def test_conv2d_output_too_small():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         T.conv2d(rng.random((2, 2, 1)).astype(np.float32), random_kernel(rng, 1, 1, 5))
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+@pytest.mark.parametrize("shape,cout,k,s,p,block_bytes,blocks", [
+    # the dense attention conv: 9 blocks of 10 rows, the last of 4
+    ((84, 84, 64), 256, 3, 1, 1, T.PATCH_BLOCK_BYTES, 9),
+    # 7 strided blocks of 3 rows, the last of 2
+    ((41, 30, 3), 4, 4, 2, 1, 20000, 7),
+], ids=["dense-attention", "stride-2"])
+def test_conv2d_bytes_do_not_depend_on_the_block_workers(monkeypatch, workers, shape, cout, k,
+                                                         s, p, block_bytes, blocks):
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(9)
+    x = rng.random(shape).astype(np.float32)
+    kern = random_kernel(rng, shape[2], cout, k, stride=s, padding=p)
+    serial = T.conv2d(x, kern)
+    runs = count_pool_runs(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        with T.block_workers(workers):
+            pooled = T.conv2d(x, kern)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [min(workers, blocks)]
+    assert pooled.tobytes() == serial.tobytes()
+
+
+def test_pooled_blocks_run_under_the_callers_errstate(monkeypatch):
+    # a 1x1 conv in one-row blocks whose odd rows overflow float32: those are
+    # the second worker's, which follows the caller's errstate and hands its
+    # error to the caller; the pool still runs afterwards
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 64)
+    x = np.ones((6, 4, 2), np.float32)
+    x[1::2] = 1e30
+    kern = T.ConvKernel(np.full((1, 2, 1, 1), 1e30, np.float32))
+    runs = count_pool_runs(monkeypatch)
+    with T.block_workers(2):
+        with np.errstate(over="ignore"):
+            out = T.conv2d(x, kern)
+        with pytest.raises(RuntimeWarning, match="overflow"):  # the suite makes warnings errors
+            T.conv2d(x, kern)
+        assert T.conv2d(x[::2], kern).tobytes() == out[::2].tobytes()
+    assert runs == [2, 2, 2]
+    assert np.isinf(out[1::2]).all() and np.isfinite(out[::2]).all()
+
+
+def test_pooled_conv2d_holds_no_buffer_once_it_returns():
+    # a worker that kept its last task while it waited for the next would
+    # keep the layer's patch buffers and accumulators (11 MB here) alive
+    rng = np.random.default_rng(4)
+    x = rng.random((84, 84, 64)).astype(np.float32)
+    kern = random_kernel(rng, 64, 256, 3, padding=1)
+    kern.gemm_weights  # cached before the count starts
+    with T.block_workers(2):
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, kern)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert held < out.nbytes + 2**20
 
 
 @pytest.mark.parametrize("weights,bias,stride,padding", [

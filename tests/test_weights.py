@@ -6,6 +6,8 @@ import pytest
 from atarisal import cli, models, weights_io
 from atarisal.errors import ConfigurationError, DataFormatError
 
+from conftest import fake_blas
+
 OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
 
@@ -156,14 +158,20 @@ def test_non_finite_weight_file_is_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "saliency"])
+@pytest.mark.parametrize("command,preset", [
+    ("eval", "sparse-fls"), ("saliency", "sparse-fls"),
+    ("eval", "dense-fls"), ("saliency", "dense-fls"),
+], ids=["eval", "saliency", "eval-dense-fls", "saliency-dense-fls"])
 def test_weights_that_overflow_float32_are_exit_1_with_no_nan_written(tmp_path, capsys,
-                                                                      recording_32, command):
+                                                                      monkeypatch, recording_32,
+                                                                      command, preset):
     # every conv weight times 1e30 is still finite float32, so the file loads;
     # the forward overflows, and the map that is not finite stops the run at
-    # observation 0, with no RuntimeWarning (the suite makes them errors)
+    # observation 0, with no RuntimeWarning (the suite makes them errors),
+    # also from dense-fls's block workers, here two whatever the BLAS has
+    fake_blas(monkeypatch, 2)
     frames_dir, csv_path = recording_32
-    params = models.build_model(models.PRESETS["sparse-fls"], 3).params
+    params = models.build_model(models.PRESETS[preset], 3).params
     path = tmp_path / "big.flsw"
     weights_io.save_weights(str(path), {
         name: t * np.float32(1e30) if ".conv" in name and name.endswith(".weight") else t
@@ -171,7 +179,7 @@ def test_weights_that_overflow_float32_are_exit_1_with_no_nan_written(tmp_path, 
     out = tmp_path / "run"
     inputs = (["--recording", str(frames_dir), str(csv_path), "--save-saliency"]
               if command == "eval" else ["--frames", str(frames_dir)])
-    rc = cli.main([command, "--preset", "sparse-fls", "--weights", str(path), *inputs,
+    rc = cli.main([command, "--preset", preset, "--weights", str(path), *inputs,
                    "--out", str(out)])
     assert rc == 1
     assert (f"{frames_dir}: observation 0: the model's saliency map is not finite"
@@ -200,9 +208,15 @@ def test_normalizing_a_map_with_non_positive_sum_is_exit_1(tmp_path, capsys, rec
 
 
 def test_save_weights_rejects_a_name_past_the_u16_length_field(tmp_path):
-    with pytest.raises(DataFormatError, match="tensor name too long"):
-        weights_io.save_weights(str(tmp_path / "long.flsw"),
-                                {"t" * 65536: np.zeros(1, np.float32)})
+    # every name is checked before the file is opened, and the message gives
+    # the tensor's index and its name's length, not the name
+    path = tmp_path / "long.flsw"
+    with pytest.raises(DataFormatError) as raised:
+        weights_io.save_weights(str(path), {"a": np.zeros(3, np.float32),
+                                            "t" * 65536: np.zeros(1, np.float32)})
+    assert str(raised.value) == ("tensor name too long: tensor 1's name is 65536 bytes in "
+                                 "UTF-8, more than the 65535 its length field holds")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("name,dims,count,message", [
