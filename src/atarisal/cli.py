@@ -146,9 +146,9 @@ def _block_threads():
     """Run the block with OpenBLAS on one thread and conv2d's row blocks on
     as many threads as OpenBLAS had, then put that count back, also on an
     error. An idle OpenBLAS worker spins between products, through every
-    copy, decode and score; a block worker waits for work without spinning.
-    With a count of one, or no known setter, nothing changes and the blocks
-    run serially. The threads change timing only, never a byte."""
+    copy, decode and score. With a count of one, or no known setter, nothing
+    changes and the blocks run serially. The threads change timing only,
+    never a byte."""
     functions = _openblas_thread_functions()
     before = functions[1]() if functions else 1
     if before == 1:
@@ -589,7 +589,8 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigurationError(f"{flag} must be a finite number > 0, got {value!r}")
-    results = _gradcheck_suite(args.seed, args.eps)
+    with np.errstate(all="ignore"):  # an --eps that overflows gives a non-finite error: a FAIL
+        results = _gradcheck_suite(args.seed, args.eps)
     failed = 0
     for tag, err in results:
         ok = err < args.threshold

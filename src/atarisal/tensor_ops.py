@@ -10,17 +10,18 @@ input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
 A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
 row), which bounds memory and keeps each GEMM operand cache-sized. Inside
-`block_workers(n)` a layer's blocks are shared among n threads; the cap then
-applies per worker, each of which holds one patch buffer and one float64
-accumulator. The blocks and their products are the same whatever n is, so
-the output bytes are too.
+`block_workers(n)` a layer of several blocks shares them among n threads: the
+calling one and n - 1 that the layer starts and joins before it returns. The
+cap then applies per worker, each of which holds one patch buffer and one
+float64 accumulator. The blocks and their products are the same whatever n
+is, so the output bytes are too.
 """
 
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,75 +91,51 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-class _BlockPool:
-    """workers - 1 threads that take conv2d's block tasks from one queue;
-    the thread that calls run is the other worker."""
+def _share_blocks(work: Callable[[int], None], workers: int) -> None:
+    """work(0) on this thread and work(1), ..., work(workers - 1) on threads
+    started here, each under this thread's numpy error state, which threads
+    do not inherit. Returns once every thread has ended, raising the first
+    error."""
+    errors: list[Optional[BaseException]] = [None] * workers
+    errstate = np.geterr()
 
-    def __init__(self, workers: int):
-        import queue  # here, not at import: only commands that run a model start a pool
+    def run(i):
+        try:
+            with np.errstate(**errstate):
+                work(i)
+        except BaseException as e:  # raised below, once every thread has ended
+            errors[i] = e
 
-        self.workers = workers
-        self._tasks = queue.SimpleQueue()
-        self._threads = [threading.Thread(target=self._serve, name=f"conv2d-block-{i}",
-                                          daemon=True) for i in range(1, workers)]
-        for thread in self._threads:
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=run, args=(i,), name=f"conv2d-block-{i}")
             thread.start()
-
-    def _serve(self):
-        while (item := self._tasks.get()) is not None:
-            task, finished = item
-            del item
-            task()
-            del task  # let go of the layer's buffers before the caller goes on
-            finished.release()
-
-    def run(self, work: Callable[[int], None], n: int) -> None:
-        """work(0) here and work(1), ..., work(n - 1) on the pool's threads,
-        each under this thread's numpy error state, which threads do not
-        inherit. Returns once every call has ended, raising the first error."""
-        errors: list[Optional[BaseException]] = [None] * n
-        finished = threading.Semaphore(0)
-        errstate = np.geterr()
-
-        def task(i):
-            try:
-                with np.errstate(**errstate):
-                    work(i)
-            except BaseException as e:  # raised below, once every task has ended
-                errors[i] = e
-
-        for i in range(1, n):
-            self._tasks.put((partial(task, i), finished))
-        task(0)
-        for _ in range(1, n):
-            finished.acquire()
-        for e in errors:
-            if e is not None:
-                raise e
-
-    def close(self) -> None:
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
             thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
-# The pool of the innermost `block_workers` block of this context, if any.
-_POOL: ContextVar[Optional[_BlockPool]] = ContextVar("conv2d_block_pool", default=None)
+# The worker count of the innermost `block_workers` block of this context.
+_WORKERS: ContextVar[int] = ContextVar("conv2d_block_workers", default=1)
 
 
 @contextmanager
 def block_workers(workers: int):
     """Within the block, conv2d shares a layer's row blocks among `workers`
-    threads: the calling one and workers - 1 started here and joined on exit.
-    With one worker, or outside any such block, conv2d runs serially."""
-    pool = _BlockPool(workers)
-    token = _POOL.set(pool)
+    threads: the calling one and workers - 1 that the layer starts and joins
+    before it returns. With one worker, or outside any such block, conv2d
+    runs serially."""
+    token = _WORKERS.set(workers)
     try:
         yield
     finally:
-        _POOL.reset(token)
-        pool.close()
+        _WORKERS.reset(token)
 
 
 def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
@@ -185,8 +162,7 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     depth = kh * kw * c
     rows = min(ho, max(1, PATCH_BLOCK_BYTES // (wo * depth * 8)))  # float64 patch rows
     starts = range(0, ho, rows)
-    pool = _POOL.get()
-    workers = min(len(starts), pool.workers if pool else 1)
+    workers = min(len(starts), _WORKERS.get())
     gemm_weights = kernel.gemm_weights
     bias = None if kernel.bias is None else kernel.bias.astype(np.float64)
     out = np.empty((ho, wo, cout), dtype=x.dtype)
@@ -210,7 +186,7 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     if workers == 1:
         work(0)
     else:
-        pool.run(work, workers)
+        _share_blocks(work, workers)
     return out
 
 

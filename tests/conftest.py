@@ -68,13 +68,14 @@ def fake_blas(monkeypatch, threads):
     return calls, state
 
 
-def count_pool_runs(monkeypatch):
-    """The worker counts of every pooled conv2d from now on."""
-    runs, pool_run = [], T._BlockPool.run
+def count_shared_runs(monkeypatch):
+    """The worker counts of every conv2d that shares its blocks among
+    threads, from now on."""
+    runs, share_blocks = [], T._share_blocks
 
-    def counted(pool, work, n):
-        runs.append(n)
-        return pool_run(pool, work, n)
+    def counted(work, workers):
+        runs.append(workers)
+        return share_blocks(work, workers)
 
-    monkeypatch.setattr(T._BlockPool, "run", counted)
+    monkeypatch.setattr(T, "_share_blocks", counted)
     return runs

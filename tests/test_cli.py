@@ -14,7 +14,7 @@ from atarisal import cli, metrics as M, models, preprocessing as P, saliency as 
 from atarisal import weights_io
 from atarisal.errors import EvaluationError
 
-from conftest import count_pool_runs, fake_blas, write_recording
+from conftest import count_shared_runs, fake_blas, write_recording
 from test_determinism import GOLDEN, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,6 +105,14 @@ def test_gradcheck_fails_at_coarse_epsilon(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--eps", "1e-1")
     assert rc == 3
     assert "FAIL" in out
+
+
+def test_gradcheck_eps_that_overflows_is_a_fail_with_no_warning(capsys):
+    # x +- 1e308 overflows in the forwards: the error is not finite, which
+    # reads FAIL, and no RuntimeWarning (an error in this suite) escapes
+    rc, out, err = run(capsys, "gradcheck", "--eps", "1e308")
+    assert rc == 3
+    assert "max_rel_err=nan  FAIL" in out and err == ""
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -889,37 +897,38 @@ def test_eval_frame_truncated_after_its_check_is_exit_2(tmp_path, capsys, monkey
 OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
 
-@pytest.mark.parametrize("config,pooled_convs", [
+@pytest.mark.parametrize("config,shared_convs", [
     *((models.PRESETS[name], 5 if name == "dense-fls" else 0) for name in sorted(models.PRESETS)),
     (models.ModelConfig(attention="fls", placement="each-conv"), 1),
     (models.ModelConfig(block="dense", readout="sum-pool"), 3),
 ], ids=[*sorted(models.PRESETS), "sparse-fls-each-conv", "dense-no-attention"])
-def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, pooled_convs):
+def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, shared_convs):
     # every forward, small or large, runs on one BLAS thread; the count found
-    # sizes the block pool and is put back afterwards. Dense layers have 3-42
-    # row blocks and share them among all 3 workers; of the sparse layers
-    # only each-conv's attn1.conv2 has more than one block (2), and every
-    # other runs serially
+    # is the block-worker count and is put back afterwards. Dense layers have
+    # 3-42 row blocks and share them among all 3 workers; of the sparse
+    # layers only each-conv's attn1.conv2 has more than one block (2), and
+    # every other runs serially
     calls, state = fake_blas(monkeypatch, 3)
-    pooled = count_pool_runs(monkeypatch)
+    shared = count_shared_runs(monkeypatch)
     model = models.build_model(config, 0)
     with cli._block_threads():
         assert state["threads"] == 1
-        assert T._POOL.get().workers == 3
+        assert T._WORKERS.get() == 3
         model.forward(OBS)
     assert calls == [1, 3]
     assert state["threads"] == 3
-    assert T._POOL.get() is None
-    assert pooled == [3 if config.block == "dense" else 2] * pooled_convs
+    assert T._WORKERS.get() == 1
+    assert shared == [3 if config.block == "dense" else 2] * shared_convs
 
 
 def test_blas_threads_read_the_count_each_time(monkeypatch):
-    # a count someone else set in between is the one put back, and sizes the pool
+    # a count someone else set in between is the one put back, and is the
+    # next block-worker count
     calls, state = fake_blas(monkeypatch, 3)
     workers = []
     for _ in range(2):
         with cli._block_threads():
-            workers.append(T._POOL.get().workers)
+            workers.append(T._WORKERS.get())
         state["threads"] = 2
     assert calls == [1, 3, 1, 2]
     assert workers == [3, 2]
@@ -928,7 +937,7 @@ def test_blas_threads_read_the_count_each_time(monkeypatch):
 def test_blas_threads_never_raise_a_count_of_one(monkeypatch):
     calls, _ = fake_blas(monkeypatch, 1)
     with cli._block_threads():
-        assert T._POOL.get() is None
+        assert T._WORKERS.get() == 1
     assert calls == []
 
 
@@ -938,7 +947,7 @@ def test_blas_threads_are_put_back_after_an_error(monkeypatch):
         with cli._block_threads():
             raise EvaluationError("boom")
     assert calls == [1, 2]
-    assert T._POOL.get() is None
+    assert T._WORKERS.get() == 1
 
 
 def test_blas_threads_without_a_known_library_set_nothing(tmp_path, capsys, monkeypatch,
@@ -980,9 +989,11 @@ def test_commands_set_the_blas_threads_once(tmp_path, capsys, monkeypatch, recor
 
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording_32, command):
-    # dense-fls runs its blocks on a pool of the two threads found, which
-    # the command joins before it returns
+    # each dense-fls layer shares its blocks with a thread that it starts and
+    # joins itself, so no block thread is alive between forwards or after
+    # the command
     fake_blas(monkeypatch, 2)
+    shared = count_shared_runs(monkeypatch)
     forward = models.Model.forward
     during = []
 
@@ -998,7 +1009,8 @@ def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording
     rc, _, _ = run(capsys, command, "--preset", "dense-fls", *inputs,
                    "--out", str(tmp_path / "run"))
     assert rc == 0
-    assert during and all(len(threads - before) == 1 for threads in during)
+    assert len(during) == 2 and all(threads == before for threads in during)
+    assert shared == [2] * 5 * len(during)
     assert set(threading.enumerate()) == before
 
 

@@ -34,6 +34,26 @@ Measured at this test's size (256 frames, 16 observations, seed 3, a
 The smallest gaps are those to the 2 px shift: 0.379 NSS, 0.024 KL and
 0.018 sAUC. The margins below are about half of each, and the chance bounds
 about twice the largest distance from chance measured.
+
+The model path runs the same recording through `eval --weights` with a
+hand-set dense-fls model whose attention map is softplus(4 v), v being the
+newest channel at each pixel: centre taps carry input channel 3 through
+`block.conv1`-`conv3` and `attn.conv1`, and `attn.conv2`'s centre weight is
+4. So the forward, the 13x13 receptive-field render and the upscale all lie
+between that map and the gaze. A copy whose `block.conv1` tap sits 3 px
+right or left of centre reads the newest channel 3 px off, and must score
+worse on NSS, KL and sAUC alike. Measured at this test's size:
+
+| eval --weights | NSS | KL | sAUC |
+|---|---|---|---|
+| centre taps | 3.254 | 2.946 | 0.836 |
+| `block.conv1` tap 3 px right | 2.775 | 2.990 | 0.817 |
+| `block.conv1` tap 3 px left | 2.994 | 2.968 | 0.825 |
+
+With an `attn.conv2` weight of 1 the centre-tap model read 1.064, 3.241 and
+0.762, and the right-tap copy 0.939, 3.254 and 0.740. The smallest gaps at
+a weight of 4 are those to the left tap: 0.260 NSS, 0.022 KL and 0.012 sAUC.
+The model margins below are about half of each.
 """
 
 import importlib.util
@@ -42,11 +62,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atarisal import cli, saliency as S
+from atarisal import cli, models, saliency as S, weights_io
 
 ROOT = Path(__file__).resolve().parents[1]
 FRAMES, OBSERVATIONS = 256, 16
 MARGIN = {"nss": 0.2, "kl": 0.012, "sauc": 0.009}
+MODEL_MARGIN = {"nss": 0.13, "kl": 0.011, "sauc": 0.006}
+ATTENTION_GAIN = 4.0
+TAP_SHIFTS = {"tap-3px-right": 3, "tap-3px-left": -3}
 CHANCE_NSS, CHANCE_SAUC = 0.2, 0.03
 
 
@@ -68,13 +91,37 @@ MISREGISTERED = {
 }
 
 
+def summary_means(out: Path) -> dict[str, float]:
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    return {row[2]: float(row[3]) for row in rows}
+
+
+def hand_set_dense_fls(tap_shift: int) -> models.Model:
+    """dense-fls whose attention map is softplus(ATTENTION_GAIN * v), v the
+    newest channel tap_shift px right of each pixel."""
+    model = models.zero_model(models.PRESETS["dense-fls"])
+    p = model.params
+    p["block.conv1.weight"][0, 3, 3, 3 + tap_shift] = 1.0
+    p["block.conv2.weight"][0, 0, 2, 2] = 1.0
+    p["block.conv3.weight"][0, 0, 1, 1] = 1.0
+    p["attn.conv1.weight"][0, 0, 1, 1] = 1.0
+    p["attn.conv2.weight"][0, 0, 1, 1] = ATTENTION_GAIN
+    return model
+
+
 @pytest.fixture(scope="module")
-def scores(tmp_path_factory):
+def recording(tmp_path_factory):
+    rec = tmp_path_factory.mktemp("registration") / "rec"
+    make_recording(rec)
+    return rec
+
+
+@pytest.fixture(scope="module")
+def scores(recording, tmp_path_factory):
     """Summary mean per metric of each set of dumps, by name."""
-    root = tmp_path_factory.mktemp("registration")
-    make_recording(root / "rec")
-    fixations = str(root / "rec" / "fixations.csv")
-    assert cli.main(["preprocess", "--frames", str(root / "rec" / "frames"),
+    root = tmp_path_factory.mktemp("dumps")
+    fixations = str(recording / "fixations.csv")
+    assert cli.main(["preprocess", "--frames", str(recording / "frames"),
                      "--out", str(root / "proc")]) == 0
     newest = [np.load(root / "proc" / f"obs_{i:04d}.npy")[:, :, 3] for i in range(OBSERVATIONS)]
     results = {}
@@ -86,8 +133,23 @@ def scores(tmp_path_factory):
         out = root / f"scored-{name}"
         assert cli.main(["metrics", "--saliency", str(dumps), "--fixations", fixations,
                          "--out", str(out)]) == 0
-        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
-        results[name] = {row[2]: float(row[3]) for row in rows}
+        results[name] = summary_means(out)
+    return results
+
+
+@pytest.fixture(scope="module")
+def model_scores(recording, tmp_path_factory):
+    """Summary mean per metric of eval on each hand-set model, by name."""
+    root = tmp_path_factory.mktemp("models")
+    results = {}
+    for name, shift in {"centre-taps": 0, **TAP_SHIFTS}.items():
+        weights = root / f"{name}.flsw"
+        weights_io.save_model(str(weights), hand_set_dense_fls(shift))
+        out = root / f"eval-{name}"
+        assert cli.main(["eval", "--preset", "dense-fls", "--weights", str(weights),
+                         "--recording", str(recording / "frames"),
+                         str(recording / "fixations.csv"), "--out", str(out)]) == 0
+        results[name] = summary_means(out)
     return results
 
 
@@ -103,3 +165,11 @@ def test_registered_map_beats_its_misregistered_copy(scores, name):
 def test_flipped_and_transposed_maps_sit_at_chance(scores, name):
     assert abs(scores[name]["nss"]) < CHANCE_NSS, scores[name]
     assert abs(scores[name]["sauc"] - 0.5) < CHANCE_SAUC, scores[name]
+
+
+@pytest.mark.parametrize("name", sorted(TAP_SHIFTS))
+def test_hand_set_model_beats_its_off_centre_copy(model_scores, name):
+    centred, other = model_scores["centre-taps"], model_scores[name]
+    assert centred["nss"] > other["nss"] + MODEL_MARGIN["nss"], (centred, other)
+    assert centred["kl"] < other["kl"] - MODEL_MARGIN["kl"], (centred, other)
+    assert centred["sauc"] > other["sauc"] + MODEL_MARGIN["sauc"], (centred, other)

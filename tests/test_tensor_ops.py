@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from atarisal import tensor_ops as T
 from atarisal.errors import ConfigurationError
 
-from conftest import count_pool_runs
+from conftest import count_shared_runs
 from oracles import naive_conv2d
 
 seeds = st.integers(0, 2**32 - 1)
@@ -109,7 +111,7 @@ def test_conv2d_bytes_do_not_depend_on_the_block_workers(monkeypatch, workers, s
     x = rng.random(shape).astype(np.float32)
     kern = random_kernel(rng, shape[2], cout, k, stride=s, padding=p)
     serial = T.conv2d(x, kern)
-    runs = count_pool_runs(monkeypatch)
+    runs = count_shared_runs(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
     try:
@@ -124,25 +126,50 @@ def test_conv2d_bytes_do_not_depend_on_the_block_workers(monkeypatch, workers, s
 def test_pooled_blocks_run_under_the_callers_errstate(monkeypatch):
     # a 1x1 conv in one-row blocks whose odd rows overflow float32: those are
     # the second worker's, which follows the caller's errstate and hands its
-    # error to the caller; the pool still runs afterwards
+    # error to the caller once it has ended; later layers still share blocks
     monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 64)
     x = np.ones((6, 4, 2), np.float32)
     x[1::2] = 1e30
     kern = T.ConvKernel(np.full((1, 2, 1, 1), 1e30, np.float32))
-    runs = count_pool_runs(monkeypatch)
+    runs = count_shared_runs(monkeypatch)
+    before = set(threading.enumerate())
     with T.block_workers(2):
         with np.errstate(over="ignore"):
             out = T.conv2d(x, kern)
         with pytest.raises(RuntimeWarning, match="overflow"):  # the suite makes warnings errors
             T.conv2d(x, kern)
+        assert set(threading.enumerate()) == before
         assert T.conv2d(x[::2], kern).tobytes() == out[::2].tobytes()
     assert runs == [2, 2, 2]
     assert np.isinf(out[1::2]).all() and np.isfinite(out[::2]).all()
 
 
+def test_a_block_thread_that_cannot_start_is_raised_after_the_others_end(monkeypatch):
+    # of three workers the third thread fails to start: the second, already
+    # running and slow, is joined before the error reaches the caller
+    class Thread(threading.Thread):
+        def start(self):
+            if self.name == "conv2d-block-2":
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+        def run(self):
+            time.sleep(0.05)
+            super().run()
+
+    monkeypatch.setattr(T.threading, "Thread", Thread)
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 64)
+    x = np.ones((6, 4, 2), np.float32)
+    kern = T.ConvKernel(np.ones((1, 2, 1, 1), np.float32))
+    before = set(threading.enumerate())
+    with T.block_workers(3), pytest.raises(RuntimeError, match="can't start"):
+        T.conv2d(x, kern)
+    assert set(threading.enumerate()) == before
+
+
 def test_pooled_conv2d_holds_no_buffer_once_it_returns():
-    # a worker that kept its last task while it waited for the next would
-    # keep the layer's patch buffers and accumulators (11 MB here) alive
+    # once conv2d returns, no block thread or closure keeps the layer's patch
+    # buffers and accumulators (11 MB here) alive
     rng = np.random.default_rng(4)
     x = rng.random((84, 84, 64)).astype(np.float32)
     kern = random_kernel(rng, 64, 256, 3, padding=1)
