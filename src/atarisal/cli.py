@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -120,48 +119,6 @@ def cmd_params(args) -> int:
     return 0
 
 
-# -- BLAS threads -----------------------------------------------------------------
-
-def _openblas_thread_functions(libs: Path = Path(np.__file__).parent.parent / "numpy.libs"):
-    """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
-    bundles in libs, or None: a distro numpy, MKL or Accelerate has none."""
-    import ctypes
-
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))  # already loaded by numpy; this opens no copy
-        except OSError:
-            continue
-        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        if set_threads is not None and get_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-@contextmanager
-def _block_threads():
-    """Run the block with OpenBLAS on one thread and conv2d's row blocks on
-    as many threads as OpenBLAS had, then put that count back, also on an
-    error. An idle OpenBLAS worker spins between products, through every
-    copy, decode and score. With a count of one, or no known setter, nothing
-    changes and the blocks run serially. The threads change timing only,
-    never a byte."""
-    functions = _openblas_thread_functions()
-    before = functions[1]() if functions else 1
-    if before == 1:
-        yield
-        return
-    functions[0](1)
-    try:
-        with T.block_workers(before):
-            yield
-    finally:
-        functions[0](before)
-
-
 # -- frames to observations -------------------------------------------------------
 
 def _checked_frames(path: str) -> tuple[P.FrameFiles, int]:
@@ -243,10 +200,9 @@ def cmd_saliency(args) -> int:
 
     out = Path(args.out)
     sal_maps = _saliency_maps(model, args.frames, frames, n_obs)
-    with _block_threads():
-        for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
-                         args.pgm):
-            pass
+    for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
+                     args.pgm):
+        pass
     _write_manifest(out, _manifest_dict(args, command="saliency"))
     print(f"rendered {n_obs} saliency maps to {out}")
     return 0
@@ -534,8 +490,7 @@ def cmd_eval(args) -> int:
             sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
         recordings.append((n_obs, sal_maps, records))
 
-    with _block_threads():
-        _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
+    _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())
     return 0
 
@@ -704,7 +659,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with T.block_threads():
+            return args.func(args)
     except (ConfigurationError, EvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

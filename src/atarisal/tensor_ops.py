@@ -9,12 +9,15 @@ conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
 A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
-row), which bounds memory and keeps each GEMM operand cache-sized. Inside
-`block_workers(n)` a layer of several blocks shares them among n threads: the
-calling one and n - 1 that the layer starts and joins before it returns. The
-cap then applies per worker, each of which holds one patch buffer and one
-float64 accumulator. The blocks and their products are the same whatever n
-is, so the output bytes are too.
+row), which bounds memory and keeps each GEMM operand cache-sized.
+
+`block_threads()` owns the thread policy, and the CLI runs every command
+under it: OpenBLAS runs on one thread, and a layer of several blocks shares
+them among as many threads as OpenBLAS had, n: the calling one and n - 1
+that the layer starts and joins before it returns. The cap then applies per
+worker, each of which holds one patch buffer and one float64 accumulator.
+The blocks and their products are the same whatever n is, so the output
+bytes are too.
 """
 
 import threading
@@ -22,6 +25,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,21 +125,49 @@ def _share_blocks(work: Callable[[int], None], workers: int) -> None:
             raise e
 
 
-# The worker count of the innermost `block_workers` block of this context.
+def _openblas_thread_functions(libs: Path = Path(np.__file__).parent.parent / "numpy.libs"):
+    """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
+    bundles in libs, or None: a distro numpy, MKL or Accelerate has none."""
+    import ctypes
+
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by numpy; this opens no copy
+        except OSError:
+            continue
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+# The worker count of the innermost `block_threads` block of this context.
 _WORKERS: ContextVar[int] = ContextVar("conv2d_block_workers", default=1)
 
 
 @contextmanager
-def block_workers(workers: int):
-    """Within the block, conv2d shares a layer's row blocks among `workers`
-    threads: the calling one and workers - 1 that the layer starts and joins
-    before it returns. With one worker, or outside any such block, conv2d
-    runs serially."""
+def block_threads():
+    """Run the block with OpenBLAS on one thread and conv2d's row blocks on
+    as many threads as OpenBLAS had, then put that count back, also on an
+    error. An idle OpenBLAS worker spins between products, through every
+    copy, decode and score. With a count of one, or no known setter, nothing
+    changes and the blocks run serially. The threads change timing only,
+    never a byte."""
+    functions = _openblas_thread_functions()
+    workers = functions[1]() if functions else 1
+    if workers == 1:
+        yield
+        return
+    functions[0](1)
     token = _WORKERS.set(workers)
     try:
         yield
     finally:
         _WORKERS.reset(token)
+        functions[0](workers)
 
 
 def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
@@ -183,10 +215,7 @@ def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
                 block_acc += bias
             out_rows[r * wo:(r + n) * wo] = block_acc
 
-    if workers == 1:
-        work(0)
-    else:
-        _share_blocks(work, workers)
+    _share_blocks(work, workers)
     return out
 
 

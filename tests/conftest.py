@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atarisal import cli, preprocessing as P, tensor_ops as T
+from atarisal import preprocessing as P, tensor_ops as T
 
 
 def make_frames(n_frames, seed=0, square=8):
@@ -63,7 +63,7 @@ def fake_blas(monkeypatch, threads):
         calls.append(n)
         state["threads"] = n
 
-    monkeypatch.setattr(cli, "_openblas_thread_functions",
+    monkeypatch.setattr(T, "_openblas_thread_functions",
                         lambda: (set_threads, lambda: state["threads"]))
     return calls, state
 
@@ -74,7 +74,8 @@ def count_shared_runs(monkeypatch):
     runs, share_blocks = [], T._share_blocks
 
     def counted(work, workers):
-        runs.append(workers)
+        if workers > 1:
+            runs.append(workers)
         return share_blocks(work, workers)
 
     monkeypatch.setattr(T, "_share_blocks", counted)

@@ -911,7 +911,7 @@ def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, shared_convs
     calls, state = fake_blas(monkeypatch, 3)
     shared = count_shared_runs(monkeypatch)
     model = models.build_model(config, 0)
-    with cli._block_threads():
+    with T.block_threads():
         assert state["threads"] == 1
         assert T._WORKERS.get() == 3
         model.forward(OBS)
@@ -927,7 +927,7 @@ def test_blas_threads_read_the_count_each_time(monkeypatch):
     calls, state = fake_blas(monkeypatch, 3)
     workers = []
     for _ in range(2):
-        with cli._block_threads():
+        with T.block_threads():
             workers.append(T._WORKERS.get())
         state["threads"] = 2
     assert calls == [1, 3, 1, 2]
@@ -936,7 +936,7 @@ def test_blas_threads_read_the_count_each_time(monkeypatch):
 
 def test_blas_threads_never_raise_a_count_of_one(monkeypatch):
     calls, _ = fake_blas(monkeypatch, 1)
-    with cli._block_threads():
+    with T.block_threads():
         assert T._WORKERS.get() == 1
     assert calls == []
 
@@ -944,7 +944,7 @@ def test_blas_threads_never_raise_a_count_of_one(monkeypatch):
 def test_blas_threads_are_put_back_after_an_error(monkeypatch):
     calls, state = fake_blas(monkeypatch, 2)
     with pytest.raises(EvaluationError):
-        with cli._block_threads():
+        with T.block_threads():
             raise EvaluationError("boom")
     assert calls == [1, 2]
     assert T._WORKERS.get() == 1
@@ -952,11 +952,11 @@ def test_blas_threads_are_put_back_after_an_error(monkeypatch):
 
 def test_blas_threads_without_a_known_library_set_nothing(tmp_path, capsys, monkeypatch,
                                                           recording_32):
-    assert cli._openblas_thread_functions(tmp_path) is None
+    assert T._openblas_thread_functions(tmp_path) is None
     frames_dir, csv_path = recording_32
     rc, _, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
     assert rc == 0
-    monkeypatch.setattr(cli, "_openblas_thread_functions", lambda: None)
+    monkeypatch.setattr(T, "_openblas_thread_functions", lambda: None)
     rc, _, again = eval_frames(capsys, tmp_path / "again", frames_dir, csv_path)
     assert rc == 0
     assert digests(again) == digests(out)
@@ -987,6 +987,36 @@ def test_commands_set_the_blas_threads_once(tmp_path, capsys, monkeypatch, recor
     assert seen == [1, 1]
 
 
+def test_every_command_puts_the_blas_count_back(tmp_path, capsys, monkeypatch, recording_32):
+    # main runs every command, whatever its exit code, with OpenBLAS on one
+    # thread and the count it found as the block-worker count, then puts
+    # that count back
+    frames_dir, csv_path = recording_32
+    frames, fixations = str(frames_dir), str(csv_path)
+    sal, run_dir = str(tmp_path / "sal"), str(tmp_path / "run")
+    commands = [
+        (0, "params", "--preset", "sparse-fls"),
+        (0, "preprocess", "--frames", frames, "--fixations", fixations,
+         "--out", str(tmp_path / "proc")),
+        (0, "saliency", "--preset", "sparse-fls", "--frames", frames, "--out", sal),
+        (0, "metrics", "--saliency", sal, "--fixations", fixations,
+         "--out", str(tmp_path / "scores")),
+        (0, "eval", "--preset", "sparse-fls", "--recording", frames, fixations, "--out", run_dir),
+        (0, "gradcheck"),
+        (0, "report", "--runs", run_dir),
+        (1, "metrics", "--saliency", sal, "--fixations", fixations,
+         "--out", str(tmp_path / "bad-sigma"), "--sigma", "-1"),
+        (2, "preprocess", "--frames", str(tmp_path / "missing"), "--fixations", fixations,
+         "--out", str(tmp_path / "missing-proc")),
+    ]
+    for rc, *argv in commands:
+        calls, state = fake_blas(monkeypatch, 3)
+        assert run(capsys, *argv)[0] == rc, argv
+        assert calls == [1, 3], argv
+        assert state["threads"] == 3
+        assert T._WORKERS.get() == 1
+
+
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording_32, command):
     # each dense-fls layer shares its blocks with a thread that it starts and
@@ -1012,27 +1042,6 @@ def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording
     assert len(during) == 2 and all(threads == before for threads in during)
     assert shared == [2] * 5 * len(during)
     assert set(threading.enumerate()) == before
-
-
-def test_conv2d_bytes_do_not_depend_on_the_blas_threads():
-    # the setter of the OpenBLAS in numpy's wheel, on a dense-size product
-    functions = cli._openblas_thread_functions()
-    if functions is None:
-        pytest.skip("numpy's BLAS exports no known thread setter")
-    set_threads, get_threads = functions
-    rng = np.random.default_rng(5)
-    x = rng.random((42, 42, 16)).astype(np.float32)
-    kern = T.ConvKernel(rng.uniform(-1, 1, (32, 16, 3, 3)).astype(np.float32),
-                        rng.uniform(-1, 1, 32).astype(np.float32), padding=1)
-    before = get_threads()
-    outputs = []
-    try:
-        for threads in (1, 2):
-            set_threads(threads)
-            outputs.append(T.conv2d(x, kern).tobytes())
-    finally:
-        set_threads(before)
-    assert outputs[0] == outputs[1]
 
 
 def test_eval_bytes_do_not_depend_on_fixation_syntax(tmp_path, capsys, monkeypatch,

@@ -1,4 +1,5 @@
-"""Eval output bytes: pinned digests and independence from BLAS threading.
+"""Output bytes: pinned eval digests, and conv2d and eval bytes that depend on
+neither the BLAS threads nor the rows of each GEMM block.
 
 The digests were recorded with the per-tap conv loop that im2col replaced
 (numpy 2.4, OpenBLAS 0.3.31, x86-64). A changed digest means some output bit
@@ -11,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from atarisal import cli
+from atarisal import cli, models, tensor_ops as T
 
 from conftest import write_recording
 
@@ -85,3 +87,55 @@ def test_two_recording_shared_pool_bytes_are_pinned(tmp_path, capsys):
         "summary.csv": "ecbb4d267af19195fba71c03e252051d77b685a7e767da299d56b2ece04ba743",
         "log.txt": "6513eedc80300c6dd4d76aca7d52a2e906d4c69e1df76c293b18fd32d4fab42b",
     }
+
+
+def test_conv2d_bytes_do_not_depend_on_the_blas_threads():
+    # the setter of the OpenBLAS in numpy's wheel, on a dense-size product
+    functions = T._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS exports no known thread setter")
+    set_threads, get_threads = functions
+    rng = np.random.default_rng(5)
+    x = rng.random((42, 42, 16)).astype(np.float32)
+    kern = T.ConvKernel(rng.uniform(-1, 1, (32, 16, 3, 3)).astype(np.float32),
+                        rng.uniform(-1, 1, 32).astype(np.float32), padding=1)
+    before = get_threads()
+    outputs = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            outputs.append(T.conv2d(x, kern).tobytes())
+    finally:
+        set_threads(before)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("config", [
+    models.PRESETS["dense-fls"],
+    models.preset_config("sparse-fls", placement="each-conv"),
+    models.PRESETS["rs-ppo"],
+], ids=["dense-fls", "sparse-fls-each-conv", "rs-ppo"])
+def test_conv_layer_bytes_do_not_depend_on_the_block_rows(monkeypatch, config):
+    # each block's GEMM multiplies its own rows of the patch matrix, so a
+    # block size may change only if no output bit depends on how many rows
+    # a product has: from the 4 MiB default down to one output row per block
+    # (5,000 bytes holds less than two rows of every layer's patch matrix)
+    # and up to one block per layer
+    obs = np.random.default_rng(3).random((84, 84, 4)).astype(np.float32)
+    model = models.build_model(config, 0)
+    conv2d, layers = T.conv2d, []
+
+    def recorded(x, kernel):
+        out = conv2d(x, kernel)
+        layers.append((out.shape[1] * kernel.gemm_weights.shape[0] * 8, out.tobytes()))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", recorded)
+    outputs = {}
+    for block_bytes in (4 * 2**20, 2**20, 65536, 5000, 10**9):
+        monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", block_bytes)
+        layers.clear()
+        model.forward(obs)
+        outputs[block_bytes] = [out for _, out in layers]
+    assert all(5000 < 2 * row_bytes for row_bytes, _ in layers)
+    assert all(out == outputs[4 * 2**20] for out in outputs.values())

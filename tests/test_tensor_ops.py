@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from atarisal import tensor_ops as T
 from atarisal.errors import ConfigurationError
 
-from conftest import count_shared_runs
+from conftest import count_shared_runs, fake_blas
 from oracles import naive_conv2d
 
 seeds = st.integers(0, 2**32 - 1)
@@ -112,10 +112,11 @@ def test_conv2d_bytes_do_not_depend_on_the_block_workers(monkeypatch, workers, s
     kern = random_kernel(rng, shape[2], cout, k, stride=s, padding=p)
     serial = T.conv2d(x, kern)
     runs = count_shared_runs(monkeypatch)
+    fake_blas(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
     try:
-        with T.block_workers(workers):
+        with T.block_threads():
             pooled = T.conv2d(x, kern)
     finally:
         sys.setswitchinterval(interval)
@@ -132,8 +133,9 @@ def test_pooled_blocks_run_under_the_callers_errstate(monkeypatch):
     x[1::2] = 1e30
     kern = T.ConvKernel(np.full((1, 2, 1, 1), 1e30, np.float32))
     runs = count_shared_runs(monkeypatch)
+    fake_blas(monkeypatch, 2)
     before = set(threading.enumerate())
-    with T.block_workers(2):
+    with T.block_threads():
         with np.errstate(over="ignore"):
             out = T.conv2d(x, kern)
         with pytest.raises(RuntimeWarning, match="overflow"):  # the suite makes warnings errors
@@ -161,20 +163,22 @@ def test_a_block_thread_that_cannot_start_is_raised_after_the_others_end(monkeyp
     monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 64)
     x = np.ones((6, 4, 2), np.float32)
     kern = T.ConvKernel(np.ones((1, 2, 1, 1), np.float32))
+    fake_blas(monkeypatch, 3)
     before = set(threading.enumerate())
-    with T.block_workers(3), pytest.raises(RuntimeError, match="can't start"):
+    with T.block_threads(), pytest.raises(RuntimeError, match="can't start"):
         T.conv2d(x, kern)
     assert set(threading.enumerate()) == before
 
 
-def test_pooled_conv2d_holds_no_buffer_once_it_returns():
+def test_pooled_conv2d_holds_no_buffer_once_it_returns(monkeypatch):
     # once conv2d returns, no block thread or closure keeps the layer's patch
     # buffers and accumulators (11 MB here) alive
     rng = np.random.default_rng(4)
     x = rng.random((84, 84, 64)).astype(np.float32)
     kern = random_kernel(rng, 64, 256, 3, padding=1)
     kern.gemm_weights  # cached before the count starts
-    with T.block_workers(2):
+    fake_blas(monkeypatch, 2)
+    with T.block_threads():
         tracemalloc.start()
         try:
             out = T.conv2d(x, kern)
