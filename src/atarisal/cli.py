@@ -211,9 +211,10 @@ def cmd_saliency(args) -> int:
 # -- scoring ---------------------------------------------------------------------
 
 def _check_sigma(sigma: float) -> float:
-    # a truncation radius past the frame height adds only time (sigma <= 70)
-    if not (math.isfinite(sigma) and sigma >= 0.0
-            and M.blur_radius_for(sigma) <= P.FRAME_HEIGHT):
+    # a blur radius ceil(3 sigma) past the frame height adds only time;
+    # sigma <= 70 is exactly radius <= 210, tested with no radius computed, so
+    # a huge sigma cannot overflow before its error, and NaN fails it too
+    if not 0.0 <= sigma <= P.FRAME_HEIGHT / 3:
         raise ConfigurationError(f"--sigma must be a finite number in [0, {P.FRAME_HEIGHT // 3}] "
                                  f"(blur radius ceil(3 sigma) at most the {P.FRAME_HEIGHT}-pixel "
                                  f"frame height), got {sigma!r}")
@@ -221,9 +222,12 @@ def _check_sigma(sigma: float) -> float:
 
 
 def _check_summary_field(name: str, value: str) -> None:
-    # the model label and the game are fields of every summary.csv row
-    if any(c in value for c in ",\r\n"):
-        raise ConfigurationError(f"{name} must not contain a comma, CR or LF, got {value!r}")
+    # the model label and the game are fields of every summary.csv row, which
+    # `report` cuts with str.splitlines and then splits on commas; splitlines
+    # drops exactly the line breaks it cuts at, so any of them changes the join
+    if "," in value or "".join(value.splitlines()) != value:
+        raise ConfigurationError(f"{name} must not contain a comma or a line break "
+                                 f"(any that str.splitlines cuts at), got {value!r}")
 
 
 def _write_frame_csv(path: Path, scores) -> None:

@@ -81,18 +81,6 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (top * (1.0 - wy) + bot * wy).astype(np.float32)
 
 
-def resize_84(gray: np.ndarray) -> np.ndarray:
-    return bilinear_resize(gray, OBS_SIZE, OBS_SIZE)
-
-
-def max_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DataFormatError(f"max_merge shape mismatch: {a.shape} vs {b.shape}")
-    return np.maximum(a, b)
-
-
 def retained_indices(observation_index: int) -> tuple[int, ...]:
     base = observation_index * RAW_PER_OBSERVATION
     return tuple(base + RAW_PER_PROCESSED * g + o
@@ -109,8 +97,9 @@ def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
     observations = []
     for i in range(len(frames) // RAW_PER_OBSERVATION):
         # decoded lazily and zipped with itself, so only one pair is alive at a time
-        kept = (resize_84(grayscale(_check_frame(frames[j], j))) for j in retained_indices(i))
-        stack = np.stack([max_merge(a, b) for a, b in zip(kept, kept)], axis=-1)
+        kept = (bilinear_resize(grayscale(_check_frame(frames[j], j)), OBS_SIZE, OBS_SIZE)
+                for j in retained_indices(i))
+        stack = np.stack([np.maximum(a, b) for a, b in zip(kept, kept)], axis=-1)
         observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
     return observations
 

@@ -12,7 +12,7 @@ an all-ones kernel every lattice receives the same shifted copy of the map,
 so ceil(k/s)^2 broadcast adds replace the k^2 kernel taps. Each output pixel
 still receives the same float64 terms in the same (row tap, column tap)
 order, starting from +0.0, so the bytes equal `tensor_ops.transposed_conv2d`
-with `ConvKernel.ones` for every input.
+with an all-ones `ConvKernel` for every input.
 """
 
 import os

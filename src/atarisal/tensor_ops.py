@@ -78,12 +78,6 @@ class ConvKernel:
         w64 = np.asarray(self.weights, np.float64).transpose(2, 3, 1, 0)
         return np.ascontiguousarray(w64).reshape(-1, self.weights.shape[0])
 
-    @classmethod
-    def ones(cls, size: int, stride: int = 1, padding: int = 0) -> "ConvKernel":
-        """Single-channel all-ones kernel: the receptive-field painting that
-        saliency.render computes in sub-pixel form, byte for byte."""
-        return cls(np.ones((1, 1, size, size), dtype=np.float32), stride=stride, padding=padding)
-
 
 def _check_feature_map(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x)

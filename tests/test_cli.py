@@ -18,6 +18,8 @@ from conftest import count_shared_runs, fake_blas, write_recording
 from test_determinism import GOLDEN, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a name holding each line break that str.splitlines cuts at, besides CR and LF
+SPLITLINES_BREAKS = [f"a{c}b" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
 
 
 def run(capsys, *argv):
@@ -312,7 +314,7 @@ def test_metrics_scores_saved_maps(tmp_path, capsys, recording_32):
     assert [line.split(",")[2] for line in summary_lines[1:]] == ["nss", "kl", "sauc"]
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300", "1e308"])
 def test_metrics_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
     frames_dir, csv_path = recording_32
     sal_dir = tmp_path / "sal"
@@ -1159,7 +1161,7 @@ def test_eval_non_utf8_manifest_is_exit_2(tmp_path, capsys, recording_32):
     assert not out2.exists()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "70.001", "1e300", "1e308"])
 def test_eval_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
     frames_dir, csv_path = recording_32
     out = tmp_path / "run"
@@ -1169,6 +1171,13 @@ def test_eval_rejects_bad_sigma(tmp_path, capsys, recording_32, sigma):
     assert rc == 1
     assert "--sigma" in err
     assert not out.exists()
+
+    # 3 sigma overflows to inf at 1e308, so the bound is tested before any radius
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest.update(sigma=float(sigma)))
+    out2 = tmp_path / "run2"
+    rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))
+    assert rc == 1 and "--sigma" in err and not out2.exists()
 
 
 def test_eval_manifest_unknown_config_key_is_exit_2(tmp_path, capsys, recording_32):
@@ -1338,7 +1347,7 @@ def test_manifest_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, record
     assert rc == 1 and f"{n_params:,} parameters" in err and not out.exists()
 
 
-@pytest.mark.parametrize("label", ["fls,v2", "fls\r", "fls\nv2"])
+@pytest.mark.parametrize("label", ["fls,v2", "fls\r", "fls\nv2", *SPLITLINES_BREAKS])
 def test_manifest_label_that_would_split_a_summary_row_is_exit_1(tmp_path, capsys,
                                                                  recording_32, label):
     # the label is a field of every summary.csv row, like the game
@@ -1511,9 +1520,10 @@ def test_module_invocation():
 
 # -- game names ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("game", ["pong,v4", "pong\r", "pong\nv4"])
+@pytest.mark.parametrize("game", ["pong,v4", "pong\r", "pong\nv4", *SPLITLINES_BREAKS])
 def test_game_that_would_split_a_summary_row_is_exit_1(tmp_path, capsys, recording_32, game):
-    # the game is a field of every summary.csv row, which `report` splits on commas
+    # the game is a field of every summary.csv row, which `report` cuts at line
+    # breaks (str.splitlines) and commas
     frames_dir, csv_path = recording_32
     rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path, "--game", game)
     assert rc == 1 and "--game" in err and not out.exists()

@@ -32,7 +32,7 @@ def test_grayscale_keeps_float_precision():
 # -- resize ------------------------------------------------------------------------
 
 def test_resize_constant_is_exact():
-    out = P.resize_84(np.full((210, 160), 37.5, np.float32))
+    out = P.bilinear_resize(np.full((210, 160), 37.5, np.float32), 84, 84)
     assert np.array_equal(out, np.full((84, 84), 37.5, np.float32))
 
 
@@ -47,7 +47,7 @@ def test_resize_same_size_is_identity():
 def test_resize_bounded_by_input_range(seed):
     rng = np.random.default_rng(seed)
     img = rng.random((210, 160)).astype(np.float32) * 100
-    out = P.resize_84(img)
+    out = P.bilinear_resize(img, 84, 84)
     assert out.min() >= img.min() - 1e-4
     assert out.max() <= img.max() + 1e-4
 
@@ -55,7 +55,7 @@ def test_resize_bounded_by_input_range(seed):
 def test_resize_preserves_horizontal_ramp():
     # bilinear reproduces affine signals away from the clamped borders
     img = np.tile(np.arange(160, dtype=np.float32), (210, 1))
-    out = P.resize_84(img)
+    out = P.bilinear_resize(img, 84, 84)
     xs = np.clip((np.arange(84) + 0.5) * (160 / 84) - 0.5, 0, 159)
     np.testing.assert_allclose(out[40, 1:-1], xs[1:-1], atol=1e-3)
 
@@ -71,17 +71,6 @@ def test_resize_bytes_equal_reference(seed, sizes):
     got = P.bilinear_resize(img, out_h, out_w)
     want = oracles.bilinear_resize(img, out_h, out_w)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_max_merge():
-    rng = np.random.default_rng(1)
-    a = rng.random((84, 84)).astype(np.float32)
-    b = rng.random((84, 84)).astype(np.float32)
-    assert np.array_equal(P.max_merge(a, a), a)
-    assert np.array_equal(P.max_merge(a, np.zeros_like(a)), a)
-    assert np.array_equal(P.max_merge(a, b), P.max_merge(b, a))
-    with pytest.raises(DataFormatError):
-        P.max_merge(a, b[:10])
 
 
 # -- observation building ------------------------------------------------------------

@@ -54,6 +54,37 @@ With an `attn.conv2` weight of 1 the centre-tap model read 1.064, 3.241 and
 0.762, and the right-tap copy 0.939, 3.254 and 0.740. The smallest gaps at
 a weight of 4 are those to the left tap: 0.260 NSS, 0.022 KL and 0.012 sAUC.
 The model margins below are about half of each.
+
+The sparse model path does the same through sparse-fls, whose 7x7 attention
+map is rendered with 36x36 boxes at stride 8. Its 8x8 and 4x4 kernels have
+no centre tap, so `block.conv1` and `block.conv2` take uniform means of
+input channel 3 over their windows, and `block.conv3` a uniform mean over
+its 3x3: each attention cell then reads a weighted mean v of the newest
+channel over exactly the 36x36 box it is painted back on. `attn.conv1`
+carries v through its centre tap, and `attn.conv2` makes the map
+softplus(512 (v - 0.1)): the render adds every cell over its box, 1 to 25
+boxes a pixel, so without the bias the ln 2 floor of softplus forms a
+centre-weighted pyramid that buries the square (weight 4, no bias: NSS
+-0.049, sAUC 0.507). The threshold 0.1 lies above the background's mean of
+about 0.076 (noise in [0, 40) of 255). A copy whose `attn.conv1` tap sits
+one column right or left of centre reads the map one cell, 8 px at 84x84,
+off, and must score worse on NSS, KL and sAUC alike. Measured at this
+test's size:
+
+| sparse eval --weights | NSS | KL | sAUC |
+|---|---|---|---|
+| registered | 2.373 | 1.736 | 0.560 |
+| `attn.conv1` tap 1 column right | 1.705 | 4.612 | 0.538 |
+| `attn.conv1` tap 1 column left | 1.970 | 2.042 | 0.526 |
+
+The smallest gaps are 0.402 NSS and 0.307 KL to the left tap, and 0.022
+sAUC to the right tap; the sparse margins below are about half of each.
+Centre taps in `block.conv3`, with its tap moved for the copies, cannot be
+told apart this way: they read only columns 8-75 of the 84, so on the
+observations where the square sits in an outer 8-pixel strip the centred
+map misses it, and its copy with the tap one column right read better on
+all three metrics (1.721, 2.239, 0.525 centred against 1.936, 2.068,
+0.542, with the same gain and threshold).
 """
 
 import importlib.util
@@ -70,6 +101,9 @@ MARGIN = {"nss": 0.2, "kl": 0.012, "sauc": 0.009}
 MODEL_MARGIN = {"nss": 0.13, "kl": 0.011, "sauc": 0.006}
 ATTENTION_GAIN = 4.0
 TAP_SHIFTS = {"tap-3px-right": 3, "tap-3px-left": -3}
+SPARSE_MARGIN = {"nss": 0.2, "kl": 0.15, "sauc": 0.011}
+SPARSE_GAIN, SPARSE_THRESHOLD = 512.0, 0.1
+SPARSE_TAP_SHIFTS = {"tap-1-column-right": 1, "tap-1-column-left": -1}
 CHANCE_NSS, CHANCE_SAUC = 0.2, 0.03
 
 
@@ -109,6 +143,35 @@ def hand_set_dense_fls(tap_shift: int) -> models.Model:
     return model
 
 
+def hand_set_sparse_fls(tap_shift: int) -> models.Model:
+    """sparse-fls whose attention map is softplus(SPARSE_GAIN (v -
+    SPARSE_THRESHOLD)), v the newest channel's weighted mean over the 36x36
+    receptive field of the cell tap_shift columns right of each cell."""
+    model = models.zero_model(models.PRESETS["sparse-fls"])
+    p = model.params
+    p["block.conv1.weight"][0, 3] = 1 / 64
+    p["block.conv2.weight"][0, 0] = 1 / 16
+    p["block.conv3.weight"][0, 0] = 1 / 9
+    p["attn.conv1.weight"][0, 0, 1, 1 + tap_shift] = 1.0
+    p["attn.conv2.weight"][0, 0, 1, 1] = SPARSE_GAIN
+    p["attn.conv2.bias"][0] = -SPARSE_GAIN * SPARSE_THRESHOLD
+    return model
+
+
+def eval_scores(recording: Path, root: Path, preset: str, models_by_name) -> dict:
+    """Summary mean per metric of `eval --weights` on each named model."""
+    results = {}
+    for name, model in models_by_name.items():
+        weights = root / f"{name}.flsw"
+        weights_io.save_model(str(weights), model)
+        out = root / f"eval-{name}"
+        assert cli.main(["eval", "--preset", preset, "--weights", str(weights),
+                         "--recording", str(recording / "frames"),
+                         str(recording / "fixations.csv"), "--out", str(out)]) == 0
+        results[name] = summary_means(out)
+    return results
+
+
 @pytest.fixture(scope="module")
 def recording(tmp_path_factory):
     rec = tmp_path_factory.mktemp("registration") / "rec"
@@ -139,18 +202,18 @@ def scores(recording, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def model_scores(recording, tmp_path_factory):
-    """Summary mean per metric of eval on each hand-set model, by name."""
-    root = tmp_path_factory.mktemp("models")
-    results = {}
-    for name, shift in {"centre-taps": 0, **TAP_SHIFTS}.items():
-        weights = root / f"{name}.flsw"
-        weights_io.save_model(str(weights), hand_set_dense_fls(shift))
-        out = root / f"eval-{name}"
-        assert cli.main(["eval", "--preset", "dense-fls", "--weights", str(weights),
-                         "--recording", str(recording / "frames"),
-                         str(recording / "fixations.csv"), "--out", str(out)]) == 0
-        results[name] = summary_means(out)
-    return results
+    """Summary mean per metric of eval on each hand-set dense model, by name."""
+    return eval_scores(recording, tmp_path_factory.mktemp("models"), "dense-fls",
+                       {name: hand_set_dense_fls(shift)
+                        for name, shift in {"centre-taps": 0, **TAP_SHIFTS}.items()})
+
+
+@pytest.fixture(scope="module")
+def sparse_model_scores(recording, tmp_path_factory):
+    """Summary mean per metric of eval on each hand-set sparse model, by name."""
+    return eval_scores(recording, tmp_path_factory.mktemp("sparse-models"), "sparse-fls",
+                       {name: hand_set_sparse_fls(shift)
+                        for name, shift in {"registered": 0, **SPARSE_TAP_SHIFTS}.items()})
 
 
 @pytest.mark.parametrize("name", sorted(MISREGISTERED))
@@ -173,3 +236,11 @@ def test_hand_set_model_beats_its_off_centre_copy(model_scores, name):
     assert centred["nss"] > other["nss"] + MODEL_MARGIN["nss"], (centred, other)
     assert centred["kl"] < other["kl"] - MODEL_MARGIN["kl"], (centred, other)
     assert centred["sauc"] > other["sauc"] + MODEL_MARGIN["sauc"], (centred, other)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_TAP_SHIFTS))
+def test_hand_set_sparse_model_beats_its_shifted_copy(sparse_model_scores, name):
+    registered, other = sparse_model_scores["registered"], sparse_model_scores[name]
+    assert registered["nss"] > other["nss"] + SPARSE_MARGIN["nss"], (registered, other)
+    assert registered["kl"] < other["kl"] - SPARSE_MARGIN["kl"], (registered, other)
+    assert registered["sauc"] > other["sauc"] + SPARSE_MARGIN["sauc"], (registered, other)

@@ -162,7 +162,8 @@ def attention_maps(draw):
 @settings(max_examples=60, deadline=None)
 def test_render_bytes_equal_transposed_conv_tap_loop(case):
     geom, a = case
-    kernel = T.ConvKernel.ones(geom.kernel, geom.stride, geom.padding)
+    kernel = T.ConvKernel(np.ones((1, 1, geom.kernel, geom.kernel), np.float32),
+                          stride=geom.stride, padding=geom.padding)
     want = T.transposed_conv2d(a[..., None], kernel)[:, :, 0]
     got = S.render(a, geom)
     assert got.dtype == a.dtype

@@ -214,15 +214,18 @@ def test_integer_inputs_stay_exact():
 
 def test_transposed_output_sizes():
     a = np.ones((7, 7, 1), np.float32)
-    assert T.transposed_conv2d(a, T.ConvKernel.ones(36, 8, 0)).shape == (84, 84, 1)
+    sparse = T.ConvKernel(np.ones((1, 1, 36, 36), np.float32), stride=8)
+    assert T.transposed_conv2d(a, sparse).shape == (84, 84, 1)
     b = np.ones((84, 84, 1), np.float32)
-    assert T.transposed_conv2d(b, T.ConvKernel.ones(13, 1, 6)).shape == (84, 84, 1)
+    dense = T.ConvKernel(np.ones((1, 1, 13, 13), np.float32), padding=6)
+    assert T.transposed_conv2d(b, dense).shape == (84, 84, 1)
 
 
 def test_transposed_one_hot_paints_rectangle():
     a = np.zeros((7, 7, 1), np.float32)
     a[2, 4, 0] = 1.0
-    out = T.transposed_conv2d(a, T.ConvKernel.ones(36, 8, 0))[:, :, 0]
+    kernel = T.ConvKernel(np.ones((1, 1, 36, 36), np.float32), stride=8)
+    out = T.transposed_conv2d(a, kernel)[:, :, 0]
     want = np.zeros((84, 84))
     want[16:52, 32:68] = 1.0
     assert np.array_equal(out, want)
