@@ -175,7 +175,7 @@ def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles, 
     the observation, never a NaN score or a warning."""
     for i, obs in enumerate(_observations(frames, n_obs)):
         with np.errstate(all="ignore"):
-            sal = S.render_multi(model.forward(obs).attention_maps, model.plan)
+            sal = S.render_multi(model.forward(obs), model.plan)
         if not np.isfinite(sal).all():
             raise EvaluationError(f"{frames_path}: observation {i}: the model's saliency map "
                                   "is not finite")

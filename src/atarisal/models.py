@@ -8,7 +8,7 @@ weight file.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -260,37 +260,10 @@ def count_params(config: ModelConfig) -> int:
 
 
 @dataclass
-class ModelOutput:
-    """One observation's forward pass. Model.forward computes the block, the
-    attention maps and the gates; embedding, policy_logits and value are
-    computed from the gated block output and the model's current params when
-    first read, then cached, so a caller that reads only the maps runs no
-    dense layer."""
-    features: np.ndarray                       # block output at the final read point, pre-gate
-    attention_maps: list[tuple[str, np.ndarray]]  # (placement tag, H x W x 1 map)
-    _gated: np.ndarray = field(repr=False)     # block output after every gate, pre-readout
-    _model: "Model" = field(repr=False, compare=False)
-
-    @cached_property
-    def embedding(self) -> np.ndarray:
-        """Post-readout, post-fc vector."""
-        x, model = self._gated, self._model
-        vec = x.reshape(-1) if model.config.readout == "flatten" else T.spatial_sum_pool(x)
-        return T.relu(T.linear(vec, model.params["fc.weight"], model.params["fc.bias"]))
-
-    @cached_property
-    def policy_logits(self) -> np.ndarray:
-        p = self._model.params
-        return T.linear(self.embedding, p["policy.weight"], p["policy.bias"])
-
-    @cached_property
-    def value(self) -> float:
-        p = self._model.params
-        return float(T.linear(self.embedding, p["value.weight"], p["value.bias"])[0])
-
-
-@dataclass
 class Model:
+    """A plan and its params. forward runs the convs and returns the maps;
+    the fc, policy and value params exist for the weight file format and the
+    parameter counts, and no forward reads them."""
     plan: ModelPlan
     params: dict[str, np.ndarray]
 
@@ -328,8 +301,9 @@ class Model:
             a = (a.astype(np.float64) / total).astype(np.float32)
         return a
 
-    def forward(self, obs: np.ndarray) -> ModelOutput:
-        """Evaluate one 84x84x4 observation with values in [0, 1]."""
+    def forward(self, obs: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """Evaluate one 84x84x4 observation with values in [0, 1]; return its
+        (placement tag, H x W x 1 attention map) pairs in read-point order."""
         kernels = self._kernels  # a non-finite weight is reported before a bad observation
         cfg = self.config
         x = np.asarray(obs)
@@ -347,7 +321,6 @@ class Model:
         by_layer = {ap.after_layer: ap for ap in self.plan.attentions}
         n = len(self.plan.block_layers)
         maps: list[tuple[str, np.ndarray]] = []
-        features = None
         for i, lp in enumerate(self.plan.block_layers, start=1):
             x = T.conv2d(x, kernels[lp.name])
             ap = by_layer.get(i)
@@ -357,14 +330,12 @@ class Model:
                 x = T.apply_activation(x, lp.spec.activation)
             if i == n and cfg.l2_norm_features:
                 x = T.l2_normalize_locations(x)
-            if i == n:
-                features = x
             if ap is not None:
                 alpha = self._attention_map(ap, x)
                 maps.append((ap.tag, alpha))
                 x = x * alpha  # broadcast: one gate value scales all channels
 
-        return ModelOutput(features=features, attention_maps=maps, _gated=x, _model=self)
+        return maps
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> Model:

@@ -326,12 +326,6 @@ def sum_pool_channels(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64).sum(axis=2, keepdims=True).astype(x.dtype)
 
 
-def spatial_sum_pool(x: np.ndarray) -> np.ndarray:
-    """(H, W, C) -> (C,) by summing over all spatial positions."""
-    x = _check_feature_map(x)
-    return x.astype(np.float64).sum(axis=(0, 1)).astype(x.dtype)
-
-
 def linear(v: np.ndarray, weights: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
     """weights (out, in) @ v (in,) [+ bias (out,)]."""
     v = np.asarray(v)

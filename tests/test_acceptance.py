@@ -46,8 +46,7 @@ def test_criterion_2_base2_softplus_identity():
 def test_criterion_3_zero_weight_attention_is_ln2():
     model = models.zero_model(models.preset_config("sparse-fls"))
     obs = np.random.default_rng(0).random((84, 84, 4)).astype(np.float32)
-    out = model.forward(obs)
-    (tag, amap), = out.attention_maps
+    (tag, amap), = model.forward(obs)
     assert tag == "block"
     assert float(np.abs(amap.astype(np.float64) - math.log(2.0)).max()) < 1e-7
     passed(3, "zero-weight attention constant ln 2 within 1e-7")

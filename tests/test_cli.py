@@ -1395,6 +1395,25 @@ def test_eval_with_weights_does_not_depend_on_seed(tmp_path, capsys, recording_3
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_eval_bytes_do_not_depend_on_the_dense_heads(tmp_path, capsys, recording_32):
+    # two files that differ only in the fc, policy and value tensors, each
+    # finite and each moved by one, score the same: no map reads a head
+    frames_dir, csv_path = recording_32
+    params = models.build_model(models.PRESETS["sparse-fls"], 7).params
+    heads = tuple(f"{head}." for head in models.HEADS)
+    moved = {k: v + np.float32(1) if k.startswith(heads) else v for k, v in params.items()}
+    assert sum(k.startswith(heads) for k in moved) == 6
+    outputs = []
+    for label, tensors in (("a", params), ("b", moved)):
+        weights, out = tmp_path / f"{label}.flsw", tmp_path / label
+        weights_io.save_weights(str(weights), tensors)
+        rc, _, err = run(capsys, "eval", "--preset", "sparse-fls", "--weights", str(weights),
+                         "--recording", str(frames_dir), str(csv_path), "--out", str(out))
+        assert rc == 0, err
+        outputs.append([(out / name).read_bytes() for name in ("frames_rec0.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", ["params", "eval", "saliency"])
 def test_pad_input_1px_dense_fls_is_exit_1_before_output(tmp_path, capsys, recording_32,
                                                          command):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from atarisal import models, tensor_ops as T, weights_io
+from atarisal import models, weights_io
 from atarisal.errors import ConfigurationError, EvaluationError
 
 RNG = np.random.default_rng(42)
@@ -56,14 +56,9 @@ FORWARD_CASES = [
 def test_shape_propagation_matches_forward(preset, overrides, feat_shape, attn_shapes):
     cfg = models.preset_config(preset, **overrides)
     plan = models.build_plan(cfg)
-    model = models.build_model(cfg, 0)
-    out = model.forward(OBS)
+    maps = models.build_model(cfg, 0).forward(OBS)
     assert dict(plan.trace)[plan.block_layers[-1].name] == feat_shape
-    assert out.features.shape == feat_shape
-    assert [(t, a.shape) for t, a in out.attention_maps] == attn_shapes
-    assert out.embedding.shape == (512,)
-    assert out.policy_logits.shape == (cfg.num_actions,)
-    assert isinstance(out.value, float)
+    assert [(t, a.shape) for t, a in maps] == attn_shapes
 
 
 @pytest.mark.parametrize("preset,overrides", [(p, o) for p, o, _, _ in FORWARD_CASES])
@@ -79,63 +74,65 @@ def test_count_params_equals_serialized_scalars(tmp_path, preset, overrides):
 @pytest.mark.parametrize("preset", ["daqn", "rs-ppo", "mousavi"])
 def test_softmax_terminal_attention_sums_to_one(preset):
     model = models.build_model(models.preset_config(preset), 3)
-    for _, amap in model.forward(OBS).attention_maps:
+    for _, amap in model.forward(OBS):
         assert float(amap.sum()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fls_attention_non_negative():
     model = models.build_model(models.preset_config("sparse-fls"), 3)
-    _, amap = model.forward(OBS).attention_maps[0]
+    _, amap = model.forward(OBS)[0]
     assert float(amap.min()) > 0.0  # softplus is strictly positive
 
 
 def test_normalize_output_sums_to_one():
     cfg = models.preset_config("sparse-fls", normalize_output=True)
     model = models.build_model(cfg, 3)
-    _, amap = model.forward(OBS).attention_maps[0]
+    _, amap = model.forward(OBS)[0]
     assert float(amap.sum()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_weight_fls_outputs_ln2():
     model = models.zero_model(models.preset_config("sparse-fls"))
-    _, amap = model.forward(OBS).attention_maps[0]
+    _, amap = model.forward(OBS)[0]
     assert np.abs(amap - math.log(2.0)).max() < 1e-7
 
 
 def test_zero_weight_softplus2_fls_outputs_one():
     model = models.zero_model(models.preset_config("sparse-fls", softplus2=True))
-    _, amap = model.forward(OBS).attention_maps[0]
+    _, amap = model.forward(OBS)[0]
     assert np.abs(amap - 1.0).max() < 1e-7
 
 
 def test_attention_of_one_is_multiplicative_identity():
-    # fls model whose attention map is softplus(b) == 1 with zero conv weights;
-    # block/fc/head weights copied into a no-attention twin
-    gated = models.build_model(models.preset_config("sparse-fls"), 9)
-    b = float(np.log(np.e - 1.0))
+    # each-conv fls whose first two modules have zero weights and a conv2 bias
+    # of log(e - 1), so each of their gates is softplus(log(e - 1)) == 1.0:
+    # the third module then reads the ungated block output, as the block
+    # placement's one module does, and its map holds the same bytes
+    gated = models.build_model(models.preset_config("sparse-fls", placement="each-conv"), 9)
     for name in gated.params:
-        if name.startswith("attn."):
+        if name.startswith(("attn1.", "attn2.")):
             gated.params[name] = np.zeros_like(gated.params[name])
-    gated.params["attn.conv2.bias"] = np.array([b], np.float32)
+    for prefix in ("attn1", "attn2"):
+        gated.params[f"{prefix}.conv2.bias"] = np.array([np.log(np.e - 1.0)], np.float32)
 
-    plain = models.build_model(models.preset_config("nature-cnn"), 9)
-    for name in plain.params:
-        plain.params[name] = gated.params[name]
+    block = models.build_model(models.preset_config("sparse-fls"), 0)
+    for name in block.params:
+        if name.startswith(("block.", "attn.")):
+            block.params[name] = gated.params[name.replace("attn.", "attn3.")]
 
-    amap = gated.forward(OBS).attention_maps[0][1]
-    np.testing.assert_allclose(amap, 1.0, atol=1e-6)
-    np.testing.assert_allclose(gated.forward(OBS).embedding, plain.forward(OBS).embedding,
-                               rtol=1e-4, atol=1e-4)
+    maps = dict(gated.forward(OBS))
+    for tag in ("conv1", "conv2"):
+        assert maps[tag].dtype == np.float32 and (maps[tag] == 1.0).all()
+    (tag, want), = block.forward(OBS)
+    assert tag == "block"
+    assert maps["conv3"].dtype == want.dtype and maps["conv3"].tobytes() == want.tobytes()
 
 
 def test_forward_deterministic():
     model = models.build_model(models.preset_config("daqn"), 5)
     a = model.forward(OBS)
     b = model.forward(OBS)
-    assert np.array_equal(a.embedding, b.embedding)
-    assert np.array_equal(a.policy_logits, b.policy_logits)
-    assert a.value == b.value
-    assert np.array_equal(a.attention_maps[0][1], b.attention_maps[0][1])
+    assert np.array_equal(a[0][1], b[0][1])
 
 
 def test_build_model_seed_determinism():
@@ -184,39 +181,6 @@ def test_unknown_block():
         models.ModelConfig(block="atrous")
 
 
-# -- dense heads on first read --------------------------------------------------------
-
-@pytest.mark.parametrize("preset", ["nature-cnn", "daqn", "rs-ppo", "sparse-fls", "dense-fls"])
-def test_heads_equal_a_by_hand_linear_chain(preset):
-    cfg = models.preset_config(preset)
-    model = models.build_model(cfg, 4)
-    out = model.forward(OBS)
-    x = out.features
-    for _, alpha in out.attention_maps:  # one gate, on the block output
-        x = x * alpha
-    vec = x.reshape(-1) if cfg.readout == "flatten" else T.spatial_sum_pool(x)
-    dense = {name: (model.params[f"{name}.weight"].astype(np.float64),
-                    model.params[f"{name}.bias"].astype(np.float64)) for name in models.HEADS}
-    emb = T.relu(T.linear(vec, *dense["fc"]))
-    assert out.embedding.dtype == emb.dtype and np.array_equal(out.embedding, emb)
-    logits = T.linear(emb, *dense["policy"])
-    assert out.policy_logits.dtype == logits.dtype and np.array_equal(out.policy_logits, logits)
-    assert out.value == float(T.linear(emb, *dense["value"])[0])
-
-
-def test_forward_runs_no_dense_layer_until_a_head_is_read(monkeypatch):
-    model = models.build_model(models.preset_config("sparse-fls"), 2)
-    calls, linear = [], T.linear
-    monkeypatch.setattr(T, "linear", lambda v, weights, bias=None: (
-        calls.append(weights.shape), linear(v, weights, bias))[1])
-    out = model.forward(OBS)
-    assert calls == []
-    assert out.value == out.value  # fc once, then the value head, both cached
-    assert calls == [(512, 3136), (1, 512)]
-    out.policy_logits
-    assert calls == [(512, 3136), (1, 512), (4, 512)]
-
-
 # -- forward input validation --------------------------------------------------------
 
 def test_forward_rejects_bad_shape():
@@ -254,8 +218,7 @@ def test_replaced_model_runs_its_own_params():
     model, other = models.build_model(cfg, 0), models.build_model(cfg, 1)
     model.forward(OBS)
     out, want = replace(model, params=other.params).forward(OBS), other.forward(OBS)
-    assert np.array_equal(out.attention_maps[0][1], want.attention_maps[0][1])
-    assert out.value == want.value
+    assert np.array_equal(out[0][1], want[0][1])
 
 
 def test_forward_runs_once_a_rejected_weight_is_repaired():
@@ -268,5 +231,4 @@ def test_forward_runs_once_a_rejected_weight_is_repaired():
         model.forward(OBS)
     weight[0, 0, 0, 0] = good
     out = model.forward(OBS)
-    assert np.array_equal(out.attention_maps[0][1], want.attention_maps[0][1])
-    assert out.value == want.value
+    assert np.array_equal(out[0][1], want[0][1])

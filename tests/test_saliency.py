@@ -205,8 +205,7 @@ def test_model_attention_renders_to_input_size(preset, overrides):
     cfg = models.preset_config(preset, **overrides)
     model = models.build_model(cfg, 0)
     obs = np.random.default_rng(1).random((84, 84, 4)).astype(np.float32)
-    out = model.forward(obs)
-    sal = S.render_multi(out.attention_maps, model.plan)
+    sal = S.render_multi(model.forward(obs), model.plan)
     assert sal.shape == (84, 84)
     assert float(sal.min()) >= 0.0
 

@@ -323,17 +323,6 @@ def test_sum_pool_channels():
     assert np.array_equal(T.sum_pool_channels(zeros), np.zeros((3, 3, 1), np.float32))
 
 
-def test_spatial_sum_pool():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32).reshape(2, 2, 1)
-    assert T.spatial_sum_pool(x).tolist() == [10.0]
-    # one-hot attention times features selects the feature vector at that cell
-    rng = np.random.default_rng(2)
-    feats = rng.standard_normal((5, 5, 3)).astype(np.float32)
-    attn = np.zeros((5, 5, 1), np.float32)
-    attn[3, 1, 0] = 1.0
-    np.testing.assert_allclose(T.spatial_sum_pool(feats * attn), feats[3, 1, :], rtol=1e-6)
-
-
 def test_linear():
     v = np.array([1.0, -2.0, 0.5], np.float32)
     assert np.array_equal(T.linear(v, np.eye(3, dtype=np.float32)), v)
