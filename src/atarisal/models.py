@@ -287,8 +287,7 @@ class Model:
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
         for lp in ap.layers:
-            a = T.conv2d(a, self._kernels[lp.name])
-            a = T.apply_activation(a, lp.spec.activation)
+            a = T.conv2d(a, self._kernels[lp.name], activation=lp.spec.activation)
         if ap.post == "softmax-mean":
             a = T.spatial_softmax(a)
             c = a.shape[2]
@@ -322,18 +321,18 @@ class Model:
         n = len(self.plan.block_layers)
         maps: list[tuple[str, np.ndarray]] = []
         for i, lp in enumerate(self.plan.block_layers, start=1):
-            x = T.conv2d(x, kernels[lp.name])
             ap = by_layer.get(i)
             # final_relu=False drops the activation right before an attention
             # read point, so the module (and the gate) sees pre-activation values.
-            if not (ap is not None and not cfg.final_relu):
-                x = T.apply_activation(x, lp.spec.activation)
+            activation = "identity" if ap is not None and not cfg.final_relu else lp.spec.activation
+            x = T.conv2d(x, kernels[lp.name], activation=activation)
             if i == n and cfg.l2_norm_features:
                 x = T.l2_normalize_locations(x)
             if ap is not None:
                 alpha = self._attention_map(ap, x)
                 maps.append((ap.tag, alpha))
-                x = x * alpha  # broadcast: one gate value scales all channels
+                if i < n:  # only a later block layer reads the gated map
+                    x = x * alpha  # broadcast: one gate value scales all channels
 
         return maps
 

@@ -9,13 +9,17 @@ conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
 A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
-row), which bounds memory and keeps each GEMM operand cache-sized.
+row), which bounds memory and keeps each GEMM operand cache-sized. No layer
+pads its whole input: a block pads only the input rows it reads, into a
+zeroed band of (rows - 1) * stride + kh padded rows, and applies the
+layer's activation to its own output rows.
 
 `block_threads()` owns the thread policy, and the CLI runs every command
 under it: OpenBLAS runs on one thread, and a layer of several blocks shares
 them among as many threads as OpenBLAS had, n: the calling one and n - 1
 that the layer starts and joins before it returns. The cap then applies per
-worker, each of which holds one patch buffer and one float64 accumulator.
+worker, each of which holds one band, one patch buffer and one float64
+accumulator.
 The blocks and their products are the same whatever n is, so the output
 bytes are too.
 """
@@ -36,8 +40,9 @@ from .errors import ConfigurationError
 # Overflow-safe branch point for the softplus family.
 SOFTPLUS_CUTOFF = 30.0
 
-# Byte cap of one conv2d patch block (float64 im2col rows).
-PATCH_BLOCK_BYTES = 4 * 2**20
+# Byte cap of one conv2d patch block (float64 im2col rows): one worker's
+# block fits a 2 MiB L2 cache.
+PATCH_BLOCK_BYTES = 2**20
 
 _LN2 = float(np.log(2.0))
 
@@ -164,50 +169,66 @@ def block_threads():
         functions[0](workers)
 
 
-def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """Cross-correlate x (H, W, Cin) with kernel -> (H', W', Cout).
+def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -> np.ndarray:
+    """Cross-correlate x (H, W, Cin) with kernel, then apply activation
+    -> (H', W', Cout).
 
-    No kernel flip; zero padding; H' = floor((H + 2p - k) / s) + 1.
+    No kernel flip; zero padding; H' = floor((H + 2p - k) / s) + 1. The
+    activation is one of ACTIVATIONS, applied to each block's output rows
+    as apply_activation would apply it to the whole output.
     """
     x = _check_feature_map(x)
     h, w, c = x.shape
     cout, cin, kh, kw = kernel.weights.shape
     _require(c == cin, f"input has {c} channels, kernel expects {cin}")
+    act = None if activation == "identity" else _activation(activation)
     s, p = kernel.stride, kernel.padding
     ho = conv_output_size(h, kh, s, p)
     wo = conv_output_size(w, kw, s, p)
     _require(ho >= 1 and wo >= 1,
              f"non-positive conv output size {ho}x{wo} for input {h}x{w}")
 
-    xp = x
-    if p:
-        xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-        xp[p:p + h, p:p + w, :] = x
-    # (H', W', Cin, kh, kw) window view -> (ho, wo, kh, kw, Cin), no copy yet
-    patches = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
     depth = kh * kw * c
     rows = min(ho, max(1, PATCH_BLOCK_BYTES // (wo * depth * 8)))  # float64 patch rows
+    band_rows = (rows - 1) * s + kh  # the padded input rows one block reads
     starts = range(0, ho, rows)
     workers = min(len(starts), _WORKERS.get())
     gemm_weights = kernel.gemm_weights
     bias = None if kernel.bias is None else kernel.bias.astype(np.float64)
     out = np.empty((ho, wo, cout), dtype=x.dtype)
     out_rows = out.reshape(ho * wo, cout)
-    # one patch buffer and one accumulator per worker, made on this thread so
-    # that no worker thread allocates (and grows a malloc arena of its own)
-    buffers = [(np.empty((rows * wo, depth), np.float64), np.empty((rows * wo, cout), np.float64))
-               for _ in range(workers)]
+
+    def scratch():
+        # a zero-padded band, its (rows, wo, kh, kw, Cin) window view, a patch
+        # buffer and an accumulator; made on this thread so that no worker
+        # thread allocates (and grows a malloc arena of its own)
+        band = np.zeros((band_rows, w + 2 * p, c), dtype=x.dtype)
+        windows = sliding_window_view(band, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
+        return (band, windows, np.empty((rows * wo, depth), np.float64),
+                np.empty((rows * wo, cout), np.float64))
+
+    buffers = [scratch() for _ in range(workers)]
 
     def work(i):  # blocks starts[i::workers]
-        patch, acc = buffers[i]
+        band, windows, patch, acc = buffers[i]
         for r in starts[i::workers]:
             n = min(rows, ho - r)
+            m = (n - 1) * s + kh
+            top = r * s - p  # the input row of band row 0
+            a = min(max(-top, 0), m)  # band rows [a, b) hold input rows, the rest are padding
+            b = min(max(h - top, a), m)
+            band[:a, p:p + w] = 0
+            band[a:b, p:p + w] = x[top + a:top + b]
+            band[b:m, p:p + w] = 0
             block, block_acc = patch[:n * wo], acc[:n * wo]
-            np.copyto(block.reshape(n, wo, kh, kw, c), patches[r:r + n])  # the im2col copy
+            np.copyto(block.reshape(n, wo, kh, kw, c), windows[:n])  # the im2col copy
             np.matmul(block, gemm_weights, out=block_acc)
             if bias is not None:
                 block_acc += bias
-            out_rows[r * wo:(r + n) * wo] = block_acc
+            block_out = out_rows[r * wo:(r + n) * wo]
+            block_out[...] = block_acc
+            if act is not None:
+                block_out[...] = act(block_out)
 
     _share_blocks(work, workers)
     return out
@@ -285,10 +306,15 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
+def _activation(kind: str) -> Callable[[np.ndarray], np.ndarray]:
     _require(kind in ACTIVATIONS, f"unknown activation {kind!r}")
+    return ACTIVATIONS[kind]
+
+
+def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
+    act = _activation(kind)
     x = np.asarray(x)
-    return np.asarray(ACTIVATIONS[kind](x), dtype=x.dtype)
+    return np.asarray(act(x), dtype=x.dtype)
 
 
 def _sigmoid(x):

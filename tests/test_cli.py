@@ -899,17 +899,18 @@ def test_eval_frame_truncated_after_its_check_is_exit_2(tmp_path, capsys, monkey
 OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
 
-@pytest.mark.parametrize("config,shared_convs", [
-    *((models.PRESETS[name], 5 if name == "dense-fls" else 0) for name in sorted(models.PRESETS)),
-    (models.ModelConfig(attention="fls", placement="each-conv"), 1),
-    (models.ModelConfig(block="dense", readout="sum-pool"), 3),
+@pytest.mark.parametrize("config,worker_counts", [
+    *((models.PRESETS[name], [3] * 5 if name == "dense-fls" else []) for name in sorted(models.PRESETS)),
+    (models.ModelConfig(attention="fls", placement="each-conv"), [3, 2]),
+    (models.ModelConfig(block="dense", readout="sum-pool"), [3] * 3),
 ], ids=[*sorted(models.PRESETS), "sparse-fls-each-conv", "dense-no-attention"])
-def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, shared_convs):
+def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, worker_counts):
     # every forward, small or large, runs on one BLAS thread; the count found
     # is the block-worker count and is put back afterwards. Dense layers have
-    # 3-42 row blocks and share them among all 3 workers; of the sparse
-    # layers only each-conv's attn1.conv2 has more than one block (2), and
-    # every other runs serially
+    # 12-84 row blocks and share them among all 3 workers; of the sparse
+    # layers only each-conv's attn1.conv2 (10 blocks, on 3 workers) and
+    # attn2.conv2 (2 blocks, on 2) have more than one block, and every other
+    # runs serially
     calls, state = fake_blas(monkeypatch, 3)
     shared = count_shared_runs(monkeypatch)
     model = models.build_model(config, 0)
@@ -920,7 +921,7 @@ def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, shared_convs
     assert calls == [1, 3]
     assert state["threads"] == 3
     assert T._WORKERS.get() == 1
-    assert shared == [3 if config.block == "dense" else 2] * shared_convs
+    assert shared == worker_counts
 
 
 def test_blas_threads_read_the_count_each_time(monkeypatch):

@@ -1,5 +1,6 @@
 """Output bytes: pinned eval digests, and conv2d and eval bytes that depend on
-neither the BLAS threads nor the rows of each GEMM block.
+neither the BLAS threads nor the rows of each GEMM block; and the memory a
+dense forward's blocks hold.
 
 The digests were recorded with the per-tap conv loop that im2col replaced
 (numpy 2.4, OpenBLAS 0.3.31, x86-64). A changed digest means some output bit
@@ -7,17 +8,21 @@ moved; changing the bits on purpose needs its own argument, not a new digest.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from atarisal import cli, models, tensor_ops as T
 
-from conftest import write_recording
+from conftest import fake_blas, write_recording
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -118,15 +123,15 @@ def test_conv2d_bytes_do_not_depend_on_the_blas_threads():
 def test_conv_layer_bytes_do_not_depend_on_the_block_rows(monkeypatch, config):
     # each block's GEMM multiplies its own rows of the patch matrix, so a
     # block size may change only if no output bit depends on how many rows
-    # a product has: from the 4 MiB default down to one output row per block
-    # (5,000 bytes holds less than two rows of every layer's patch matrix)
-    # and up to one block per layer
+    # a product has: from 4 MiB and the 1 MiB default down to one output row
+    # per block (5,000 bytes holds less than two rows of every layer's patch
+    # matrix) and up to one block per layer
     obs = np.random.default_rng(3).random((84, 84, 4)).astype(np.float32)
     model = models.build_model(config, 0)
     conv2d, layers = T.conv2d, []
 
-    def recorded(x, kernel):
-        out = conv2d(x, kernel)
+    def recorded(x, kernel, **kwargs):
+        out = conv2d(x, kernel, **kwargs)
         layers.append((out.shape[1] * kernel.gemm_weights.shape[0] * 8, out.tobytes()))
         return out
 
@@ -139,3 +144,107 @@ def test_conv_layer_bytes_do_not_depend_on_the_block_rows(monkeypatch, config):
         outputs[block_bytes] = [out for _, out in layers]
     assert all(5000 < 2 * row_bytes for row_bytes, _ in layers)
     assert all(out == outputs[4 * 2**20] for out in outputs.values())
+
+
+def whole_map_conv2d(x, kernel, activation):
+    """conv2d as it was before each block padded its own rows: the whole
+    input zero-padded into one map, the blocks run serially, and the
+    activation applied to the whole float32 output."""
+    h, w, c = x.shape
+    cout, cin, kh, kw = kernel.weights.shape
+    s, p = kernel.stride, kernel.padding
+    ho = T.conv_output_size(h, kh, s, p)
+    wo = T.conv_output_size(w, kw, s, p)
+    xp = np.zeros((h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[p:p + h, p:p + w, :] = x
+    patches = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
+    depth = kh * kw * c
+    rows = min(ho, max(1, T.PATCH_BLOCK_BYTES // (wo * depth * 8)))
+    bias = None if kernel.bias is None else kernel.bias.astype(np.float64)
+    out = np.empty((ho, wo, cout), dtype=x.dtype)
+    out_rows = out.reshape(ho * wo, cout)
+    patch, acc = np.empty((rows * wo, depth), np.float64), np.empty((rows * wo, cout), np.float64)
+    for r in range(0, ho, rows):
+        n = min(rows, ho - r)
+        block, block_acc = patch[:n * wo], acc[:n * wo]
+        np.copyto(block.reshape(n, wo, kh, kw, c), patches[r:r + n])
+        np.matmul(block, kernel.gemm_weights, out=block_acc)
+        if bias is not None:
+            block_acc += bias
+        out_rows[r * wo:(r + n) * wo] = block_acc
+    return T.apply_activation(out, activation)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_bytes", [5000, 65536, 2**20, 10**9])
+@given(seed=st.integers(0, 2**32 - 1), activation=st.sampled_from(sorted(T.ACTIVATIONS)),
+       h=st.integers(1, 24), w=st.integers(1, 24), c=st.integers(1, 8), cout=st.integers(1, 8),
+       k=st.integers(1, 5), s=st.integers(1, 3), p=st.integers(0, 3), bias=st.booleans())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_conv2d_bytes_equal_a_whole_map_pad_and_activation(monkeypatch, workers, block_bytes, seed,
+                                                           activation, h, w, c, cout, k, s, p,
+                                                           bias):
+    # each block pads only the input rows it reads and applies the activation
+    # to its own output rows; no byte may differ from padding the whole map
+    # once and activating the whole output, whatever the stride, the padding
+    # (inputs smaller than the kernel included), the block rows or the workers
+    assume(h + 2 * p >= k and w + 2 * p >= k)
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", block_bytes)
+    fake_blas(monkeypatch, workers)
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((h, w, c)) * 20).astype(np.float32)  # past softplus's cutoff too
+    kernel = T.ConvKernel(rng.standard_normal((cout, c, k, k)).astype(np.float32),
+                          rng.standard_normal(cout).astype(np.float32) if bias else None, s, p)
+    want = whole_map_conv2d(x, kernel, activation)
+    with T.block_threads():
+        got = T.conv2d(x, kernel, activation=activation)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def forward_peak_bound(plan, workers):
+    """The most one forward of plan may hold at once, in bytes: at each conv,
+    its float32 input and output, the block output an attention module reads
+    beside its own input, and each worker's padded band, float64 patch block,
+    float64 accumulator and activated float32 rows."""
+    shapes = dict(plan.trace)
+
+    def conv(lp, in_shape, out_shape, held):
+        (h, w, c), (ho, wo, cout) = in_shape, out_shape
+        k, s, p = lp.spec.kernel, lp.spec.stride, lp.spec.padding
+        depth = k * k * c
+        rows = min(ho, max(1, T.PATCH_BLOCK_BYTES // (wo * depth * 8)))
+        worker = (((rows - 1) * s + k) * (w + 2 * p) * c * 4 + rows * wo * depth * 8
+                  + rows * wo * cout * (8 + 4))
+        return held + 4 * (h * w * c + ho * wo * cout) + workers * worker
+
+    bounds, in_shape = [], shapes["input"]
+    for lp in plan.block_layers:
+        bounds.append(conv(lp, in_shape, shapes[lp.name], 0))
+        in_shape = shapes[lp.name]
+    for ap in plan.attentions:
+        source = shapes[f"block.conv{ap.after_layer}"]
+        in_shape, held = source, 0
+        for lp in ap.layers:
+            bounds.append(conv(lp, in_shape, shapes[lp.name], held))
+            in_shape, held = shapes[lp.name], 4 * math.prod(source)
+    return max(bounds)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_forward_peak_memory_is_its_maps_and_blocks(monkeypatch, workers):
+    # at 2 workers this bound is 12.1 MiB, and a whole-layer pad (7.6 MB at
+    # attn.conv2) or a whole-map activation temporary (7.2 MB at attn.conv1)
+    # breaks it by far more than the 1 MiB of interpreter slack
+    model = models.build_model(models.PRESETS["dense-fls"], 0)
+    obs = np.random.default_rng(3).random((84, 84, 4)).astype(np.float32)
+    model.forward(obs)  # builds the kernels and their float64 weights
+    fake_blas(monkeypatch, workers)
+    with T.block_threads():
+        tracemalloc.start()
+        try:
+            model.forward(obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= forward_peak_bound(model.plan, workers) + 2**20

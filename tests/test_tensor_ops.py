@@ -99,8 +99,8 @@ def test_conv2d_output_too_small():
 
 @pytest.mark.parametrize("workers", [2, 5])
 @pytest.mark.parametrize("shape,cout,k,s,p,block_bytes,blocks", [
-    # the dense attention conv: 9 blocks of 10 rows, the last of 4
-    ((84, 84, 64), 256, 3, 1, 1, T.PATCH_BLOCK_BYTES, 9),
+    # the dense attention conv: 42 blocks of 2 rows
+    ((84, 84, 64), 256, 3, 1, 1, T.PATCH_BLOCK_BYTES, 42),
     # 7 strided blocks of 3 rows, the last of 2
     ((41, 30, 3), 4, 4, 2, 1, 20000, 7),
 ], ids=["dense-attention", "stride-2"])
@@ -289,6 +289,9 @@ def test_elu_matches_definition():
 def test_unknown_activation_rejected():
     with pytest.raises(ConfigurationError):
         T.apply_activation(np.zeros((1, 1, 1), np.float32), "swish")
+    with pytest.raises(ConfigurationError, match="swish"):  # before any block runs
+        T.conv2d(np.zeros((1, 1, 1), np.float32), T.ConvKernel(np.ones((1, 1, 1, 1), np.float32)),
+                 activation="swish")
 
 
 # -- softmax / pooling / linear ----------------------------------------------------
