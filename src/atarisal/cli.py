@@ -515,7 +515,7 @@ def _gradcheck_suite(seed: int, epsilon: float):
         x = rand(shape)
         w = rand(T.conv2d(x, kern).shape)
         checks.append((tag, lambda x, k=kern: T.conv2d(x, k),
-                       lambda x, u, k=kern: T.conv2d_input_grad(u, k), x, w))
+                       lambda x, u, k=kern: T.transposed_conv2d(u, k), x, w))
 
     for kind in ("softplus", "softplus2", "elu", "tanh", "relu"):
         x = rand((6, 6, 2)) * 2.0

@@ -272,13 +272,15 @@ class Model:
         return self.plan.config
 
     @cached_property
-    def _kernels(self) -> dict[str, T.ConvKernel]:
-        """Conv kernels by layer name, built at the first forward once every
-        param is finite; a failed check caches nothing. A kernel caches its
-        float64 weights, so conv weights edited in place after that forward
-        do not count; a model made by `dataclasses.replace` builds its own."""
-        if not all(np.isfinite(v).all() for v in self.params.values()):
-            raise EvaluationError("model weights contain NaN or Inf")
+    def kernels(self) -> dict[str, T.ConvKernel]:
+        """Conv kernels by layer name, built at the first forward or by the
+        weight loader once every param is finite: the params' one finite
+        check, naming the first bad tensor. A failed check caches nothing; a
+        kernel caches its float64 weights at its first conv, and a model
+        made by `dataclasses.replace` builds its own."""
+        for name, value in self.params.items():
+            if not np.isfinite(value).all():
+                raise EvaluationError(f"tensor {name!r} contains NaN or Inf")
         return {lp.name: T.ConvKernel(self.params[f"{lp.name}.weight"],
                                       self.params[f"{lp.name}.bias"],
                                       lp.spec.stride, lp.spec.padding)
@@ -287,7 +289,7 @@ class Model:
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
         a = x
         for lp in ap.layers:
-            a = T.conv2d(a, self._kernels[lp.name], activation=lp.spec.activation)
+            a = T.conv2d(a, self.kernels[lp.name], activation=lp.spec.activation)
         if ap.post == "softmax-mean":
             a = T.spatial_softmax(a)
             c = a.shape[2]
@@ -303,7 +305,7 @@ class Model:
     def forward(self, obs: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """Evaluate one 84x84x4 observation with values in [0, 1]; return its
         (placement tag, H x W x 1 attention map) pairs in read-point order."""
-        kernels = self._kernels  # a non-finite weight is reported before a bad observation
+        kernels = self.kernels  # a non-finite weight is reported before a bad observation
         cfg = self.config
         x = np.asarray(obs)
         if x.shape != (INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS):

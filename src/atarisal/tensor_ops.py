@@ -242,7 +242,8 @@ def transposed_conv2d(y: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Adjoint of conv2d: y (H, W, Cout) -> (H_out, W_out, Cin); bias is ignored.
 
     H_out = (H - 1) * s + k - 2p.  For every x, y and bias-free kernel K,
-    <conv2d(x, K), y> == <x, transposed_conv2d(y, K)>.
+    <conv2d(x, K), y> == <x, transposed_conv2d(y, K)>, so it is also the
+    input gradient d/dx of sum(y * conv2d(x, K)) that `gradcheck` checks.
     """
     y = _check_feature_map(y)
     h, w, c = y.shape
@@ -374,11 +375,6 @@ def l2_normalize_locations(x: np.ndarray) -> np.ndarray:
 
 
 # -- analytic input gradients (verification only, no training graph) ----------
-
-def conv2d_input_grad(upstream: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """d/dx of sum(upstream * conv2d(x, kernel)); the adjoint applied to upstream."""
-    return transposed_conv2d(upstream, kernel)
-
 
 def activation_input_grad(x: np.ndarray, kind: str, upstream: np.ndarray) -> np.ndarray:
     _require(kind in ACTIVATION_GRADS, f"unknown activation {kind!r}")

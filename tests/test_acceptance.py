@@ -85,7 +85,7 @@ def test_criterion_5_gradient_checks():
         x = rng.standard_normal((h, h, cin))
         w = rng.standard_normal(T.conv2d(x, kern).shape)
         record("conv2d", T.grad_check(lambda x, k=kern: T.conv2d(x, k),
-                                      lambda x, u, k=kern: T.conv2d_input_grad(u, k),
+                                      lambda x, u, k=kern: T.transposed_conv2d(u, k),
                                       x, weights=w))
 
         x = rng.standard_normal((5, 5, 2)) * 3.0

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -67,8 +68,18 @@ def test_count_params_equals_serialized_scalars(tmp_path, preset, overrides):
     model = models.build_model(cfg, 1)
     path = tmp_path / "w.flsw"
     weights_io.save_model(str(path), model)
-    loaded = weights_io.load_weights(str(path))
-    assert sum(v.size for v in loaded.values()) == models.count_params(cfg)
+    # walk the file's own records, as its layout documents them
+    raw = path.read_bytes()
+    (count,), pos, scalars = struct.unpack_from("<I", raw, 8), 12, 0
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        ndim = raw[pos + 2 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", raw, pos + 3 + name_len)
+        size = math.prod(dims)
+        scalars += size
+        pos += 3 + name_len + 4 * ndim + 4 * size
+    assert pos == len(raw)
+    assert scalars == models.count_params(cfg)
 
 
 @pytest.mark.parametrize("preset", ["daqn", "rs-ppo", "mousavi"])
@@ -207,7 +218,7 @@ def test_forward_rejects_non_finite_observation(value):
 def test_forward_rejects_nan_weights():
     model = models.build_model(models.preset_config("nature-cnn"), 0)
     model.params["fc.weight"][0, 0] = np.nan
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"^tensor 'fc.weight' contains NaN or Inf$"):
         model.forward(OBS)
 
 

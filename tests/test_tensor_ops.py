@@ -360,7 +360,7 @@ def test_grad_check_conv2d():
     kern = random_kernel(rng, 2, 3, 3, stride=1, padding=1)
     x = rng.standard_normal((8, 8, 2))
     err = T.grad_check(lambda x: T.conv2d(x, kern),
-                       lambda x, u: T.conv2d_input_grad(u, kern), x)
+                       lambda x, u: T.transposed_conv2d(u, kern), x)
     assert err < 1e-4
 
 

@@ -15,6 +15,9 @@ def small_model(seed=0):
     return models.build_model(models.preset_config("daqn"), seed)
 
 
+PLAN = models.build_plan(models.preset_config("daqn"))
+
+
 def assert_same_model(got, want):
     """Every param, the dense heads' included, byte for byte, and the maps."""
     assert list(got.params) == list(want.params)
@@ -90,7 +93,7 @@ def test_truncated_file(tmp_path):
     with open(path, "wb") as f:
         f.write(raw[:len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
-        weights_io.load_weights(path)
+        weights_io.load_into_model(model.plan, path)
 
 
 def test_bad_magic(tmp_path):
@@ -98,7 +101,7 @@ def test_bad_magic(tmp_path):
     with open(path, "wb") as f:
         f.write(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataFormatError, match="magic"):
-        weights_io.load_weights(path)
+        weights_io.load_into_model(PLAN, path)
 
 
 def test_bad_version(tmp_path):
@@ -106,16 +109,16 @@ def test_bad_version(tmp_path):
     with open(path, "wb") as f:
         f.write(b"FLSW" + struct.pack("<II", 9, 0))
     with pytest.raises(DataFormatError, match="version"):
-        weights_io.load_weights(path)
+        weights_io.load_into_model(PLAN, path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "trail.flsw")
-    weights_io.save_weights(path, {"t": np.zeros(2, np.float32)})
+    weights_io.save_model(path, small_model())
     with open(path, "ab") as f:
         f.write(b"\x00")
     with pytest.raises(DataFormatError, match="trailing"):
-        weights_io.load_weights(path)
+        weights_io.load_into_model(PLAN, path)
 
 
 def test_file_tensor_order_does_not_matter(tmp_path):
@@ -225,15 +228,19 @@ def test_save_weights_rejects_a_name_past_the_u16_length_field(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("name,dims,count,message", [
-    (b"t", (100000, 100000), 1, "truncated weight file while reading payload of 't'"),
-    # the product overflows int64, where np.prod would wrap to 0
-    (b"t", (65536, 65536, 65536, 65536, 2), 1,
-     "truncated weight file while reading payload of 't'"),
-    (b"\xfft", (1,), 1, "tensor name is not UTF-8 (byte 0)"),
-    (b"t", (1,), 2, "duplicate tensor 't'"),
+@pytest.mark.parametrize("flags,name,dims,count,message", [
+    # --actions makes policy.weight 8.8 TB: the size is checked against the
+    # file before numpy is asked for it, so this is no MemoryError
+    (["--actions", "4294967295"], b"policy.weight", (4294967295, 512), 1,
+     "truncated weight file while reading payload of 'policy.weight'"),
+    # the product overflows int64, where np.prod would wrap to 0; the dims are
+    # refused against the plan's shape before any size is taken from them
+    ([], b"fc.weight", (65536, 65536, 65536, 65536, 2), 1,
+     "tensor 'fc.weight' has shape (65536, 65536, 65536, 65536, 2), expected (512, 64)"),
+    ([], b"\xfft", (1,), 1, "tensor name is not UTF-8 (byte 0)"),
+    ([], b"value.bias", (1,), 2, "duplicate tensor 'value.bias'"),
 ], ids=["dims-larger-than-file", "dims-overflow-int64", "name-not-utf8", "duplicate-tensor"])
-def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, count, message):
+def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, flags, name, dims, count, message):
     # count copies of one tensor record with a 4-byte payload
     tensor = (struct.pack("<H", len(name)) + name
               + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(4))
@@ -241,7 +248,7 @@ def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, count, me
     path.write_bytes(b"FLSW" + struct.pack("<II", 1, count) + tensor * count)
     out = tmp_path / "run"
     # eval loads the weights before it looks at any recording
-    rc = cli.main(["eval", "--preset", "daqn", "--weights", str(path),
+    rc = cli.main(["eval", "--preset", "daqn", *flags, "--weights", str(path),
                    "--recording", "frames", "fixations.csv", "--out", str(out)])
     assert rc == 2
     assert f"{path}: {message}" in capsys.readouterr().err
@@ -250,15 +257,17 @@ def test_corrupt_weight_header_is_exit_2(tmp_path, capsys, name, dims, count, me
 
 @pytest.mark.parametrize("ndim", [65, 255])
 def test_weight_tensor_with_more_dims_than_numpy_allows_is_exit_2(tmp_path, capsys, ndim):
-    # numpy 2 takes 64 dims and numpy 1.x 32; the u8 field holds up to 255
+    # numpy 2 takes 64 dims and numpy 1.x 32, and the u8 field holds up to
+    # 255; the dims are read and refused against the plan's shape, so no
+    # array of them is ever asked for
     path = tmp_path / "dims.flsw"
-    path.write_bytes(b"FLSW" + struct.pack("<IIH", 1, 1, 1) + b"t"
+    path.write_bytes(b"FLSW" + struct.pack("<IIH", 1, 1, 10) + b"value.bias"
                      + struct.pack(f"<B{ndim}I", ndim, *(1,) * ndim) + bytes(4))
     out = tmp_path / "run"
     rc = cli.main(["eval", "--preset", "daqn", "--weights", str(path),
                    "--recording", "frames", "fixations.csv", "--out", str(out)])
     assert rc == 2
-    assert (f"{path}: payload of 't' has {ndim} dims, more than numpy allows"
+    assert (f"{path}: tensor 'value.bias' has shape {(1,) * ndim}, expected (1,)"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -269,11 +278,33 @@ def test_load_peak_memory_is_near_the_parameters(tmp_path):
 
     path = str(tmp_path / "sparse.flsw")
     weights_io.save_model(path, models.build_model(models.PRESETS["sparse-fls"], 0))
+    plan = models.build_plan(models.PRESETS["sparse-fls"])
     tracemalloc.start()
     try:
-        params = weights_io.load_weights(path)
+        params = weights_io.load_into_model(plan, path).params
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     param_bytes = sum(p.nbytes for p in params.values())
     assert peak < 1.5 * param_bytes, (peak, param_bytes)
+
+
+def test_wrong_dims_are_refused_before_the_payload_is_read(tmp_path):
+    # the file holds a plan tensor with its dims swapped and its whole 2 MiB
+    # payload: it is refused at its dims, and no array of the payload's size
+    # is allocated
+    import tracemalloc
+
+    plan = models.build_plan(models.preset_config("daqn", num_actions=1024))
+    swapped = np.zeros((512, 1024), np.float32)
+    path = str(tmp_path / "swapped.flsw")
+    weights_io.save_weights(path, {"policy.weight": swapped})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=r"tensor 'policy.weight' has shape "
+                                                  r"\(512, 1024\), expected \(1024, 512\)"):
+            weights_io.load_into_model(plan, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < swapped.nbytes // 8, (peak, swapped.nbytes)
