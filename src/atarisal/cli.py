@@ -153,10 +153,8 @@ def cmd_preprocess(args) -> int:
         np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
         for i, bucket in enumerate(P.records_by_observation(records, n_obs)):
-            fix, bucket_rejected = P.fixation_map(bucket, P.retained_indices(i))
-            np.save(out / f"fix_{i:04d}.npy", fix)
-            rejected += bucket_rejected
-        index["rejected_fixations"] = rejected
+            np.save(out / f"fix_{i:04d}.npy", P.fixation_map(bucket, P.retained_indices(i))[0])
+        rejected = index["rejected_fixations"] = P.total_fixation_map(records, n_obs)[1]
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     _write_manifest(out, _manifest_dict(args, command="preprocess"))
     print(f"wrote {n_obs} observations to {out}")
@@ -434,8 +432,15 @@ class EvalSpec:
             raise DataFormatError(f"{source}: manifest needs model.label and model.config")
         _checked({k: v for k, v in entry.items() if k not in ("label", "config")}, {},
                  source, "model.")
-        config = _checked(entry["config"], {f.name: f.type for f in fields(models.ModelConfig)},
-                          source, "model.config.")
+        config = dict(entry["config"])
+        # older manifests hold DAQN's width, now fixed at 256; a run of another
+        # width cannot be rebuilt
+        width = config.pop("daqn_width", 256)
+        if type(width) is not int or width != 256:  # a bool is not a JSON integer
+            raise DataFormatError(f"{source}: model.config.daqn_width must be the integer 256, "
+                                  f"DAQN's one width, got {width!r}")
+        _checked(config, {f.name: f.type for f in fields(models.ModelConfig)},
+                 source, "model.config.")
         recordings = data.pop("recordings", [])
         if not (isinstance(recordings, list) and all(
                 isinstance(r, dict) and sorted(r) == ["fixations", "frames"]
@@ -517,7 +522,7 @@ def _gradcheck_suite(seed: int, epsilon: float):
         checks.append((tag, lambda x, k=kern: T.conv2d(x, k),
                        lambda x, u, k=kern: T.transposed_conv2d(u, k), x, w))
 
-    for kind in ("softplus", "softplus2", "elu", "tanh", "relu"):
+    for kind in (k for k in T.ACTIVATIONS if k != "identity"):
         x = rand((6, 6, 2)) * 2.0
         if kind == "relu":
             x = x + np.where(np.abs(x) < 0.05, 0.5, 0.0)  # keep away from the kink

@@ -1,5 +1,10 @@
 """Catalog of Atari feature extractors with multiplicative attention gates.
 
+The catalog is two tables: BLOCK_LAYERS holds each conv block's layer
+specs, and ATTENTION_LAYERS each attention module's layer specs and output
+reduction. BLOCK_KINDS, ATTENTION_KINDS (the CLI's choices) and ModelConfig's
+softplus2 check all read these tables.
+
 A ModelConfig is compiled into a ModelPlan (layer specs, parameter shapes,
 shape trace, render geometry); parameter counting, weight initialization,
 serialization order, the forward pass and rendering all read that one plan.
@@ -18,8 +23,6 @@ from . import tensor_ops as T
 from .errors import ConfigurationError, EvaluationError
 from .preprocessing import OBS_SIZE as INPUT_SIZE, STACK_DEPTH as INPUT_CHANNELS
 
-BLOCK_KINDS = ("sparse", "dense")
-ATTENTION_KINDS = ("fls", "fls-1x1", "rs", "daqn", "mousavi")
 PLACEMENTS = ("block", "first-conv", "each-conv")
 READOUTS = ("flatten", "sum-pool")
 HEADS = {"fc": "readout", "policy": "fc", "value": "fc"}  # dense layer -> the layer it reads
@@ -45,6 +48,22 @@ BLOCK_LAYERS: dict[str, tuple[ConvSpec, ...]] = {
               ConvSpec(64, 3, 1, 1, "relu")),
 }
 
+# Attention modules: the layer specs of one instance and its output
+# reduction. post = "direct": the last conv's activation already is the
+# 1-channel map. post = "softmax-mean": per-channel spatial softmax, then
+# mean over channels, which keeps the map summing to 1. With softplus2,
+# build_plan swaps a final softplus for softplus2.
+ATTENTION_LAYERS: dict[str, tuple[tuple[ConvSpec, ...], str]] = {
+    "fls": ((ConvSpec(256, 3, 1, 1, "relu"), ConvSpec(1, 3, 1, 1, "softplus")), "direct"),
+    "fls-1x1": ((ConvSpec(256, 1, 1, 0, "relu"), ConvSpec(1, 1, 1, 0, "softplus")), "direct"),
+    "rs": ((ConvSpec(512, 1, 1, 0, "elu"), ConvSpec(2, 1, 1, 0, "identity")), "softmax-mean"),
+    "daqn": ((ConvSpec(256, 1, 1, 0, "tanh"), ConvSpec(1, 1, 1, 0, "identity")), "softmax-mean"),
+    "mousavi": ((ConvSpec(64, 1, 1, 0, "tanh"),), "softmax-mean"),
+}
+
+BLOCK_KINDS = tuple(BLOCK_LAYERS)
+ATTENTION_KINDS = tuple(ATTENTION_LAYERS)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -57,7 +76,6 @@ class ModelConfig:
     softplus2: bool = False
     normalize_output: bool = False
     final_relu: bool = True
-    daqn_width: int = 256
     fc_width: int = 512
     num_actions: int = 4
 
@@ -78,12 +96,12 @@ class ModelConfig:
                     raise ConfigurationError(f"{flag} requires an attention module")
             if not self.final_relu:
                 raise ConfigurationError("final_relu=False requires an attention module")
-        if self.softplus2 and self.attention not in ("fls", "fls-1x1"):
+        if self.softplus2 and ATTENTION_LAYERS[self.attention][0][-1].activation != "softplus":
             raise ConfigurationError("softplus2 only applies to the fls attention variants")
         if self.num_actions < 1:
             raise ConfigurationError(f"num_actions must be >= 1, got {self.num_actions}")
-        if self.fc_width < 1 or self.daqn_width < 1:
-            raise ConfigurationError("fc_width and daqn_width must be >= 1")
+        if self.fc_width < 1:
+            raise ConfigurationError("fc_width must be >= 1")
 
 
 # Preset table; names double as CLI values.
@@ -102,26 +120,6 @@ def preset_config(name: str, **overrides) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return replace(PRESETS[name], **overrides)
-
-
-def _attention_layers(kind: str, daqn_width: int, softplus2: bool):
-    """Layer specs for one attention instance of kind, one of
-    ATTENTION_KINDS (ModelConfig checks it), plus its output reduction.
-
-    post = "direct": the last conv's activation already is the 1-channel map.
-    post = "softmax-mean": per-channel spatial softmax, then mean over
-    channels, which keeps the map summing to 1.
-    """
-    term = "softplus2" if softplus2 else "softplus"
-    if kind == "fls":
-        return (ConvSpec(256, 3, 1, 1, "relu"), ConvSpec(1, 3, 1, 1, term)), "direct"
-    if kind == "fls-1x1":
-        return (ConvSpec(256, 1, 1, 0, "relu"), ConvSpec(1, 1, 1, 0, term)), "direct"
-    if kind == "rs":
-        return (ConvSpec(512, 1, 1, 0, "elu"), ConvSpec(2, 1, 1, 0, "identity")), "softmax-mean"
-    if kind == "daqn":
-        return (ConvSpec(daqn_width, 1, 1, 0, "tanh"), ConvSpec(1, 1, 1, 0, "identity")), "softmax-mean"
-    return (ConvSpec(64, 1, 1, 0, "tanh"),), "softmax-mean"  # mousavi
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,9 @@ def build_plan(config: ModelConfig) -> ModelPlan:
     attentions = []
     for tag, after, prefix in placements:
         _, (h, w, c) = trace[after]  # trace[i] is block layer i's output
-        layer_specs, post = _attention_layers(config.attention, config.daqn_width,
-                                              config.softplus2)
+        layer_specs, post = ATTENTION_LAYERS[config.attention]
+        if config.softplus2:  # ModelConfig allows it only where the last layer is softplus
+            layer_specs = layer_specs[:-1] + (replace(layer_specs[-1], activation="softplus2"),)
         layers = []
         in_c = c
         for j, spec in enumerate(layer_specs, start=1):
@@ -354,10 +353,3 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
             params[name] = np.zeros(shape, dtype=np.float32)
     return Model(plan, params)
 
-
-def zero_model(config: ModelConfig) -> Model:
-    """All parameters zero; mainly for the constant-attention checks."""
-    plan = build_plan(config)
-    params = {name: np.zeros(shape, dtype=np.float32)
-              for name, shape in param_shapes(plan).items()}
-    return Model(plan, params)

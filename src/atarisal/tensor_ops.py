@@ -5,6 +5,11 @@ float64 and casts the result back to the input's dtype, so integer-valued
 fixtures stay exact and float64 inputs (used by the gradient checker) keep
 full precision. All functions are pure and safe to call concurrently.
 
+ACTIVATIONS is the one table of activation kinds, each its function and
+its derivative: conv2d and apply_activation read the first,
+activation_input_grad the second, and `gradcheck` checks each kind but
+identity, in table order.
+
 conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
@@ -181,7 +186,7 @@ def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -
     h, w, c = x.shape
     cout, cin, kh, kw = kernel.weights.shape
     _require(c == cin, f"input has {c} channels, kernel expects {cin}")
-    act = None if activation == "identity" else _activation(activation)
+    act = None if activation == "identity" else _activation(activation)[0]
     s, p = kernel.stride, kernel.padding
     ho = conv_output_size(h, kh, s, p)
     wo = conv_output_size(w, kw, s, p)
@@ -297,27 +302,6 @@ def softplus2(x):
                     np.where(x < -SOFTPLUS_CUTOFF, np.exp2(np.minimum(x, 0.0)) / _LN2, mid))
 
 
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "relu": relu,
-    "elu": elu,
-    "tanh": np.tanh,
-    "softplus": softplus,
-    "softplus2": softplus2,
-    "identity": lambda x: x,
-}
-
-
-def _activation(kind: str) -> Callable[[np.ndarray], np.ndarray]:
-    _require(kind in ACTIVATIONS, f"unknown activation {kind!r}")
-    return ACTIVATIONS[kind]
-
-
-def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
-    act = _activation(kind)
-    x = np.asarray(x)
-    return np.asarray(act(x), dtype=x.dtype)
-
-
 def _sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
@@ -326,14 +310,29 @@ def _sigmoid(x):
     return np.where(x >= 0, pos, neg)
 
 
-ACTIVATION_GRADS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "relu": lambda x: (np.asarray(x) > 0).astype(np.float64),
-    "elu": lambda x: np.where(np.asarray(x) > 0, 1.0, np.exp(np.minimum(np.asarray(x, np.float64), 0.0))),
-    "tanh": lambda x: 1.0 - np.tanh(np.asarray(x, np.float64)) ** 2,
-    "softplus": _sigmoid,
-    "softplus2": lambda x: _sigmoid(np.asarray(x, np.float64) * _LN2),
-    "identity": lambda x: np.ones_like(np.asarray(x, np.float64)),
+Elementwise = Callable[[np.ndarray], np.ndarray]
+
+# kind -> (function, float64 derivative)
+ACTIVATIONS: dict[str, tuple[Elementwise, Elementwise]] = {
+    "softplus": (softplus, _sigmoid),
+    "softplus2": (softplus2, lambda x: _sigmoid(np.asarray(x, np.float64) * _LN2)),
+    "elu": (elu, lambda x: np.where(np.asarray(x) > 0, 1.0,
+                                    np.exp(np.minimum(np.asarray(x, np.float64), 0.0)))),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(np.asarray(x, np.float64)) ** 2),
+    "relu": (relu, lambda x: (np.asarray(x) > 0).astype(np.float64)),
+    "identity": (lambda x: x, lambda x: np.ones_like(np.asarray(x, np.float64))),
 }
+
+
+def _activation(kind: str) -> tuple[Elementwise, Elementwise]:
+    _require(kind in ACTIVATIONS, f"unknown activation {kind!r}")
+    return ACTIVATIONS[kind]
+
+
+def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
+    act, _ = _activation(kind)
+    x = np.asarray(x)
+    return np.asarray(act(x), dtype=x.dtype)
 
 
 # -- softmax and pooling -------------------------------------------------------
@@ -377,8 +376,8 @@ def l2_normalize_locations(x: np.ndarray) -> np.ndarray:
 # -- analytic input gradients (verification only, no training graph) ----------
 
 def activation_input_grad(x: np.ndarray, kind: str, upstream: np.ndarray) -> np.ndarray:
-    _require(kind in ACTIVATION_GRADS, f"unknown activation {kind!r}")
-    return ACTIVATION_GRADS[kind](x) * np.asarray(upstream, dtype=np.float64)
+    _, derivative = _activation(kind)
+    return derivative(x) * np.asarray(upstream, dtype=np.float64)
 
 
 def spatial_softmax_input_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:

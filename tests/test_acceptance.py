@@ -44,7 +44,9 @@ def test_criterion_2_base2_softplus_identity():
 
 
 def test_criterion_3_zero_weight_attention_is_ln2():
-    model = models.zero_model(models.preset_config("sparse-fls"))
+    model = models.build_model(models.preset_config("sparse-fls"), 0)
+    for value in model.params.values():
+        value.fill(0)
     obs = np.random.default_rng(0).random((84, 84, 4)).astype(np.float32)
     (tag, amap), = model.forward(obs)
     assert tag == "block"

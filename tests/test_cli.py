@@ -95,10 +95,15 @@ def test_gradcheck_negative_seed_is_exit_1(capsys):
 
 
 def test_gradcheck_passes_at_default_epsilon(capsys):
+    # every activation kind but identity is checked, in tensor_ops.ACTIVATIONS order
     rc, out, _ = run(capsys, "gradcheck")
     assert rc == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    *lines, last = out.splitlines()
+    assert [line.split(" max_rel_err=")[0].rstrip() for line in lines] == [
+        "conv2d s1 p1", "conv2d s2 p0", "softplus", "softplus2", "elu", "tanh", "relu",
+        "spatial_softmax 1ch", "spatial_softmax 3ch", "l2_normalize_locations"]
+    assert all(line.endswith("  PASS") for line in lines)
+    assert last == "all 10 checks passed (threshold 0.0001)"
 
 
 def test_gradcheck_fails_at_coarse_epsilon(capsys):
@@ -161,8 +166,8 @@ def test_preprocess_writes_a_manifest(tmp_path, capsys):
 
 def test_preprocess_reports_out_of_bounds_fixations(tmp_path, capsys):
     frames_dir, csv_path = write_recording(tmp_path, 32, seed=4)
-    with open(csv_path, "a") as f:
-        f.write("2,500,10\n2,10,300\n")
+    with open(csv_path, "a") as f:  # and two on frames no observation retains: not counted
+        f.write("2,500,10\n2,10,300\n0,500,10\n99999,500,10\n")
     out = tmp_path / "proc"
     rc, stdout, _ = run(capsys, "preprocess", "--frames", str(frames_dir),
                         "--fixations", str(csv_path), "--out", str(out))
@@ -1197,11 +1202,11 @@ def test_eval_manifest_unknown_config_key_is_exit_2(tmp_path, capsys, recording_
     assert not out2.exists()
 
 
-def edited_manifest(tmp_path, capsys, recording, edit):
-    """A manifest of a real sparse-fls eval run on recording, changed by edit(dict)."""
+def edited_manifest(tmp_path, capsys, recording, edit, preset="sparse-fls"):
+    """A manifest of a real eval run of preset on recording, changed by edit(dict)."""
     frames_dir, csv_path = recording
     out = tmp_path / "run1"
-    assert run(capsys, "eval", "--preset", "sparse-fls",
+    assert run(capsys, "eval", "--preset", preset,
                "--recording", str(frames_dir), str(csv_path), "--out", str(out))[0] == 0
     manifest = json.loads((out / "manifest.json").read_text())
     edit(manifest)
@@ -1216,6 +1221,9 @@ def edited_manifest(tmp_path, capsys, recording, edit):
     # a bool or a float equal to 1 is not the integer schema version
     ("schema_version", 2), ("schema_version", True), ("schema_version", 1.0),
     ("model", {"config": {}}), ("model.extra", 1),
+    # the one width DAQN has is the JSON integer 256
+    ("model.config.daqn_width", 128), ("model.config.daqn_width", True),
+    ("model.config.daqn_width", "256"), ("model.config.daqn_width", 256.0),
 ])
 def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, value):
     def edit(manifest):
@@ -1293,6 +1301,16 @@ def test_eval_manifest_with_workers_key_reruns_byte_for_byte(tmp_path, capsys, r
     # older schema-1 manifests carry a thread count; it is read and dropped
     edited = edited_manifest(tmp_path, capsys, recording_32,
                              lambda manifest: manifest.update(workers=3))
+    out2 = tmp_path / "run2"
+    assert run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))[0] == 0
+    assert read_outputs(tmp_path / "run1") == read_outputs(out2)
+
+
+def test_eval_manifest_with_daqn_width_256_reruns_byte_for_byte(tmp_path, capsys, recording_32):
+    # older manifests hold DAQN's width, the 256 it is fixed at; it is read and dropped
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest["model"]["config"].update(daqn_width=256),
+                             preset="daqn")
     out2 = tmp_path / "run2"
     assert run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))[0] == 0
     assert read_outputs(tmp_path / "run1") == read_outputs(out2)

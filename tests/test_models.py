@@ -103,13 +103,17 @@ def test_normalize_output_sums_to_one():
 
 
 def test_zero_weight_fls_outputs_ln2():
-    model = models.zero_model(models.preset_config("sparse-fls"))
+    model = models.build_model(models.preset_config("sparse-fls"), 0)
+    for value in model.params.values():
+        value.fill(0)
     _, amap = model.forward(OBS)[0]
     assert np.abs(amap - math.log(2.0)).max() < 1e-7
 
 
 def test_zero_weight_softplus2_fls_outputs_one():
-    model = models.zero_model(models.preset_config("sparse-fls", softplus2=True))
+    model = models.build_model(models.preset_config("sparse-fls", softplus2=True), 0)
+    for value in model.params.values():
+        value.fill(0)
     _, amap = model.forward(OBS)[0]
     assert np.abs(amap - 1.0).max() < 1e-7
 
@@ -178,8 +182,16 @@ def test_zero_actions_rejected():
 
 
 def test_softplus2_requires_fls():
-    with pytest.raises(ConfigurationError):
-        models.preset_config("daqn", softplus2=True)
+    # softplus2 swaps the last layer's softplus, which only the fls kinds end in
+    for kind in models.ATTENTION_KINDS:
+        if kind in ("fls", "fls-1x1"):
+            config = models.ModelConfig(attention=kind, softplus2=True)
+            (ap,) = models.build_plan(config).attentions
+            assert [lp.spec.activation for lp in ap.layers] == ["relu", "softplus2"]
+        else:
+            with pytest.raises(ConfigurationError) as e:
+                models.ModelConfig(attention=kind, softplus2=True)
+            assert str(e.value) == "softplus2 only applies to the fls attention variants"
 
 
 def test_unknown_preset():

@@ -133,8 +133,10 @@ def summary_means(out: Path) -> dict[str, float]:
 def hand_set_dense_fls(tap_shift: int) -> models.Model:
     """dense-fls whose attention map is softplus(ATTENTION_GAIN * v), v the
     newest channel tap_shift px right of each pixel."""
-    model = models.zero_model(models.PRESETS["dense-fls"])
+    model = models.build_model(models.PRESETS["dense-fls"], 0)
     p = model.params
+    for value in p.values():
+        value.fill(0)
     p["block.conv1.weight"][0, 3, 3, 3 + tap_shift] = 1.0
     p["block.conv2.weight"][0, 0, 2, 2] = 1.0
     p["block.conv3.weight"][0, 0, 1, 1] = 1.0
@@ -147,8 +149,10 @@ def hand_set_sparse_fls(tap_shift: int) -> models.Model:
     """sparse-fls whose attention map is softplus(SPARSE_GAIN (v -
     SPARSE_THRESHOLD)), v the newest channel's weighted mean over the 36x36
     receptive field of the cell tap_shift columns right of each cell."""
-    model = models.zero_model(models.PRESETS["sparse-fls"])
+    model = models.build_model(models.PRESETS["sparse-fls"], 0)
     p = model.params
+    for value in p.values():
+        value.fill(0)
     p["block.conv1.weight"][0, 3] = 1 / 64
     p["block.conv2.weight"][0, 0] = 1 / 16
     p["block.conv3.weight"][0, 0] = 1 / 9
