@@ -89,12 +89,12 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"--seed must be >= 0, got {seed}")
 
 
-def load_model(cfg: models.ModelConfig, weights: str, seed: int) -> models.Model:
-    """The weights file's model, or else a fresh one initialized from seed;
-    seed is checked either way but draws nothing when weights is given. A
+def load_model(cfg: models.ModelConfig, weights: Optional[str], seed: int) -> models.Model:
+    """The weights file's model when weights is not None, an empty path too,
+    or else a fresh one drawn from seed, which is checked either way. A
     fresh model too large to allocate is an error naming its size."""
     _check_seed(seed)
-    if weights:
+    if weights is not None:
         return W.load_into_model(models.build_plan(cfg), weights)
     try:
         return models.build_model(cfg, seed)
@@ -130,30 +130,22 @@ def _checked_frames(path: str) -> tuple[P.FrameFiles, int]:
     return frames, n_obs
 
 
-def _observations(frames: P.FrameFiles, n_obs: int):
-    """Observations 0..n_obs-1 of frames, each built from its own 16 frames
-    when it is asked for, so only one stack exists at a time."""
-    for i in range(n_obs):
-        yield P.build_observations(frames[i * P.RAW_PER_OBSERVATION:
-                                          (i + 1) * P.RAW_PER_OBSERVATION])[0]
-
-
 # -- preprocess -------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
     frames, n_obs = _checked_frames(args.frames)
-    records = P.load_fixations_csv(args.fixations) if args.fixations else None
+    records = P.load_fixations_csv(args.fixations) if args.fixations is not None else None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rejected = 0
     index = {"schema_version": SCHEMA_VERSION, "observations": n_obs,
              "retained_indices": [list(P.retained_indices(i)) for i in range(n_obs)]}
-    for i, obs in enumerate(_observations(frames, n_obs)):
+    for i, obs in enumerate(P.observations(frames)):
         np.save(out / f"obs_{i:04d}.npy", obs)
     if records is not None:
-        for i, bucket in enumerate(P.records_by_observation(records, n_obs)):
-            np.save(out / f"fix_{i:04d}.npy", P.fixation_map(bucket, P.retained_indices(i))[0])
+        for i, fix in enumerate(P.fixation_maps(records, n_obs)):
+            np.save(out / f"fix_{i:04d}.npy", fix)
         rejected = index["rejected_fixations"] = P.total_fixation_map(records, n_obs)[1]
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     _write_manifest(out, _manifest_dict(args, command="preprocess"))
@@ -165,13 +157,13 @@ def cmd_preprocess(args) -> int:
 
 # -- saliency rendering -------------------------------------------------------------
 
-def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles, n_obs: int):
+def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles):
     """The rendered 84x84 saliency map of each observation of frames, made
     when it is asked for. Forward and render run with numpy's floating-point
     warnings off, and each map is checked once: one that is not finite, as
     weights that overflow float32 make, is an error naming the frames and
     the observation, never a NaN score or a warning."""
-    for i, obs in enumerate(_observations(frames, n_obs)):
+    for i, obs in enumerate(P.observations(frames)):
         with np.errstate(all="ignore"):
             sal = S.render_multi(model.forward(obs), model.plan)
         if not np.isfinite(sal).all():
@@ -197,7 +189,7 @@ def cmd_saliency(args) -> int:
     frames, n_obs = _checked_frames(args.frames)
 
     out = Path(args.out)
-    sal_maps = _saliency_maps(model, args.frames, frames, n_obs)
+    sal_maps = _saliency_maps(model, args.frames, frames)
     for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
                      args.pgm):
         pass
@@ -253,17 +245,13 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     `metrics.shuffled_auc` drops from any pool.
 
     sAUC needs the pooled total before any frame is scored, so a first pass
-    takes each recording's total map and counts from one bincount, which
-    needs only the observation counts, and the scoring pass buckets one
-    recording's records at a time and maps each observation as it scores it:
-    no bucket or map outlives its frame's scores."""
+    takes each recording's total map and counts from one bincount, and the
+    scoring pass takes each observation's map from `fixation_maps` as it
+    scores it: no bucket or map outlives its frame's scores."""
     log_lines, totals = [], []
     for ri, (n_obs, _, records) in enumerate(recordings):
-        total, rejected = P.total_fixation_map(records, n_obs)
+        total, rejected, discarded = P.total_fixation_map(records, n_obs)
         totals.append(total)
-        # a record is counted in a map, rejected as out of bounds, or on a
-        # raw frame no scored observation retains
-        discarded = len(records) - int(total.sum()) - rejected
         log_lines.append(f"rec{ri}: {n_obs} observations, "
                          f"{rejected} out-of-bounds fixation records skipped")
         log_lines.append(f"rec{ri}: {discarded} fixation records on discarded raw frames skipped")
@@ -273,11 +261,9 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     per_rec_scores = []
     for ri, ((n_obs, sal_maps, records), total) in enumerate(zip(recordings, totals)):
         scores = []
-        buckets = P.records_by_observation(records, n_obs)
-        for i, (sal, bucket) in enumerate(zip(sal_maps, buckets)):
+        for i, (sal, fix) in enumerate(zip(sal_maps, P.fixation_maps(records, n_obs))):
             if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
                 sal = S.upscale_to_frame(sal)
-            fix, _ = P.fixation_map(bucket, P.retained_indices(i))
             scores.append(M.score_frame(i, sal, fix, [total], sigma))
         per_rec_scores.append(scores)
         out.mkdir(parents=True, exist_ok=True)
@@ -433,12 +419,13 @@ class EvalSpec:
         _checked({k: v for k, v in entry.items() if k not in ("label", "config")}, {},
                  source, "model.")
         config = dict(entry["config"])
-        # older manifests hold DAQN's width, now fixed at 256; a run of another
-        # width cannot be rebuilt
-        width = config.pop("daqn_width", 256)
-        if type(width) is not int or width != 256:  # a bool is not a JSON integer
-            raise DataFormatError(f"{source}: model.config.daqn_width must be the integer 256, "
-                                  f"DAQN's one width, got {width!r}")
+        # older manifests hold widths now fixed, DAQN's at 256 and the fc's at
+        # 512; a run of another width cannot be rebuilt
+        for key, fixed in (("daqn_width", 256), ("fc_width", models.ModelConfig.fc_width)):
+            width = config.pop(key, fixed)
+            if type(width) is not int or width != fixed:  # a bool is not a JSON integer
+                raise DataFormatError(f"{source}: model.config.{key} must be the integer "
+                                      f"{fixed}, its one width, got {width!r}")
         _checked(config, {f.name: f.type for f in fields(models.ModelConfig)},
                  source, "model.config.")
         recordings = data.pop("recordings", [])
@@ -494,7 +481,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     recordings = []
     for ri, (frames_path, frames, n_obs, records) in enumerate(checked):
-        sal_maps = _saliency_maps(model, frames_path, frames, n_obs)
+        sal_maps = _saliency_maps(model, frames_path, frames)
         if spec.save_saliency:
             sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
         recordings.append((n_obs, sal_maps, records))

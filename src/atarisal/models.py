@@ -15,7 +15,7 @@ weight file.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class ModelConfig:
     softplus2: bool = False
     normalize_output: bool = False
     final_relu: bool = True
-    fc_width: int = 512
     num_actions: int = 4
+    fc_width: ClassVar[int] = 512  # every preset's; not a field, so no config sets it
 
     def __post_init__(self):
         if self.block not in BLOCK_KINDS:
@@ -100,8 +100,6 @@ class ModelConfig:
             raise ConfigurationError("softplus2 only applies to the fls attention variants")
         if self.num_actions < 1:
             raise ConfigurationError(f"num_actions must be >= 1, got {self.num_actions}")
-        if self.fc_width < 1:
-            raise ConfigurationError("fc_width must be >= 1")
 
 
 # Preset table; names double as CLI values.

@@ -11,17 +11,19 @@ only `retained_indices(i)` of each whole observation i (offsets 2-3 of each
 group of 4), so the discarded half and an incomplete tail are validated but
 never decoded. It returns the observations as plain 84x84x4 float32 arrays;
 building observation i from the 16-frame window `frames[16 * i:16 * (i + 1)]`
-gives the same array.
+gives the same array, and `observations` yields them so, one at a time.
 
 Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
 from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
 rows (frame_index, x, y): numpy's C reader parses the body from the open
 file, so no copy of the text is held, and for any syntax it refuses the file
-goes back to the body's start for the csv row loop. Bucketing rows by
-observation is one stable argsort, each bucket gathered when reached. Each
-count map is one np.bincount over a row mask; `total_fixation_map` reads its
-mask from the 16-frame retention window, so a scorer needs no map held per
-observation and no copy of the rows.
+goes back to the body's start for the csv row loop. `fixation_maps` yields
+each observation's count map, bucketing the rows by observation with one
+stable argsort and gathering each bucket when its map is made. Each count
+map is one np.bincount over a row mask; `total_fixation_map` reads its mask
+from the 16-frame retention window, so a scorer needs no map held per
+observation and no copy of the rows, and counts each row once: mapped,
+rejected as out of bounds, or discarded on a raw frame no observation keeps.
 """
 
 import csv
@@ -30,7 +32,7 @@ import os
 import warnings
 from collections.abc import Sequence
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -87,6 +89,13 @@ def retained_indices(observation_index: int) -> tuple[int, ...]:
                  for g in range(STACK_DEPTH) for o in RETAIN_OFFSETS)
 
 
+def observations(frames: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each whole observation of frames in turn, built by build_observations
+    from its own 16 frames when asked for: one stack exists at a time."""
+    for i in range(len(frames) // RAW_PER_OBSERVATION):
+        yield build_observations(frames[i * RAW_PER_OBSERVATION:(i + 1) * RAW_PER_OBSERVATION])[0]
+
+
 def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One 84x84x4 float32 observation in [0, 1] per whole 16 raw frames;
     an incomplete tail is never indexed. Observation i indexes exactly raw
@@ -122,27 +131,32 @@ def fixation_map(rows: np.ndarray, retained: Iterable[int]) -> tuple[np.ndarray,
     return _retained_map(rows, np.isin(rows[:, 0], np.fromiter(retained, dtype=np.int64)))
 
 
-def total_fixation_map(rows: np.ndarray, n_observations: int) -> tuple[np.ndarray, int]:
+def total_fixation_map(rows: np.ndarray, n_observations: int) -> tuple[np.ndarray, int, int]:
     """The sum over observations 0..n_observations-1 of fixation_map(rows,
-    retained_indices(i)), map and reject count, from one np.bincount. As
-    retained_indices(i) is retained_indices(0) shifted by 16 i, a row counts
-    when its frame lies in [0, 16 n_observations) and a 16-entry window read
-    at frame % 16 is true there. Counts are integers, so the sum is exact."""
+    retained_indices(i)), map and reject count, from one np.bincount, and the
+    count of the other rows, discarded on raw frames no such observation
+    retains. As retained_indices(i) is retained_indices(0) shifted by 16 i, a
+    row counts when its frame lies in [0, 16 n_observations) and a 16-entry
+    window read at frame % 16 is true there. Counts are integers, so the sum
+    is exact."""
     window = np.isin(np.arange(RAW_PER_OBSERVATION), retained_indices(0))
     frame = rows[:, 0]
     kept = (0 <= frame) & (frame < n_observations * RAW_PER_OBSERVATION)
-    return _retained_map(rows, kept & window[frame % RAW_PER_OBSERVATION])
+    total, rejected = _retained_map(rows, kept & window[frame % RAW_PER_OBSERVATION])
+    return total, rejected, len(rows) - int(total.sum()) - rejected
 
 
-def records_by_observation(rows: np.ndarray, n_observations: int) -> Iterable[np.ndarray]:
-    """Bucket i, yielded in turn, holds in input order the rows on the 16 raw
-    frames observation i consumes: one stable argsort by observation index,
-    cut at 0..n_observations and gathered a bucket at a time. A row whose
-    observation index is outside [0, n_observations) goes to no bucket."""
+def fixation_maps(rows: np.ndarray, n_observations: int) -> Iterator[np.ndarray]:
+    """fixation_map(rows, retained_indices(i))[0] for i in 0..n_observations-1
+    in turn, offered only the rows on observation i's 16 raw frames: one
+    stable argsort by observation index, made on the call and cut at
+    0..n_observations, each bucket gathered when its map is asked for. Other
+    rows go to no map."""
     obs = rows[:, 0] // RAW_PER_OBSERVATION
     order = np.argsort(obs, kind="stable")
     cuts = np.searchsorted(obs, np.arange(n_observations + 1), sorter=order)
-    return (rows.take(order[a:b], axis=0) for a, b in zip(cuts[:-1], cuts[1:]))
+    return (fixation_map(rows.take(order[a:b], axis=0), retained_indices(i))[0]
+            for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])))
 
 
 # -- fixation CSV --------------------------------------------------------------
@@ -232,9 +246,9 @@ class FrameFiles(Sequence):
     seek+read, not a memory map: every page of a map that gets touched
     counts toward RSS for as long as the map exists. frames[a:b] is a
     FrameFiles over the slice of the locations and reads nothing until it is
-    indexed, so `build_observations(frames[16 * i:16 * (i + 1)])` decodes
-    observation i's retained frames alone. A file cut short after its check
-    fails when its frame is read, with the truncation error."""
+    indexed, so `observations` decodes observation i's retained frames
+    alone. A file cut short after its check fails when its frame is read,
+    with the truncation error."""
 
     def __init__(self, locations: list[tuple[str, int]], kind: str):
         self._locations = locations

@@ -539,9 +539,10 @@ def test_score_holds_less_than_the_gaze_rows_it_scores(tmp_path, capsys):
     maps = [rng.random((models.INPUT_SIZE, models.INPUT_SIZE)) for _ in range(n_obs)]
     tracemalloc.start()
     try:
-        buckets = P.records_by_observation(rows, n_obs)
+        fix_maps = P.fixation_maps(rows, n_obs)
+        next(fix_maps)  # after the argsort and its cuts, one map has been made
         after_bucketing = tracemalloc.get_traced_memory()[0]
-        del buckets
+        del fix_maps
         tracemalloc.reset_peak()
         cli._score(tmp_path / "scores", [(n_obs, maps, rows)], "m", "g", "recording",
                    M.DEFAULT_SIGMA)
@@ -1224,6 +1225,9 @@ def edited_manifest(tmp_path, capsys, recording, edit, preset="sparse-fls"):
     # the one width DAQN has is the JSON integer 256
     ("model.config.daqn_width", 128), ("model.config.daqn_width", True),
     ("model.config.daqn_width", "256"), ("model.config.daqn_width", 256.0),
+    # and the fc's is the JSON integer 512
+    ("fc_width", 0), ("model.config.fc_width", 1024), ("model.config.fc_width", True),
+    ("model.config.fc_width", "512"), ("model.config.fc_width", 512.0),
 ])
 def test_eval_manifest_bad_value_is_exit_2(tmp_path, capsys, recording_32, key, value):
     def edit(manifest):
@@ -1255,7 +1259,7 @@ def test_eval_manifest_that_is_not_an_object_is_exit_2(tmp_path, capsys, manifes
 # a model.config that ModelConfig refuses is exit 1, as the same config from flags is
 @pytest.mark.parametrize("config,named", [
     ({"attention": "bogus"}, "attention"), ({"placement": "bogus"}, "placement"),
-    ({"readout": "bogus"}, "readout"), ({"fc_width": 0}, "fc_width"),
+    ({"readout": "bogus"}, "readout"), ({"num_actions": 0}, "num_actions"),
     ({"attention": None, "softplus2": True}, "softplus2"),
     ({"attention": None, "normalize_output": True}, "normalize_output"),
     ({"attention": None, "final_relu": False}, "final_relu"),
@@ -1316,6 +1320,38 @@ def test_eval_manifest_with_daqn_width_256_reruns_byte_for_byte(tmp_path, capsys
     assert read_outputs(tmp_path / "run1") == read_outputs(out2)
 
 
+def test_eval_manifest_with_fc_width_512_reruns_byte_for_byte(tmp_path, capsys, recording_32):
+    # older manifests hold the fc's width, the 512 it is fixed at, which no
+    # manifest writes now; it is read and dropped
+    edited = edited_manifest(tmp_path, capsys, recording_32,
+                             lambda manifest: manifest["model"]["config"].update(fc_width=512))
+    written = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    assert "fc_width" not in written["model"]["config"]
+    out2 = tmp_path / "run2"
+    assert run(capsys, "eval", "--manifest", str(edited), "--out", str(out2))[0] == 0
+    assert read_outputs(tmp_path / "run1") == read_outputs(out2)
+
+
+# an empty path names a file as any other path does: exit 2 naming it before
+# --out exists, never a run without that input
+@pytest.mark.parametrize("case", ["eval", "saliency", "manifest", "preprocess"])
+def test_empty_path_is_exit_2(tmp_path, capsys, recording_32, case):
+    frames_dir, csv_path = recording_32
+    if case == "manifest":
+        argv = ["eval", "--manifest", str(edited_manifest(
+            tmp_path, capsys, recording_32, lambda manifest: manifest.update(weights="")))]
+    else:
+        argv = {"eval": ["eval", "--preset", "sparse-fls", "--weights", "",
+                         "--recording", str(frames_dir), str(csv_path)],
+                "saliency": ["saliency", "--preset", "sparse-fls", "--weights", "",
+                             "--frames", str(frames_dir)],
+                "preprocess": ["preprocess", "--frames", str(frames_dir),
+                               "--fixations", ""]}[case]
+    out = tmp_path / "run2"
+    rc, _, err = run(capsys, *argv, "--out", str(out))
+    assert rc == 2 and "No such file or directory: ''" in err and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
     frames_dir, csv_path = recording_32
@@ -1329,7 +1365,7 @@ def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
     assert not out.exists()
 
 
-# 10**12 actions or fc units make a float64 weight draw of 3.64 or 22.3 PiB,
+# 10**12 actions make a float64 weight draw of 3.64 PiB,
 # past the 128 TiB x86-64 user address space, so it fails at once under any
 # overcommit policy and allocates nothing; 10**19 rows are past numpy's
 # largest dimension. At 2**54 actions the policy weight alone holds
@@ -1359,10 +1395,10 @@ def test_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32, c
 
 def test_manifest_model_too_large_to_allocate_is_exit_1(tmp_path, capsys, recording_32):
     edited = edited_manifest(tmp_path, capsys, recording_32,
-                             lambda manifest: manifest["model"]["config"].update(fc_width=HUGE))
+                             lambda manifest: manifest["model"]["config"].update(num_actions=HUGE))
     out = tmp_path / "run2"
     rc, _, err = run(capsys, "eval", "--manifest", str(edited), "--out", str(out))
-    n_params = models.count_params(models.preset_config("sparse-fls", fc_width=HUGE))
+    n_params = models.count_params(models.preset_config("sparse-fls", num_actions=HUGE))
     assert rc == 1 and f"{n_params:,} parameters" in err and not out.exists()
 
 

@@ -321,6 +321,90 @@ def test_sauc_pool_of_the_total_equals_the_total_less_the_frame(data):
     assert M._sauc(sal, fix, [total]) == M._sauc(sal, fix, [total - fix])
 
 
+# -- invariances, through score_frame -------------------------------------------------
+# The ones the literature gives each metric (Bylinskii et al., arXiv:1604.03605).
+# KL is left out of the transform tests: it adds EPSILON to every cell before
+# normalizing, so even scaling a map moves it.
+
+FLOAT_EPS = float(np.finfo(np.float64).eps)
+INVARIANCE = settings(max_examples=100, deadline=None, derandomize=True)
+FRAMES = dict(seed=st.integers(0, 2**32 - 1),
+              shape=st.sampled_from([(7, 5), (21, 16), (210, 160)]),
+              levels=st.sampled_from([0, 4, 64]))  # 0: no ties made; else that many values
+
+
+def scored_frame(seed, shape, levels):
+    """A non-negative map (ties made by rounding to levels), a count map that
+    fixates about a fifth of the pixels, and a pool map that holds them."""
+    rng = np.random.default_rng(seed)
+    sal = rng.random(shape)
+    if levels:
+        sal = np.round(sal * levels) / levels
+    fix = rng.integers(0, 3, shape) * (rng.random(shape) > 0.8)
+    pool = fix + rng.integers(0, 2, shape) * (rng.random(shape) > 0.5)
+    return sal, fix, pool
+
+
+STRICTLY_INCREASING = {"exp": np.exp, "cube": lambda x: x ** 3, "sqrt": np.sqrt,
+                       "affine": lambda x: 1e3 * x + 7.0}
+
+
+@given(**FRAMES, transform=st.sampled_from(sorted(STRICTLY_INCREASING)))
+@INVARIANCE
+def test_sauc_is_unchanged_by_a_strictly_increasing_transform(seed, shape, levels, transform):
+    sal, fix, pool = scored_frame(seed, shape, levels)
+    moved = STRICTLY_INCREASING[transform](sal)
+    # sAUC reads only the map's order, so the transform must keep it in
+    # float64: strictly increasing between distinct values, equal at ties
+    ordered = np.sort(sal, axis=None)
+    steps, moved_steps = np.diff(ordered), np.diff(STRICTLY_INCREASING[transform](ordered))
+    assert np.array_equal(steps > 0, moved_steps > 0) and (moved_steps >= 0).all()
+    assert M.score_frame(0, moved, fix, [pool]).sauc == M.score_frame(0, sal, fix, [pool]).sauc
+
+
+@given(**FRAMES, scale=st.floats(0.1, 100.0), shift=st.floats(0.0, 100.0))
+@INVARIANCE
+def test_nss_is_unchanged_by_a_positive_affine_map(seed, shape, levels, scale, shift):
+    sal, fix, pool = scored_frame(seed, shape, levels)
+    base = M.score_frame(0, sal, fix, [pool]).nss
+    moved = M.score_frame(0, scale * sal + shift, fix, [pool]).nss
+    if base is None:
+        assert moved is None
+        return
+    # scale * sal + shift rounds each cell by up to an ulp of shift + scale,
+    # against a spread of scale * std(sal): 16 such units, where 1.6 was the
+    # most seen over 1,500 random frames
+    unit = FLOAT_EPS * (shift + scale * sal.max()) / (scale * sal.std())
+    assert abs(moved - base) <= 16 * unit * max(1.0, abs(base))
+
+
+def test_kl_is_not_scale_invariant():
+    # the EPSILON added before normalizing weighs more against a smaller map
+    sal, fix = np.array([[0.0, 1.0]]), np.array([[1, 1]])
+    assert M.kl_divergence(1e-6 * sal, fix, 0.0) != M.kl_divergence(sal, fix, 0.0)
+
+
+@given(**FRAMES, sigma=st.sampled_from([0.0, 1.5, 5.0]))
+@INVARIANCE
+def test_mirroring_a_frame_mirrors_its_scores(seed, shape, levels, sigma):
+    sal, fix, pool = scored_frame(seed, shape, levels)
+    # the blur's taps and its reflect padding are symmetric, and a + b == b + a
+    # in float64, so its output mirrors exactly
+    blurred = M.gaussian_blur(fix, sigma)
+    assert np.array_equal(M.gaussian_blur(fix[:, ::-1], sigma), blurred[:, ::-1])
+    base = M.score_frame(0, sal, fix, [pool], sigma)
+    mirrored = M.score_frame(0, sal[:, ::-1], fix[:, ::-1], [pool[:, ::-1]], sigma)
+    # sAUC counts pairs, which no order changes; NSS and KL sum in another
+    # order, so they agree to rounding: at most 7.8e-16 and 1.8e-15 were seen
+    # over 600 random frames
+    assert mirrored.sauc == base.sauc and mirrored.reasons == base.reasons
+    for name in ("nss", "kl"):
+        got, want = getattr(mirrored, name), getattr(base, name)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 64 * FLOAT_EPS * max(1.0, abs(want)), name
+
+
 # -- score_frame / aggregate --------------------------------------------------------
 
 def test_score_frame_depends_only_on_the_map_values():

@@ -89,10 +89,14 @@ def test_32_frames_two_observations():
     assert all(o.shape == (84, 84, 4) and o.dtype == np.float32 for o in obs)
     assert P.retained_indices(0) == (2, 3, 6, 7, 10, 11, 14, 15)
     assert P.retained_indices(1) == (18, 19, 22, 23, 26, 27, 30, 31)
-    # observation i consumes raw frames 16i..16i+15
-    rows = np.array([(f, 0, 0) for f in range(32)], dtype=np.int64)
-    buckets = P.records_by_observation(rows, 2)
-    assert [b[:, 0].tolist() for b in buckets] == [list(range(16)), list(range(16, 32))]
+    # observation i's map counts the rows on its retained frames, among the
+    # raw frames 16i..16i+15 it consumes; row f fixates pixel (f, 0)
+    rows = np.array([(f, f, 0) for f in range(32)], dtype=np.int64)
+    maps = list(P.fixation_maps(rows, 2))
+    assert [np.flatnonzero(m[0]).tolist() for m in maps] == \
+        [list(P.retained_indices(0)), list(P.retained_indices(1))]
+    for i, fmap in enumerate(maps):
+        np.testing.assert_array_equal(fmap, P.fixation_map(rows, P.retained_indices(i))[0])
 
 
 def test_31_frames_drop_incomplete_tail():
@@ -197,13 +201,6 @@ def test_no_records_zero_map():
     assert fmap.sum() == 0 and rejected == 0
 
 
-def test_records_by_observation_buckets_in_input_order():
-    records = np.array([(f, f, 0) for f in (17, 3, -1, 16, 31, 32, 0, 15, 40)], dtype=np.int64)
-    buckets = P.records_by_observation(records, 2)
-    assert [b[:, 0].tolist() for b in buckets] == [[3, 0, 15], [17, 16, 31]]
-    assert list(P.records_by_observation(records, 0)) == []
-
-
 @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 4),
        extremes=st.lists(st.sampled_from([-2**63, -2**62, 2**62, 2**63 - 1]), max_size=6))
 @settings(max_examples=40, deadline=None)
@@ -215,19 +212,33 @@ def test_binned_fixation_maps_match_full_scans(seed, n_obs, extremes):
     # frames at the int64 extremes, where frame % 16, frame // 16 and the
     # 16 n_obs bound would break first
     records[:len(extremes), 0] = extremes
-    buckets = list(P.records_by_observation(records, n_obs))
-    assert len(buckets) == n_obs
+    maps = list(P.fixation_maps(records, n_obs))
+    assert len(maps) == n_obs
+    assert list(P.fixation_maps(records, 0)) == []
     total_map, total_rej = np.zeros((P.FRAME_HEIGHT, P.FRAME_WIDTH), np.int64), 0
-    for i, bucket in enumerate(buckets):
-        got_map, got_rej = P.fixation_map(bucket, P.retained_indices(i))
+    for i, got_map in enumerate(maps):
         want_map, want_rej = P.fixation_map(records, P.retained_indices(i))
-        assert got_rej == want_rej
         np.testing.assert_array_equal(got_map, want_map)
         total_map, total_rej = total_map + want_map, total_rej + want_rej
     # the recording's total is the sum of the per-observation maps and rejects
-    got_map, got_rej = P.total_fixation_map(records, n_obs)
+    got_map, got_rej, _ = P.total_fixation_map(records, n_obs)
     assert got_rej == total_rej
     np.testing.assert_array_equal(got_map, total_map)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 4),
+       extremes=st.lists(st.sampled_from([-2**63, -1, 2**63 - 1]), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_every_row_is_counted_rejected_or_discarded(seed, n_obs, extremes):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([rng.integers(-20, 16 * n_obs + 20, 60), rng.integers(-5, 170, 60),
+                     rng.integers(-5, 220, 60)], axis=1)
+    rows[:len(extremes), 0] = extremes
+    total, rejected, discarded = P.total_fixation_map(rows, n_obs)
+    assert int(total.sum()) + rejected + discarded == len(rows)
+    # discarded, counted directly: the frame lies outside [0, 16 n_obs), or at
+    # offset 0 or 1 of its group of 4, whatever its x and y
+    assert discarded == sum(not 0 <= f < 16 * n_obs or f % 4 in (0, 1) for f in rows[:, 0].tolist())
 
 
 # -- csv ------------------------------------------------------------------------------
