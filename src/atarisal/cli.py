@@ -136,7 +136,7 @@ def cmd_preprocess(args) -> int:
     frames, n_obs = _checked_frames(args.frames)
     records = P.load_fixations_csv(args.fixations) if args.fixations is not None else None
 
-    out = Path(args.out)
+    out = P.nonempty_path(args.out, "--out")
     out.mkdir(parents=True, exist_ok=True)
     rejected = 0
     index = {"schema_version": SCHEMA_VERSION, "observations": n_obs,
@@ -172,26 +172,15 @@ def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles):
         yield sal
 
 
-def _dumped(out: Path, sal_maps, pgm: bool):
-    """sal_maps, each written as it passes as out/sal_NNNN.raw (and .pgm):
-    the layout `metrics --saliency` reads."""
-    out.mkdir(parents=True, exist_ok=True)
-    for i, sal in enumerate(sal_maps):
-        S.save_raw_saliency(str(out / f"sal_{i:04d}.raw"), sal)
-        if pgm:
-            S.save_pgm(str(out / f"sal_{i:04d}.pgm"), sal)
-        yield sal
-
-
 def cmd_saliency(args) -> int:
     cfg = config_from_args(args)
     model = load_model(cfg, args.weights, args.seed)
     frames, n_obs = _checked_frames(args.frames)
 
-    out = Path(args.out)
+    out = P.nonempty_path(args.out, "--out")
     sal_maps = _saliency_maps(model, args.frames, frames)
-    for _ in _dumped(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
-                     args.pgm):
+    for _ in S.write_dumps(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
+                           args.pgm):
         pass
     _write_manifest(out, _manifest_dict(args, command="saliency"))
     print(f"rendered {n_obs} saliency maps to {out}")
@@ -238,11 +227,10 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     """Score (observation count, saliency maps, fixation records) per
     recording, taking the maps, any iterable of that many, one at a time;
     then make out and write frames_rec{i}.csv, summary.csv and log.txt.
-    Map i is 84x84, upscaled here when it is scored, or already 210x160. It
-    meets the records on the raw frames observation i retains; its sAUC
-    negatives are the pixels its recording's total map counts, or all
-    recordings' for pool_scope "all", less those it fixates itself, which
-    `metrics.shuffled_auc` drops from any pool.
+    Map i is 210x160 and meets the records on the raw frames observation i
+    retains; its sAUC negatives are the pixels its recording's total map
+    counts, or all recordings' for pool_scope "all", less those it fixates
+    itself, which `metrics.shuffled_auc` drops from any pool.
 
     sAUC needs the pooled total before any frame is scored, so a first pass
     takes each recording's total map and counts from one bincount, and the
@@ -260,11 +248,8 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
         totals = [np.sum(totals, axis=0)] * len(totals)
     per_rec_scores = []
     for ri, ((n_obs, sal_maps, records), total) in enumerate(zip(recordings, totals)):
-        scores = []
-        for i, (sal, fix) in enumerate(zip(sal_maps, P.fixation_maps(records, n_obs))):
-            if sal.shape != (P.FRAME_HEIGHT, P.FRAME_WIDTH):
-                sal = S.upscale_to_frame(sal)
-            scores.append(M.score_frame(i, sal, fix, [total], sigma))
+        scores = [M.score_frame(i, sal, fix, [total], sigma)
+                  for i, (sal, fix) in enumerate(zip(sal_maps, P.fixation_maps(records, n_obs)))]
         per_rec_scores.append(scores)
         out.mkdir(parents=True, exist_ok=True)
         _write_frame_csv(out / f"frames_rec{ri}.csv", scores)
@@ -279,42 +264,14 @@ def _score(out: Path, recordings, label: str, game: str, pool_scope: str,
     print(f"{log}summary in {out / 'summary.csv'}")
 
 
-def _dump_files(directory: str) -> list[Path]:
-    """The sal_<N>.raw files of directory in index order. The indices must be
-    exactly 0..n-1: dump i is scored against observation i's fixations."""
-    by_index = {}
-    for path in sorted(Path(directory).glob("sal_*.raw")):
-        digits = path.name[len("sal_"):-len(".raw")]
-        if not (digits.isascii() and digits.isdigit()):
-            raise DataFormatError(f"{path}: no integer index in the name; expected sal_<N>.raw")
-        first = by_index.setdefault(int(digits), path)
-        if first != path:
-            raise DataFormatError(f"{path}: index {int(digits)} repeats {first.name}")
-    if not by_index:
-        raise DataFormatError(f"{directory}: no sal_*.raw files")
-    for i in range(len(by_index)):
-        if i not in by_index:
-            raise DataFormatError(f"{directory}: sal_{i:04d}.raw is missing; dump indices "
-                                  "must run from 0 without gaps")
-    return [by_index[i] for i in range(len(by_index))]
-
-
-def _checked_dump(path: Path) -> np.ndarray:
-    """The dump at path at its stored size; _score upscales an 84x84 one."""
-    sal = S.load_raw_saliency(str(path))
-    if sal.shape not in ((models.INPUT_SIZE, models.INPUT_SIZE), (P.FRAME_HEIGHT, P.FRAME_WIDTH)):
-        raise DataFormatError(f"{path}: unexpected saliency shape {sal.shape}")
-    return sal
-
-
 def cmd_metrics(args) -> int:
     sigma = _check_sigma(args.sigma)
     _check_summary_field("--game", args.game)
-    sal_files = _dump_files(args.saliency)
+    sal_files = S.dump_files(args.saliency)
     records = P.load_fixations_csv(args.fixations)
 
-    out = Path(args.out)
-    _score(out, [(len(sal_files), map(_checked_dump, sal_files), records)], "external",
+    out = P.nonempty_path(args.out, "--out")
+    _score(out, [(len(sal_files), map(S.load_dump, sal_files), records)], "external",
            args.game, EvalSpec.pool_scope, sigma)
     _write_manifest(out, _manifest_dict(args, command="metrics"))
     return 0
@@ -478,13 +435,13 @@ def cmd_eval(args) -> int:
     checked = [(frames_path, *_checked_frames(frames_path), P.load_fixations_csv(fixations_path))
                for frames_path, fixations_path in spec.recordings]
 
-    out = Path(args.out)
+    out = P.nonempty_path(args.out, "--out")
     recordings = []
     for ri, (frames_path, frames, n_obs, records) in enumerate(checked):
         sal_maps = _saliency_maps(model, frames_path, frames)
         if spec.save_saliency:
-            sal_maps = _dumped(out / f"rec{ri}", sal_maps, spec.pgm)
-        recordings.append((n_obs, sal_maps, records))
+            sal_maps = S.write_dumps(out / f"rec{ri}", sal_maps, spec.pgm)
+        recordings.append((n_obs, map(S.upscale_to_frame, sal_maps), records))
 
     _score(out, recordings, spec.label, spec.game, spec.pool_scope, spec.sigma)
     _write_manifest(out, spec.to_dict())
@@ -560,7 +517,7 @@ def cmd_report(args) -> int:
     columns = SUMMARY_CSV_HEADER.split(",")
     rows = []
     for run_dir in args.runs:
-        path = Path(run_dir) / "summary.csv"
+        path = P.nonempty_path(run_dir, "--runs") / "summary.csv"
         if not path.is_file():
             raise DataFormatError(f"{run_dir}: no summary.csv")
         try:

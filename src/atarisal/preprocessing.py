@@ -50,6 +50,13 @@ RAW_PER_OBSERVATION = RAW_PER_PROCESSED * STACK_DEPTH
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601 luma
 
 
+def nonempty_path(path: str, what: str) -> Path:
+    """Path(path), for any path but "", which Path reads as the working directory."""
+    if not path:
+        raise DataFormatError(f"an empty {what} path names no file or directory")
+    return Path(path)
+
+
 def _check_frame(frame: np.ndarray, index: int) -> np.ndarray:
     frame = np.asarray(frame)
     if frame.shape != (FRAME_HEIGHT, FRAME_WIDTH, 3):
@@ -92,21 +99,22 @@ def retained_indices(observation_index: int) -> tuple[int, ...]:
 def observations(frames: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """Each whole observation of frames in turn, built by build_observations
     from its own 16 frames when asked for: one stack exists at a time."""
-    for i in range(len(frames) // RAW_PER_OBSERVATION):
-        yield build_observations(frames[i * RAW_PER_OBSERVATION:(i + 1) * RAW_PER_OBSERVATION])[0]
+    for start in range(0, len(frames) - RAW_PER_OBSERVATION + 1, RAW_PER_OBSERVATION):
+        yield build_observations(frames[start:start + RAW_PER_OBSERVATION], start=start)[0]
 
 
-def build_observations(frames: Sequence[np.ndarray]) -> list[np.ndarray]:
+def build_observations(frames: Sequence[np.ndarray], *, start: int = 0) -> list[np.ndarray]:
     """One 84x84x4 float32 observation in [0, 1] per whole 16 raw frames;
     an incomplete tail is never indexed. Observation i indexes exactly raw
     frames retained_indices(i), the 3rd and 4th of each group of 4: each is
     grayscaled and resized, each pair is merged by pixelwise max, and channel
     c, the c-th oldest merged pair, is scaled by 1/255. Observations never
-    share raw frames, so a `FrameFiles` sequence decodes nothing else."""
+    share raw frames, so a `FrameFiles` sequence decodes nothing else. A bad
+    frame is named start + its index in frames, a window's start in its recording."""
     observations = []
     for i in range(len(frames) // RAW_PER_OBSERVATION):
         # decoded lazily and zipped with itself, so only one pair is alive at a time
-        kept = (bilinear_resize(grayscale(_check_frame(frames[j], j)), OBS_SIZE, OBS_SIZE)
+        kept = (bilinear_resize(grayscale(_check_frame(frames[j], start + j)), OBS_SIZE, OBS_SIZE)
                 for j in retained_indices(i))
         stack = np.stack([np.maximum(a, b) for a, b in zip(kept, kept)], axis=-1)
         observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
@@ -369,7 +377,7 @@ def load_frames(path: str) -> FrameFiles:
     frame size (of each PPM, or of the .rgb sidecar), so a corrupt frame
     fails before any is decoded, even one the retention schedule discards;
     pixels are read when indexed."""
-    p = Path(path)
+    p = nonempty_path(path, "frames")
     if p.is_dir():
         ppm_files = sorted(p.glob("*.ppm"))
         if not ppm_files:

@@ -13,16 +13,22 @@ so ceil(k/s)^2 broadcast adds replace the k^2 kernel taps. Each output pixel
 still receives the same float64 terms in the same (row tap, column tap)
 order, starting from +0.0, so the bytes equal `tensor_ops.transposed_conv2d`
 with an all-ones `ConvKernel` for every input.
+
+Maps are scored at 210x160, and `upscale_to_frame` is the one resize. A dump
+directory holds map i as `sal_NNNN.raw`, scored against observation i:
+`write_dumps` writes it, `dump_files` lists it, `load_dump` reads at 210x160.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
 from . import models
 from .errors import ConfigurationError, DataFormatError
 from .models import RFGeometry, render_output_size
-from .preprocessing import FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize, read_sidecar, write_sidecar
+from .preprocessing import (FRAME_HEIGHT, FRAME_WIDTH, bilinear_resize, nonempty_path,
+                            read_sidecar, write_sidecar)
 
 
 def render(attention: np.ndarray, geom: RFGeometry) -> np.ndarray:
@@ -73,7 +79,7 @@ def upscale_to_frame(sal: np.ndarray) -> np.ndarray:
     return bilinear_resize(sal, FRAME_HEIGHT, FRAME_WIDTH)
 
 
-# -- export formats ------------------------------------------------------------
+# -- export formats and dump directories ---------------------------------------
 
 def save_raw_saliency(path: str, sal: np.ndarray) -> None:
     """Row-major float32 little-endian grid plus a {width, height} sidecar path.json."""
@@ -115,3 +121,43 @@ def save_pgm(path: str, sal: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(img.tobytes())
+
+
+def write_dumps(directory: Path, maps, pgm: bool):
+    """maps, each written as it passes as directory/sal_NNNN.raw (and .pgm
+    with pgm), the layout dump_files reads; directory is made at the first."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, sal in enumerate(maps):
+        save_raw_saliency(str(directory / f"sal_{i:04d}.raw"), sal)
+        if pgm:
+            save_pgm(str(directory / f"sal_{i:04d}.pgm"), sal)
+        yield sal
+
+
+def dump_files(directory: str) -> list[Path]:
+    """The sal_<N>.raw files of directory in index order. The indices must be
+    exactly 0..n-1: dump i is scored against observation i's fixations."""
+    by_index = {}
+    for path in sorted(nonempty_path(directory, "dump directory").glob("sal_*.raw")):
+        digits = path.name[len("sal_"):-len(".raw")]
+        if not (digits.isascii() and digits.isdigit()):
+            raise DataFormatError(f"{path}: no integer index in the name; expected sal_<N>.raw")
+        first = by_index.setdefault(int(digits), path)
+        if first != path:
+            raise DataFormatError(f"{path}: index {int(digits)} repeats {first.name}")
+    if not by_index:
+        raise DataFormatError(f"{directory}: no sal_*.raw files")
+    missing = set(range(len(by_index))) - by_index.keys()
+    if missing:
+        raise DataFormatError(f"{directory}: sal_{min(missing):04d}.raw is missing; dump indices "
+                              "must run from 0 without gaps")
+    return [by_index[i] for i in range(len(by_index))]
+
+
+def load_dump(path) -> np.ndarray:
+    """The dump at path at the 210x160 scoring size: an 84x84 dump upscaled,
+    a 210x160 one as stored, and any other size an error."""
+    sal = load_raw_saliency(str(path))
+    if sal.shape not in ((models.INPUT_SIZE, models.INPUT_SIZE), (FRAME_HEIGHT, FRAME_WIDTH)):
+        raise DataFormatError(f"{path}: unexpected saliency shape {sal.shape}")
+    return sal if sal.shape == (FRAME_HEIGHT, FRAME_WIDTH) else upscale_to_frame(sal)

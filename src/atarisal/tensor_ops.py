@@ -352,19 +352,6 @@ def sum_pool_channels(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64).sum(axis=2, keepdims=True).astype(x.dtype)
 
 
-def linear(v: np.ndarray, weights: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """weights (out, in) @ v (in,) [+ bias (out,)]."""
-    v = np.asarray(v)
-    _require(v.ndim == 1, f"linear input must be a vector, got shape {v.shape}")
-    _require(weights.ndim == 2 and weights.shape[1] == v.shape[0],
-             f"weights shape {weights.shape} incompatible with input length {v.shape[0]}")
-    out = np.einsum("oi,i->o", np.asarray(weights, np.float64), v.astype(np.float64))
-    if bias is not None:
-        _require(bias.shape == (weights.shape[0],), "bias length mismatch")
-        out = out + np.asarray(bias, np.float64)
-    return out.astype(v.dtype)
-
-
 def l2_normalize_locations(x: np.ndarray) -> np.ndarray:
     """Scale each location's channel vector to unit Euclidean norm; zero vectors pass through."""
     x = _check_feature_map(x)

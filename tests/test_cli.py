@@ -15,7 +15,7 @@ from atarisal import weights_io
 from atarisal.errors import EvaluationError
 
 from conftest import count_shared_runs, fake_blas, write_recording
-from test_determinism import GOLDEN, digests
+from test_determinism import digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # a name holding each line break that str.splitlines cuts at, besides CR and LF
@@ -408,8 +408,8 @@ def test_metrics_on_eval_dumps_reproduces_eval_scores(tmp_path, capsys, recordin
 
 
 def test_metrics_scores_frame_size_dumps_as_upscaled_ones(tmp_path, capsys):
-    # _score upscales an 84x84 dump when it scores it and takes a 210x160 one
-    # as it is; saliency --upscale writes that same upscale ahead of time.
+    # load_dump upscales an 84x84 dump and returns a 210x160 one as it is;
+    # saliency --upscale writes that same upscale ahead of time.
     # Both score as eval scores its own upscale, whatever the memory layout
     # of each: on this recording, float64 sums over a 210x160 dump in its
     # row-major layout differ from eval's in the last bit
@@ -536,7 +536,7 @@ def test_score_holds_less_than_the_gaze_rows_it_scores(tmp_path, capsys):
     n_rows, n_obs = 2**20, 16
     rows = np.stack([rng.integers(0, n_obs * P.RAW_PER_OBSERVATION, n_rows),
                      rng.integers(-5, 165, n_rows), rng.integers(-5, 215, n_rows)], axis=1)
-    maps = [rng.random((models.INPUT_SIZE, models.INPUT_SIZE)) for _ in range(n_obs)]
+    maps = [rng.random((P.FRAME_HEIGHT, P.FRAME_WIDTH)) for _ in range(n_obs)]
     tracemalloc.start()
     try:
         fix_maps = P.fixation_maps(rows, n_obs)
@@ -558,7 +558,7 @@ def test_dump_files_are_ordered_by_index(tmp_path):
     for i in range(12):
         (tmp_path / f"sal_{i}.raw").write_bytes(b"")
     # name order would put sal_10 and sal_11 before sal_2
-    assert [p.name for p in cli._dump_files(str(tmp_path))] == \
+    assert [p.name for p in S.dump_files(str(tmp_path))] == \
         [f"sal_{i}.raw" for i in range(12)]
 
 
@@ -1352,6 +1352,50 @@ def test_empty_path_is_exit_2(tmp_path, capsys, recording_32, case):
     assert rc == 2 and "No such file or directory: ''" in err and not out.exists()
 
 
+# Path("") is the working directory; each case runs inside a directory that
+# an empty path would then name, and where it would find its input or write
+# its output: it must be exit 2 with one error line, and the directory unchanged
+@pytest.mark.parametrize("case", ["eval-recording", "saliency-frames", "preprocess-frames",
+                                  "metrics-saliency", "report-runs", "eval-out",
+                                  "saliency-out", "metrics-out", "preprocess-out"])
+def test_empty_path_is_not_the_working_directory(tmp_path, capsys, monkeypatch, recording_32,
+                                                 case):
+    frames_dir, csv_path = recording_32
+    run_dir = tmp_path / "run"
+    if case in ("metrics-saliency", "report-runs"):
+        assert run(capsys, "eval", "--preset", "sparse-fls", "--save-saliency", "--recording",
+                   str(frames_dir), str(csv_path), "--out", str(run_dir))[0] == 0
+    sal_dir = tmp_path / "sal"
+    if case == "metrics-out":
+        assert run(capsys, "saliency", "--preset", "sparse-fls", "--frames", str(frames_dir),
+                   "--out", str(sal_dir))[0] == 0
+    out = tmp_path / "out"
+    cwd, argv = {
+        "eval-recording": (frames_dir, ["eval", "--preset", "sparse-fls",
+                                        "--recording", "", str(csv_path), "--out", str(out)]),
+        "saliency-frames": (frames_dir, ["saliency", "--preset", "sparse-fls", "--frames", "",
+                                         "--out", str(out)]),
+        "preprocess-frames": (frames_dir, ["preprocess", "--frames", "", "--out", str(out)]),
+        "metrics-saliency": (run_dir / "rec0", ["metrics", "--saliency", "", "--fixations",
+                                                str(csv_path), "--out", str(out)]),
+        "report-runs": (run_dir, ["report", "--runs", ""]),
+        "eval-out": (out, ["eval", "--preset", "sparse-fls",
+                           "--recording", str(frames_dir), str(csv_path), "--out", ""]),
+        "saliency-out": (out, ["saliency", "--preset", "sparse-fls", "--frames", str(frames_dir),
+                               "--out", ""]),
+        "metrics-out": (out, ["metrics", "--saliency", str(sal_dir), "--fixations",
+                              str(csv_path), "--out", ""]),
+        "preprocess-out": (out, ["preprocess", "--frames", str(frames_dir), "--out", ""]),
+    }[case]
+    cwd.mkdir(exist_ok=True)
+    listing = sorted(p.name for p in cwd.iterdir())
+    monkeypatch.chdir(cwd)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in cwd.iterdir()) == listing
+    assert cwd == out or not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_negative_seed_is_exit_1(tmp_path, capsys, recording_32, command):
     frames_dir, csv_path = recording_32
@@ -1418,19 +1462,6 @@ def test_eval_rejects_foreign_manifest(tmp_path, capsys):
     bad.write_text(json.dumps({"schema_version": 1, "command": "saliency"}))
     rc, _, _ = run(capsys, "eval", "--manifest", str(bad), "--out", str(tmp_path / "o"))
     assert rc == 2
-
-
-# -- eval runs only what the maps need ------------------------------------------------
-
-def test_eval_runs_no_dense_layer(tmp_path, capsys, recording_32, monkeypatch):
-    def no_linear(*args):
-        raise AssertionError("tensor_ops.linear called")
-
-    monkeypatch.setattr(T, "linear", no_linear)
-    frames_dir, csv_path = recording_32
-    rc, err, out = eval_frames(capsys, tmp_path, frames_dir, csv_path)
-    assert rc == 0, err
-    assert digests(out) == GOLDEN[("--preset", "sparse-fls")]
 
 
 def test_eval_with_weights_does_not_depend_on_seed(tmp_path, capsys, recording_32):

@@ -119,6 +119,17 @@ def test_build_observations_rejects_a_frame_of_another_size():
         P.build_observations(frames)
 
 
+def test_a_bad_frame_is_named_by_its_index_in_the_recording():
+    # observations builds observation 1 from its 16-frame window, frames
+    # 16-31, which names frame 22 as the recording does, not as frame 6
+    frames = [solid_frame(0, 0, 0)] * 32
+    frames[22] = np.zeros((100, 100, 3), np.uint8)  # retained: offset 2 of its group
+    for build in (P.build_observations, lambda frames: list(P.observations(frames))):
+        with pytest.raises(DataFormatError, match=r"^frame 22: expected 210x160x3, got "
+                                                  r"\(100, 100, 3\)$"):
+            build(frames)
+
+
 def test_constant_stream_gives_identical_channels():
     frames = [solid_frame(90, 90, 90)] * 32
     obs = P.build_observations(frames)

@@ -194,9 +194,7 @@ def scores(recording, tmp_path_factory):
     results = {}
     for name, dump in {"registered": lambda maps, i: maps[i], **MISREGISTERED}.items():
         dumps = root / name
-        dumps.mkdir()
-        for i in range(OBSERVATIONS):
-            S.save_raw_saliency(str(dumps / f"sal_{i:04d}.raw"), dump(newest, i))
+        list(S.write_dumps(dumps, (dump(newest, i) for i in range(OBSERVATIONS)), pgm=False))
         out = root / f"scored-{name}"
         assert cli.main(["metrics", "--saliency", str(dumps), "--fixations", fixations,
                          "--out", str(out)]) == 0

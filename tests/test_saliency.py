@@ -317,3 +317,43 @@ def test_pgm_constant_map_is_black(tmp_path):
     with open(path, "rb") as f:
         raw = f.read()
     assert set(raw[raw.index(b"255\n") + 4:]) == {0}
+
+
+# -- dump directories ---------------------------------------------------------------
+
+def test_load_dump_upscales_an_84x84_dump(tmp_path):
+    path = str(tmp_path / "sal_0000.raw")
+    S.save_raw_saliency(path, np.random.default_rng(8).random((84, 84)))
+    got = S.load_dump(path)
+    assert got.shape == (210, 160)
+    assert got.tobytes() == S.upscale_to_frame(S.load_raw_saliency(path)).tobytes()
+
+
+def test_load_dump_returns_a_210x160_dump_as_stored(tmp_path):
+    sal = np.random.default_rng(9).random((210, 160)).astype(np.float32)
+    path = str(tmp_path / "sal_0000.raw")
+    S.save_raw_saliency(path, sal)
+    got = S.load_dump(path)
+    assert got.dtype == np.float32 and got.tobytes() == sal.tobytes()
+
+
+def test_load_dump_of_another_size_is_an_error(tmp_path):
+    path = str(tmp_path / "sal_0000.raw")
+    S.save_raw_saliency(path, np.zeros((100, 100), np.float32))
+    with pytest.raises(DataFormatError, match=r"sal_0000.raw: unexpected saliency shape "
+                                              r"\(100, 100\)"):
+        S.load_dump(path)
+
+
+@pytest.mark.parametrize("pgm", [False, True])
+def test_write_dumps_round_trips_through_dump_files(tmp_path, pgm):
+    maps = [np.random.default_rng(i).random((84, 84)).astype(np.float32) for i in range(11)]
+    directory = tmp_path / "dumps"
+    passed = S.write_dumps(directory, iter(maps), pgm)
+    assert not directory.exists()  # made when the first map is asked for
+    assert all(a is b for a, b in zip(passed, maps))
+    files = S.dump_files(str(directory))
+    assert [p.name for p in files] == [f"sal_{i:04d}.raw" for i in range(11)]
+    assert all(np.array_equal(S.load_raw_saliency(str(p)), m) for p, m in zip(files, maps))
+    pgms = sorted(p.name for p in directory.glob("*.pgm"))
+    assert pgms == ([f"sal_{i:04d}.pgm" for i in range(11)] if pgm else [])

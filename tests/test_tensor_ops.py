@@ -294,7 +294,7 @@ def test_unknown_activation_rejected():
                  activation="swish")
 
 
-# -- softmax / pooling / linear ----------------------------------------------------
+# -- softmax / pooling ------------------------------------------------------------
 
 def test_spatial_softmax_constant_channel():
     out = T.spatial_softmax(np.full((5, 4, 2), 3.0, np.float32))
@@ -324,16 +324,6 @@ def test_sum_pool_channels():
     assert T.sum_pool_channels(soft).sum() == pytest.approx(2.0, abs=1e-6)
     zeros = np.zeros((3, 3, 4), np.float32)
     assert np.array_equal(T.sum_pool_channels(zeros), np.zeros((3, 3, 1), np.float32))
-
-
-def test_linear():
-    v = np.array([1.0, -2.0, 0.5], np.float32)
-    assert np.array_equal(T.linear(v, np.eye(3, dtype=np.float32)), v)
-    b = np.array([4.0, -1.0], np.float32)
-    out = T.linear(v, np.zeros((2, 3), np.float32), b)
-    assert np.array_equal(out, b)
-    with pytest.raises(ConfigurationError):
-        T.linear(v, np.zeros((2, 4), np.float32))
 
 
 def test_l2_normalize_locations():
