@@ -4,13 +4,12 @@ initialized attention model against the synthetic fixations, and show the
 summary table. Everything lands under --workdir."""
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from atarisal import cli
+from make_synthetic_recording import make_recording
 
-HERE = Path(__file__).resolve().parent
+from atarisal import cli
 
 
 def main() -> int:
@@ -23,9 +22,7 @@ def main() -> int:
 
     work = Path(args.workdir)
     rec = work / "recording"
-    subprocess.run([sys.executable, str(HERE / "make_synthetic_recording.py"),
-                    "--out", str(rec), "--frames", str(args.frames),
-                    "--seed", str(args.seed)], check=True)
+    make_recording(rec, args.frames, args.seed)
 
     run_dir = work / "run"
     rc = cli.main(["eval", "--preset", args.preset,

@@ -15,9 +15,11 @@ import numpy as np
 
 from atarisal import preprocessing as P
 
+SQUARE, FIXATIONS_PER_FRAME = 12, 3
 
-def make_recording(out: Path, n_frames: int, seed: int, square: int,
-                   fixations_per_frame: int) -> None:
+
+def make_recording(out: Path, n_frames: int, seed: int, square: int = SQUARE,
+                   fixations_per_frame: int = FIXATIONS_PER_FRAME) -> None:
     rng = np.random.default_rng(seed)
     frames_dir = out / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
@@ -49,8 +51,8 @@ def main() -> None:
     ap.add_argument("--out", required=True, help="recording directory to create")
     ap.add_argument("--frames", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--square", type=int, default=12, help="side of the bright square")
-    ap.add_argument("--fixations-per-frame", type=int, default=3)
+    ap.add_argument("--square", type=int, default=SQUARE, help="side of the bright square")
+    ap.add_argument("--fixations-per-frame", type=int, default=FIXATIONS_PER_FRAME)
     args = ap.parse_args()
     make_recording(Path(args.out), args.frames, args.seed, args.square,
                    args.fixations_per_frame)

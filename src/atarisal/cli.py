@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -62,9 +62,9 @@ def add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="unit-normalize each location's feature vector")
 
 
-# config flag -> the ModelConfig field it sets; a switch sets the given value
-_CONFIG_VALUES = {"block": "block", "placement": "placement", "readout": "readout",
-                  "actions": "num_actions"}
+# config flag -> the ModelConfig field it sets ("none" as None); a switch sets the given value
+_CONFIG_VALUES = {"block": "block", "attention": "attention", "placement": "placement",
+                  "readout": "readout", "actions": "num_actions"}
 _CONFIG_SWITCHES = {"softplus2": ("softplus2", True),
                     "normalize_output": ("normalize_output", True),
                     "no_final_relu": ("final_relu", False),
@@ -74,14 +74,13 @@ _CONFIG_SWITCHES = {"softplus2": ("softplus2", True),
 def config_from_args(args) -> models.ModelConfig:
     """The config the flags describe; eval's args hold only the flags given."""
     flags = vars(args)
-    cfg = models.PRESETS[flags["preset"]] if flags.get("preset") else models.ModelConfig()
     overrides = {name: flags[flag] for flag, name in _CONFIG_VALUES.items()
                  if flags.get(flag) is not None}
     overrides.update(setting for flag, setting in _CONFIG_SWITCHES.items() if flags.get(flag))
-    attention = flags.get("attention")
-    if attention:
-        overrides["attention"] = None if attention == "none" else attention
-    return replace(cfg, **overrides)
+    if overrides.get("attention") == "none":
+        overrides["attention"] = None
+    preset = flags.get("preset")
+    return models.preset_config(preset, **overrides) if preset else models.ModelConfig(**overrides)
 
 
 def _check_seed(seed: int) -> None:
@@ -119,21 +118,10 @@ def cmd_params(args) -> int:
     return 0
 
 
-# -- frames to observations -------------------------------------------------------
-
-def _checked_frames(path: str) -> tuple[P.FrameFiles, int]:
-    """The frames at path, every one checked, and how many observations they make."""
-    frames = P.load_frames(path)
-    n_obs = len(frames) // P.RAW_PER_OBSERVATION
-    if not n_obs:
-        raise DataFormatError(f"{path}: fewer than {P.RAW_PER_OBSERVATION} frames")
-    return frames, n_obs
-
-
 # -- preprocess -------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    frames, n_obs = _checked_frames(args.frames)
+    frames, n_obs = P.recording_frames(args.frames)
     records = P.load_fixations_csv(args.fixations) if args.fixations is not None else None
 
     out = P.nonempty_path(args.out, "--out")
@@ -148,7 +136,7 @@ def cmd_preprocess(args) -> int:
             np.save(out / f"fix_{i:04d}.npy", fix)
         rejected = index["rejected_fixations"] = P.total_fixation_map(records, n_obs)[1]
     (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, _manifest_dict(args, command="preprocess"))
+    _write_manifest(out, _manifest_dict(args))
     print(f"wrote {n_obs} observations to {out}")
     if rejected:
         print(f"skipped {rejected} out-of-bounds fixation records")
@@ -175,14 +163,14 @@ def _saliency_maps(model: models.Model, frames_path: str, frames: P.FrameFiles):
 def cmd_saliency(args) -> int:
     cfg = config_from_args(args)
     model = load_model(cfg, args.weights, args.seed)
-    frames, n_obs = _checked_frames(args.frames)
+    frames, n_obs = P.recording_frames(args.frames)
 
     out = P.nonempty_path(args.out, "--out")
     sal_maps = _saliency_maps(model, args.frames, frames)
     for _ in S.write_dumps(out, map(S.upscale_to_frame, sal_maps) if args.upscale else sal_maps,
                            args.pgm):
         pass
-    _write_manifest(out, _manifest_dict(args, command="saliency"))
+    _write_manifest(out, _manifest_dict(args))
     print(f"rendered {n_obs} saliency maps to {out}")
     return 0
 
@@ -273,7 +261,7 @@ def cmd_metrics(args) -> int:
     out = P.nonempty_path(args.out, "--out")
     _score(out, [(len(sal_files), map(S.load_dump, sal_files), records)], "external",
            args.game, EvalSpec.pool_scope, sigma)
-    _write_manifest(out, _manifest_dict(args, command="metrics"))
+    _write_manifest(out, _manifest_dict(args))
     return 0
 
 
@@ -284,15 +272,14 @@ def _model_label(args) -> str:
     return getattr(args, "preset", None) or "custom"
 
 
-def _manifest_dict(args, command: str) -> dict:
-    """Manifest of a preprocess, saliency or metrics run: the flags it was given."""
-    data = {"schema_version": SCHEMA_VERSION, "command": command}
+def _manifest_dict(args) -> dict:
+    """Manifest of a preprocess, saliency or metrics run: its command and
+    flags but --out, with any config flags recorded as the config they make."""
+    skipped = {"func", "out", "preset", *_CONFIG_VALUES, *_CONFIG_SWITCHES}
+    data = {"schema_version": SCHEMA_VERSION,
+            **{key: value for key, value in vars(args).items() if key not in skipped}}
     if hasattr(args, "block"):  # only parsers with model-config flags
         data["model"] = {"label": _model_label(args), "config": asdict(config_from_args(args))}
-    for key in ("weights", "seed", "game", "sigma", "pgm", "upscale", "frames", "fixations",
-                "saliency"):
-        if hasattr(args, key):
-            data[key] = getattr(args, key)
     return data
 
 
@@ -432,8 +419,8 @@ def cmd_eval(args) -> int:
     # header and size, and each gaze log is parsed whole. Then each
     # observation is decoded, run, rendered, dumped and scored before the
     # next is decoded, so memory does not grow with the recording.
-    checked = [(frames_path, *_checked_frames(frames_path), P.load_fixations_csv(fixations_path))
-               for frames_path, fixations_path in spec.recordings]
+    checked = [(frames, *P.recording_frames(frames), P.load_fixations_csv(fixations))
+               for frames, fixations in spec.recordings]
 
     out = P.nonempty_path(args.out, "--out")
     recordings = []
@@ -574,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--game", default=EvalSpec.game)
-    p.add_argument("--sigma", type=float, default=M.DEFAULT_SIGMA)
+    p.add_argument("--sigma", type=float, default=EvalSpec.sigma)
     p.set_defaults(func=cmd_metrics)
 
     # an eval flag that was not given is absent from args: EvalSpec and
@@ -588,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="re-run from a saved manifest.json")
     p.add_argument("--out", required=True)
     p.add_argument("--game")
-    p.add_argument("--pool-scope", dest="pool_scope", choices=POOL_SCOPES)
+    p.add_argument("--pool-scope", choices=POOL_SCOPES)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--save-saliency", dest="save_saliency", action="store_true")
+    p.add_argument("--save-saliency", action="store_true")
     p.add_argument("--pgm", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -8,8 +8,10 @@ softplus2 check all read these tables.
 A ModelConfig is compiled into a ModelPlan (layer specs, parameter shapes,
 shape trace, render geometry); parameter counting, weight initialization,
 serialization order, the forward pass and rendering all read that one plan.
-Training is out of scope: weights come from build_model's initializer or a
-weight file.
+build_plan makes both activation swaps, softplus2 and the identity at each
+read point when final_relu is False, so its layer specs are what the forward
+runs. Training is out of scope: weights come from build_model's initializer
+or a weight file.
 """
 
 import math
@@ -181,18 +183,6 @@ def build_plan(config: ModelConfig) -> ModelPlan:
     specs = BLOCK_LAYERS[config.block]
     n = len(specs)
 
-    size = INPUT_SIZE + (2 if config.pad_input_1px else 0)
-    chans = INPUT_CHANNELS
-    trace = [("input", (size, size, chans))]
-
-    block_layers = []
-    for i, spec in enumerate(specs, start=1):
-        size = T.conv_output_size(size, spec.kernel, spec.stride, spec.padding)
-        name = f"block.conv{i}"
-        block_layers.append(LayerPlan(name, spec, chans))
-        chans = spec.out_channels
-        trace.append((name, (size, size, chans)))
-
     if config.attention is None:
         placements = []
     elif config.placement == "block":
@@ -201,6 +191,21 @@ def build_plan(config: ModelConfig) -> ModelPlan:
         placements = [("conv1", 1, "attn")]
     else:  # each-conv: one independent instance per block layer
         placements = [(f"conv{i}", i, f"attn{i}") for i in range(1, n + 1)]
+    unactivated = set() if config.final_relu else {after for _, after, _ in placements}
+
+    size = INPUT_SIZE + (2 if config.pad_input_1px else 0)
+    chans = INPUT_CHANNELS
+    trace = [("input", (size, size, chans))]
+
+    block_layers = []
+    for i, spec in enumerate(specs, start=1):
+        if i in unactivated:  # its attention module and gate read pre-activation values
+            spec = replace(spec, activation="identity")
+        size = T.conv_output_size(size, spec.kernel, spec.stride, spec.padding)
+        name = f"block.conv{i}"
+        block_layers.append(LayerPlan(name, spec, chans))
+        chans = spec.out_channels
+        trace.append((name, (size, size, chans)))
 
     attentions = []
     for tag, after, prefix in placements:
@@ -264,10 +269,6 @@ class Model:
     plan: ModelPlan
     params: dict[str, np.ndarray]
 
-    @property
-    def config(self) -> ModelConfig:
-        return self.plan.config
-
     @cached_property
     def kernels(self) -> dict[str, T.ConvKernel]:
         """Conv kernels by layer name, built at the first forward or by the
@@ -292,7 +293,7 @@ class Model:
             c = a.shape[2]
             a = T.sum_pool_channels(a)
             a = (a.astype(np.float64) / c).astype(np.float32)  # exact for c = 1
-        if self.config.normalize_output:
+        if self.plan.config.normalize_output:
             total = float(a.astype(np.float64).sum())
             if total <= 0.0:
                 raise EvaluationError("cannot normalize an attention map with non-positive sum")
@@ -303,7 +304,6 @@ class Model:
         """Evaluate one 84x84x4 observation with values in [0, 1]; return its
         (placement tag, H x W x 1 attention map) pairs in read-point order."""
         kernels = self.kernels  # a non-finite weight is reported before a bad observation
-        cfg = self.config
         x = np.asarray(obs)
         if x.shape != (INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS):
             raise EvaluationError(
@@ -313,7 +313,7 @@ class Model:
             raise EvaluationError("observation contains NaN or Inf")
         if float(x.min()) < 0.0 or float(x.max()) > 1.0:
             raise EvaluationError("observation values must lie in [0, 1]")
-        if cfg.pad_input_1px:
+        if self.plan.config.pad_input_1px:
             x = np.pad(x, ((1, 1), (1, 1), (0, 0)))
 
         by_layer = {ap.after_layer: ap for ap in self.plan.attentions}
@@ -321,11 +321,8 @@ class Model:
         maps: list[tuple[str, np.ndarray]] = []
         for i, lp in enumerate(self.plan.block_layers, start=1):
             ap = by_layer.get(i)
-            # final_relu=False drops the activation right before an attention
-            # read point, so the module (and the gate) sees pre-activation values.
-            activation = "identity" if ap is not None and not cfg.final_relu else lp.spec.activation
-            x = T.conv2d(x, kernels[lp.name], activation=activation)
-            if i == n and cfg.l2_norm_features:
+            x = T.conv2d(x, kernels[lp.name], activation=lp.spec.activation)
+            if i == n and self.plan.config.l2_norm_features:
                 x = T.l2_normalize_locations(x)
             if ap is not None:
                 alpha = self._attention_map(ap, x)

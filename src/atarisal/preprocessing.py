@@ -6,10 +6,12 @@ zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
 giving the frame count. `load_frames` checks every frame up front, each PPM
 header, its 210x160 size and each file's size against it, without reading
 any pixels, and returns a `FrameFiles` sequence that reads a frame from disk
-when it is indexed; a slice of it reads nothing. `build_observations` indexes
-only `retained_indices(i)` of each whole observation i (offsets 2-3 of each
-group of 4), so the discarded half and an incomplete tail are validated but
-never decoded. It returns the observations as plain 84x84x4 float32 arrays;
+when it is indexed; a slice of it reads nothing. `recording_frames` adds the
+count of whole observations and refuses fewer than 16 frames, the one check
+of a recording's length. `build_observations` indexes only
+`retained_indices(i)` of each whole observation i (offsets 2-3 of each group
+of 4), so the discarded half and an incomplete tail are validated but never
+decoded. It returns the observations as plain 84x84x4 float32 arrays;
 building observation i from the 16-frame window `frames[16 * i:16 * (i + 1)]`
 gives the same array, and `observations` yields them so, one at a time.
 
@@ -94,6 +96,16 @@ def retained_indices(observation_index: int) -> tuple[int, ...]:
     base = observation_index * RAW_PER_OBSERVATION
     return tuple(base + RAW_PER_PROCESSED * g + o
                  for g in range(STACK_DEPTH) for o in RETAIN_OFFSETS)
+
+
+def recording_frames(path: str) -> tuple["FrameFiles", int]:
+    """load_frames(path), every frame checked, and how many whole
+    observations its frames make: at least one, or an error."""
+    frames = load_frames(path)
+    n_obs = len(frames) // RAW_PER_OBSERVATION
+    if not n_obs:
+        raise DataFormatError(f"{path}: fewer than {RAW_PER_OBSERVATION} frames")
+    return frames, n_obs
 
 
 def observations(frames: Sequence[np.ndarray]) -> Iterator[np.ndarray]:

@@ -286,20 +286,23 @@ def elu(x):
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
+def _softplus(x, power: Callable, ln_base: float):
+    """log_b(1 + b^x), with power(x) = b^x and ln_base = ln b, and asymptotic
+    branches beyond |x| = 30; a division by ln_base = 1.0 changes no bit."""
+    x = np.asarray(x, dtype=np.result_type(x, np.float32))
+    mid = np.log1p(power(np.clip(x, -SOFTPLUS_CUTOFF, SOFTPLUS_CUTOFF))) / ln_base
+    return np.where(x > SOFTPLUS_CUTOFF, x,
+                    np.where(x < -SOFTPLUS_CUTOFF, power(np.minimum(x, 0.0)) / ln_base, mid))
+
+
 def softplus(x):
     """ln(1 + e^x) with asymptotic branches beyond |x| = 30."""
-    x = np.asarray(x, dtype=np.result_type(x, np.float32))
-    mid = np.log1p(np.exp(np.clip(x, -SOFTPLUS_CUTOFF, SOFTPLUS_CUTOFF)))
-    return np.where(x > SOFTPLUS_CUTOFF, x,
-                    np.where(x < -SOFTPLUS_CUTOFF, np.exp(np.minimum(x, 0.0)), mid))
+    return _softplus(x, np.exp, 1.0)
 
 
 def softplus2(x):
     """log2(1 + 2^x) with asymptotic branches beyond |x| = 30."""
-    x = np.asarray(x, dtype=np.result_type(x, np.float32))
-    mid = np.log1p(np.exp2(np.clip(x, -SOFTPLUS_CUTOFF, SOFTPLUS_CUTOFF))) / _LN2
-    return np.where(x > SOFTPLUS_CUTOFF, x,
-                    np.where(x < -SOFTPLUS_CUTOFF, np.exp2(np.minimum(x, 0.0)) / _LN2, mid))
+    return _softplus(x, np.exp2, _LN2)
 
 
 def _sigmoid(x):

@@ -39,6 +39,28 @@ GOLDEN = {
         "frames_rec0.csv": "bcd690e6b4add0317c1159685a3c7c0ae252d31412cffcad8220a51da411c7b0",
         "summary.csv": "38d51c45dbaff9301d84b3a3f425c60d6a984bc54e290cdf030ab99bd17aacda",
     },
+    # recorded when Model.forward, not build_plan, dropped the activation
+    # feeding each attention module
+    ("--preset", "sparse-fls", "--softplus2", "--no-final-relu"): {
+        "frames_rec0.csv": "8de906f626cbe7e64a3ba1b0777a135006b5b36c3ea06847cc34f96f6649b892",
+        "summary.csv": "e2c6528eb18375ea6ed466a0666734cc2547d1662c985cb210cd92bc5e006733",
+    },
+    ("--preset", "sparse-fls", "--placement", "each-conv", "--no-final-relu"): {
+        "frames_rec0.csv": "b82e3e0effe659f99678577a5e00de7b9dfe129e73f50f63ced06ffee42226ed",
+        "summary.csv": "40570eb30232aa99771d9e5677384dc5695cca81461fe21731fb2b0ae8e31376",
+    },
+    ("--preset", "rs-ppo"): {
+        "frames_rec0.csv": "057cfe171132112da54b9b45178a0d9a86b563a4416024c6259fff064045bfa2",
+        "summary.csv": "2e35d552d65163e8c6564f1dde5c1b3436ab9cd2e51f96a1e9a7286e0f9aa9de",
+    },
+    ("--preset", "daqn"): {
+        "frames_rec0.csv": "0a5720831146da740cea3c4e88a82961f398c6f1d1d789378eaac57931e05e73",
+        "summary.csv": "fc7c428010ab487cccf718af52c65fe663b3eb76c0f832831bef5a163773f6fe",
+    },
+    ("--preset", "mousavi"): {
+        "frames_rec0.csv": "b2f77fd7962b090063c4807779925521daf8801bf5b77de0862334fb5a679851",
+        "summary.csv": "0a8d2c555d407c2709a4868b07f972e5ad557c9004cccb3606409f291845503a",
+    },
 }
 
 CSVS = ("frames_rec0.csv", "summary.csv")
@@ -48,7 +70,14 @@ def digests(out):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CSVS}
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: "-".join(argv[1::2]))
+def run_id(argv):
+    """A flag's value, or a switch's name: "--preset sparse-fls --softplus2"
+    is sparse-fls-softplus2."""
+    return "-".join(word.removeprefix("--") for word, after in zip(argv, [*argv[1:], "--"])
+                    if not word.startswith("--") or after.startswith("--"))
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=run_id)
 def test_eval_csv_bytes_are_pinned(tmp_path, capsys, recording_32, argv):
     frames_dir, csv_path = recording_32  # the same recording as write_recording(.., 32, seed=11)
     out = tmp_path / "run"

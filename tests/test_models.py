@@ -194,6 +194,23 @@ def test_softplus2_requires_fls():
             assert str(e.value) == "softplus2 only applies to the fls attention variants"
 
 
+READ_POINTS = {"block": {3}, "first-conv": {1}, "each-conv": {1, 2, 3}}  # block layers read
+
+
+@pytest.mark.parametrize("block", models.BLOCK_KINDS)
+@pytest.mark.parametrize("placement", models.PLACEMENTS)
+def test_no_final_relu_plans_identity_exactly_at_the_read_points(block, placement):
+    # build_plan makes the swap, so the forward runs each layer spec as planned
+    read_points = READ_POINTS[placement]
+    config = models.ModelConfig(block=block, attention="fls", placement=placement)
+    relu = models.build_plan(config)
+    plan = models.build_plan(replace(config, final_relu=False))
+    assert {ap.after_layer for ap in plan.attentions} == read_points
+    for i, (lp, kept) in enumerate(zip(plan.block_layers, relu.block_layers), start=1):
+        assert lp.spec == replace(kept.spec, activation="identity" if i in read_points else "relu")
+    assert plan.attentions == relu.attentions and plan.trace == relu.trace
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigurationError):
         models.preset_config("alexnet")

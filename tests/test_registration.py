@@ -85,6 +85,31 @@ observations where the square sits in an outer 8-pixel strip the centred
 map misses it, and its copy with the tap one column right read better on
 all three metrics (1.721, 2.239, 0.525 centred against 1.936, 2.068,
 0.542, with the same gain and threshold).
+
+The other two sparse placements take the same check, with the same gain
+and threshold. At first-conv the 20x20 map reads `block.conv1`, whose
+uniform mean gives each cell the newest channel over the 8x8 box, at
+stride 4, that it is painted on; a tap one column off is 4 px off at 84x84.
+At each-conv the map that carries the channel is conv2's 9x9 one, painted
+with 20x20 boxes at stride 8. `attn1`'s gate is softplus(-20), about 2e-9
+at every cell, which `block.conv2`'s weights divide back out, and `attn3`'s
+map is softplus(-100): on a test observation the two moved the summed
+render by at most 3e-10 of its standard deviation. Measured at this
+test's size:
+
+| sparse eval --weights | NSS | KL | sAUC |
+|---|---|---|---|
+| first-conv registered | 5.303 | 1.919 | 0.847 |
+| first-conv `attn.conv1` tap 1 column right | 3.743 | 3.690 | 0.781 |
+| first-conv `attn.conv1` tap 1 column left | 4.653 | 2.652 | 0.797 |
+| each-conv registered | 4.004 | 0.971 | 0.821 |
+| each-conv `attn2.conv1` tap 1 column right | 2.374 | 4.313 | 0.684 |
+| each-conv `attn2.conv1` tap 1 column left | 2.855 | 1.733 | 0.677 |
+
+At first-conv the smallest gaps are all to the left tap: 0.650 NSS, 0.733
+KL and 0.051 sAUC. At each-conv they are 1.150 NSS and 0.763 KL to the
+left tap, and 0.136 sAUC to the right. PLACEMENT_MARGIN is about half of
+each.
 """
 
 import importlib.util
@@ -93,7 +118,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atarisal import cli, models, saliency as S, weights_io
+from atarisal import cli, models, saliency as S, tensor_ops as T, weights_io
 
 ROOT = Path(__file__).resolve().parents[1]
 FRAMES, OBSERVATIONS = 256, 16
@@ -104,6 +129,9 @@ TAP_SHIFTS = {"tap-3px-right": 3, "tap-3px-left": -3}
 SPARSE_MARGIN = {"nss": 0.2, "kl": 0.15, "sauc": 0.011}
 SPARSE_GAIN, SPARSE_THRESHOLD = 512.0, 0.1
 SPARSE_TAP_SHIFTS = {"tap-1-column-right": 1, "tap-1-column-left": -1}
+PLACEMENT_MARGIN = {"first-conv": {"nss": 0.3, "kl": 0.35, "sauc": 0.025},
+                    "each-conv": {"nss": 0.55, "kl": 0.35, "sauc": 0.065}}
+GATE_BIAS = -20.0  # each-conv's first gate: softplus(-20), about 2e-9, everywhere
 CHANCE_NSS, CHANCE_SAUC = 0.2, 0.03
 
 
@@ -162,14 +190,39 @@ def hand_set_sparse_fls(tap_shift: int) -> models.Model:
     return model
 
 
-def eval_scores(recording: Path, root: Path, preset: str, models_by_name) -> dict:
-    """Summary mean per metric of `eval --weights` on each named model."""
+def hand_set_sparse_read_point(placement: str, tap_shift: int) -> models.Model:
+    """sparse-fls at placement first-conv or each-conv whose first-conv or
+    conv2 map is softplus(SPARSE_GAIN (v - SPARSE_THRESHOLD)), v the newest
+    channel's weighted mean over the receptive field of the cell tap_shift
+    columns right of each cell."""
+    model = models.build_model(models.preset_config("sparse-fls", placement=placement), 0)
+    p = model.params
+    for value in p.values():
+        value.fill(0)
+    p["block.conv1.weight"][0, 3] = 1 / 64
+    attn = "attn"
+    if placement == "each-conv":
+        # attn1's gate is one tiny constant that block.conv2 divides back out,
+        # and attn3's map is softplus(-100): neither shows in the summed render
+        p["attn1.conv2.bias"][0] = GATE_BIAS
+        p["block.conv2.weight"][0, 0] = 1 / 16 / T.softplus(np.float32(GATE_BIAS))
+        p["attn3.conv2.bias"][0] = -100.0
+        attn = "attn2"
+    p[f"{attn}.conv1.weight"][0, 0, 1, 1 + tap_shift] = 1.0
+    p[f"{attn}.conv2.weight"][0, 0, 1, 1] = SPARSE_GAIN
+    p[f"{attn}.conv2.bias"][0] = -SPARSE_GAIN * SPARSE_THRESHOLD
+    return model
+
+
+def eval_scores(recording: Path, root: Path, flags: list[str], models_by_name) -> dict:
+    """Summary mean per metric of `eval --weights` with the model flags on
+    each named model."""
     results = {}
     for name, model in models_by_name.items():
         weights = root / f"{name}.flsw"
         weights_io.save_model(str(weights), model)
         out = root / f"eval-{name}"
-        assert cli.main(["eval", "--preset", preset, "--weights", str(weights),
+        assert cli.main(["eval", *flags, "--weights", str(weights),
                          "--recording", str(recording / "frames"),
                          str(recording / "fixations.csv"), "--out", str(out)]) == 0
         results[name] = summary_means(out)
@@ -205,7 +258,7 @@ def scores(recording, tmp_path_factory):
 @pytest.fixture(scope="module")
 def model_scores(recording, tmp_path_factory):
     """Summary mean per metric of eval on each hand-set dense model, by name."""
-    return eval_scores(recording, tmp_path_factory.mktemp("models"), "dense-fls",
+    return eval_scores(recording, tmp_path_factory.mktemp("models"), ["--preset", "dense-fls"],
                        {name: hand_set_dense_fls(shift)
                         for name, shift in {"centre-taps": 0, **TAP_SHIFTS}.items()})
 
@@ -213,9 +266,21 @@ def model_scores(recording, tmp_path_factory):
 @pytest.fixture(scope="module")
 def sparse_model_scores(recording, tmp_path_factory):
     """Summary mean per metric of eval on each hand-set sparse model, by name."""
-    return eval_scores(recording, tmp_path_factory.mktemp("sparse-models"), "sparse-fls",
+    return eval_scores(recording, tmp_path_factory.mktemp("sparse-models"),
+                       ["--preset", "sparse-fls"],
                        {name: hand_set_sparse_fls(shift)
                         for name, shift in {"registered": 0, **SPARSE_TAP_SHIFTS}.items()})
+
+
+@pytest.fixture(scope="module", params=sorted(PLACEMENT_MARGIN))
+def placement_scores(request, recording, tmp_path_factory):
+    """The placement, and the summary mean per metric of eval on each
+    hand-set sparse model at that placement, by name."""
+    placement = request.param
+    flags = ["--preset", "sparse-fls", "--placement", placement]
+    hand_set = {name: hand_set_sparse_read_point(placement, shift)
+                for name, shift in {"registered": 0, **SPARSE_TAP_SHIFTS}.items()}
+    return placement, eval_scores(recording, tmp_path_factory.mktemp(placement), flags, hand_set)
 
 
 @pytest.mark.parametrize("name", sorted(MISREGISTERED))
@@ -246,3 +311,12 @@ def test_hand_set_sparse_model_beats_its_shifted_copy(sparse_model_scores, name)
     assert registered["nss"] > other["nss"] + SPARSE_MARGIN["nss"], (registered, other)
     assert registered["kl"] < other["kl"] - SPARSE_MARGIN["kl"], (registered, other)
     assert registered["sauc"] > other["sauc"] + SPARSE_MARGIN["sauc"], (registered, other)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_TAP_SHIFTS))
+def test_hand_set_sparse_read_point_beats_its_shifted_copy(placement_scores, name):
+    placement, scores = placement_scores
+    registered, other, margin = scores["registered"], scores[name], PLACEMENT_MARGIN[placement]
+    assert registered["nss"] > other["nss"] + margin["nss"], (placement, registered, other)
+    assert registered["kl"] < other["kl"] - margin["kl"], (placement, registered, other)
+    assert registered["sauc"] > other["sauc"] + margin["sauc"], (placement, registered, other)
