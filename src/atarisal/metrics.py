@@ -53,9 +53,10 @@ class FrameScore:
 def _check_shapes(sal: np.ndarray, fix: np.ndarray):
     """sal as column-major float64 and fix as row-major float64, each copied
     only if it is not so already. numpy's float64 sums depend on the memory
-    layout, so a score depends only on the values once the layout is fixed:
-    column-major is what `saliency.upscale_to_frame` returns, and row-major
-    what `preprocessing.fixation_map` returns."""
+    layout, so a score depends only on the values once the layout is fixed.
+    Column-major is a fixed choice that the sums' bytes depend on, whatever
+    layout a map arrives in; row-major is what `preprocessing.fixation_map`
+    returns."""
     sal = np.asarray(sal, dtype=np.float64, order="F")
     fix = np.asarray(fix, dtype=np.float64, order="C")
     if sal.shape != fix.shape:

@@ -5,15 +5,24 @@ Frame streams arrive either as a directory of P6 PPM files (named by
 zero-padded index) or as one concatenated raw RGB file with a JSON sidecar
 giving the frame count. `load_frames` checks every frame up front, each PPM
 header, its 210x160 size and each file's size against it, without reading
-any pixels, and returns a `FrameFiles` sequence that reads a frame from disk
-when it is indexed; a slice of it reads nothing. `recording_frames` adds the
-count of whole observations and refuses fewer than 16 frames, the one check
-of a recording's length. `build_observations` indexes only
-`retained_indices(i)` of each whole observation i (offsets 2-3 of each group
-of 4), so the discarded half and an incomplete tail are validated but never
-decoded. It returns the observations as plain 84x84x4 float32 arrays;
-building observation i from the 16-frame window `frames[16 * i:16 * (i + 1)]`
-gives the same array, and `observations` yields them so, one at a time.
+any pixels, and returns a `FrameFiles` sequence that reads a frame from disk,
+with one `os.pread`, when it is indexed; a slice of it reads nothing.
+`recording_frames` adds the count of whole observations and refuses fewer
+than 16 frames, the one check of a recording's length. `build_observations`
+indexes only `retained_indices(i)` of each whole observation i (offsets 2-3
+of each group of 4), so the discarded half and an incomplete tail are
+validated but never decoded, and grayscales only the 168 of each frame's 210
+rows that the resize to 84x84 reads. It returns the observations as plain
+84x84x4 float32 arrays; building observation i from the 16-frame window
+`frames[16 * i:16 * (i + 1)]` gives the same array, and `observations`
+yields them so, one at a time.
+
+`bilinear_resize` reads its source rows, corner columns and weights from a
+plan built once per shape (`_resize_plan`). It blends each source row it
+reads across once, then blends pairs of those rows down: per output pixel
+the float64 operations of blending its two corner rows across and then
+down, so the bytes do not depend on the plan. `saliency.upscale_to_frame`
+is the same resize from 84x84 to 210x160.
 
 Fixations arrive as a UTF-8 CSV with header "frame_index,x,y" and travel,
 from `load_fixations_csv` to the count maps, as one (n, 3) int64 array of
@@ -29,12 +38,13 @@ rejected as out of bounds, or discarded on a raw frame no observation keeps.
 """
 
 import csv
+import functools
 import json
 import os
 import warnings
 from collections.abc import Sequence
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,6 +60,7 @@ RETAIN_OFFSETS = (2, 3)     # which of each group of 4 raw frames survive
 RAW_PER_OBSERVATION = RAW_PER_PROCESSED * STACK_DEPTH
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601 luma
+PPM_TOKEN_MAX = 64  # bytes in one PPM header token
 
 
 def nonempty_path(path: str, what: str) -> Path:
@@ -68,28 +79,74 @@ def _check_frame(frame: np.ndarray, index: int) -> np.ndarray:
 
 
 def grayscale(frame: np.ndarray) -> np.ndarray:
-    """Luma 0.299 R + 0.587 G + 0.114 B, kept as float32 (not re-quantized)."""
-    f = np.asarray(frame, dtype=np.float64)
+    """Luma 0.299 R + 0.587 G + 0.114 B, kept as float32 (not re-quantized).
+    Each product is cast to float64 as it is made and the sum accumulates in
+    place as (r R + g G) + b B, so no float64 copy of the RGB frame exists."""
+    frame = np.asarray(frame)
     r, g, b = GRAY_WEIGHTS
-    return (r * f[..., 0] + g * f[..., 1] + b * f[..., 2]).astype(np.float32)
+    luma = np.multiply(frame[..., 0], r, dtype=np.float64)
+    luma += np.multiply(frame[..., 1], g, dtype=np.float64)
+    luma += np.multiply(frame[..., 2], b, dtype=np.float64)
+    return luma.astype(np.float32)
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center alignment; float32 output."""
-    a = np.asarray(img, dtype=np.float64)
-    h, w = a.shape
+class _ResizePlan(NamedTuple):
+    """What a half-pixel-center bilinear resample of one shape reads: the
+    distinct source rows, each output row's upper and lower source row as an
+    index into rows, and the column corners x0, x1 with their weights."""
+    rows: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    wx: np.ndarray
+    wy: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> _ResizePlan:
+    """The plan of an h x w -> out_h x out_w resample, built once per shape.
+    Every caller shares its arrays, so they are read-only."""
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top_rows, bot_rows, left = a[y0], a[y1], 1.0 - wx
-    top = top_rows[:, x0] * left + top_rows[:, x1] * wx
-    bot = bot_rows[:, x0] * left + bot_rows[:, x1] * wx
-    return (top * (1.0 - wy) + bot * wy).astype(np.float32)
+    rows, corner = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    corner.flags.writeable = False  # top and bottom are views of it
+    plan = _ResizePlan(rows, corner[:out_h], corner[out_h:], x0, x1,
+                       xs - x0, (ys - y0)[:, None])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _resample(rows: np.ndarray, plan: _ResizePlan) -> np.ndarray:
+    """The resample of plan from its source rows alone, rows[k] being source
+    row plan.rows[k]. Each row is blended across once, a[x0] (1 - wx) +
+    a[x1] wx, then each output row blends its two across-rows down, top
+    (1 - wy) + bottom wy: per pixel the float64 operations of blending the
+    two corner rows across and then down. Row-major float32 output."""
+    a = np.asarray(rows, dtype=np.float64)
+    across = a.take(plan.x0, axis=1)
+    across *= 1.0 - plan.wx
+    right = a.take(plan.x1, axis=1)
+    right *= plan.wx
+    across += right
+    out = across.take(plan.top, axis=0)
+    out *= 1.0 - plan.wy
+    bottom = across.take(plan.bottom, axis=0)
+    bottom *= plan.wy
+    out += bottom
+    return out.astype(np.float32)
+
+
+def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample with half-pixel-center alignment; float32 output."""
+    img = np.asarray(img)
+    plan = _resize_plan(*img.shape, out_h, out_w)
+    return _resample(img.take(plan.rows, axis=0), plan)
 
 
 def retained_indices(observation_index: int) -> tuple[int, ...]:
@@ -123,10 +180,12 @@ def build_observations(frames: Sequence[np.ndarray], *, start: int = 0) -> list[
     c, the c-th oldest merged pair, is scaled by 1/255. Observations never
     share raw frames, so a `FrameFiles` sequence decodes nothing else. A bad
     frame is named start + its index in frames, a window's start in its recording."""
+    plan = _resize_plan(FRAME_HEIGHT, FRAME_WIDTH, OBS_SIZE, OBS_SIZE)
     observations = []
     for i in range(len(frames) // RAW_PER_OBSERVATION):
-        # decoded lazily and zipped with itself, so only one pair is alive at a time
-        kept = (bilinear_resize(grayscale(_check_frame(frames[j], start + j)), OBS_SIZE, OBS_SIZE)
+        # decoded lazily and zipped with itself, so only one pair is alive at
+        # a time; only the rows the resize reads are grayscaled
+        kept = (_resample(grayscale(_check_frame(frames[j], start + j)[plan.rows]), plan)
                 for j in retained_indices(i))
         stack = np.stack([np.maximum(a, b) for a, b in zip(kept, kept)], axis=-1)
         observations.append((stack.astype(np.float64) / 255.0).astype(np.float32))
@@ -261,10 +320,11 @@ class FrameFiles(Sequence):
 
     Whoever builds one has checked every frame's header, its 210x160 size
     and that its file holds the whole payload. frames[i] opens frame i's
-    file, seeks to its payload and reads that one frame; nothing is cached,
-    so a frame stays in memory only while the caller holds it. Reads are
-    seek+read, not a memory map: every page of a map that gets touched
-    counts toward RSS for as long as the map exists. frames[a:b] is a
+    file and reads that one frame's payload at its offset; nothing is cached,
+    so a frame stays in memory only while the caller holds it. A read is one
+    os.pread on a descriptor closed before it returns, not a memory map:
+    every page of a map that gets touched counts toward RSS for as long as
+    the map exists. frames[a:b] is a
     FrameFiles over the slice of the locations and reads nothing until it is
     indexed, so `observations` decodes observation i's retained frames
     alone. A file cut short after its check fails when its frame is read,
@@ -281,16 +341,20 @@ class FrameFiles(Sequence):
         if isinstance(index, slice):
             return FrameFiles(self._locations[index], self._kind)
         path, offset = self._locations[index]
-        with open(path, "rb") as f:
-            f.seek(offset)
-            payload = f.read(FRAME_BYTES)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            payload = os.pread(fd, FRAME_BYTES, offset)
+        finally:
+            os.close(fd)
         if len(payload) != FRAME_BYTES:  # the file shrank after its size was checked
             raise DataFormatError(f"{path}: truncated {self._kind} payload")
         return np.frombuffer(payload, dtype=np.uint8).reshape(FRAME_HEIGHT, FRAME_WIDTH, 3)
 
 
 def _ppm_token(f: BinaryIO, path: str) -> bytes:
-    tok = b""
+    """The next whitespace-delimited header token of f, comments skipped; a
+    token longer than PPM_TOKEN_MAX bytes is no header of a 210x160 frame."""
+    tok = bytearray()
     while True:
         ch = f.read(1)
         if not ch:
@@ -301,8 +365,10 @@ def _ppm_token(f: BinaryIO, path: str) -> bytes:
             continue
         if ch.isspace():
             if tok:
-                return tok
+                return bytes(tok)
             continue
+        if len(tok) == PPM_TOKEN_MAX:
+            raise DataFormatError(f"{path}: malformed PPM header")
         tok += ch
 
 
@@ -391,15 +457,16 @@ def load_frames(path: str) -> FrameFiles:
     pixels are read when indexed."""
     p = nonempty_path(path, "frames")
     if p.is_dir():
-        ppm_files = sorted(p.glob("*.ppm"))
+        ppm_files = sorted(map(str, p.glob("*.ppm")))  # one directory: str order is name order
         if not ppm_files:
             raise DataFormatError(f"{path}: no .ppm frames found")
-        odd = [fp.name for fp in ppm_files if len(fp.stem) != len(ppm_files[0].stem)]
+        names = [os.path.basename(fp) for fp in ppm_files]
+        odd = [name for name in names if len(name) != len(names[0])]
         if odd:  # then name order is not index order: frame_10 sorts before frame_9
-            raise DataFormatError(f"{path}: frame names {ppm_files[0].name} and {odd[0]} differ "
+            raise DataFormatError(f"{path}: frame names {names[0]} and {odd[0]} differ "
                                   "in length; name frames by zero-padded index")
         located = []
-        for i, fp in enumerate(map(str, ppm_files)):
+        for i, fp in enumerate(ppm_files):
             with open(fp, "rb") as f:
                 height, width = _ppm_header(f, fp)
                 if (height, width) != (FRAME_HEIGHT, FRAME_WIDTH):  # retained or not

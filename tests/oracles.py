@@ -46,6 +46,13 @@ def paint_receptive_fields(attention, kernel, stride, padding, out_size):
     return out
 
 
+def grayscale(frame):
+    """BT.601 luma of the whole frame, converted to float64 first; float32
+    output."""
+    f = np.asarray(frame, dtype=np.float64)
+    return (0.299 * f[..., 0] + 0.587 * f[..., 1] + 0.114 * f[..., 2]).astype(np.float32)
+
+
 def bilinear_resize(img, out_h, out_w):
     """Half-pixel-center bilinear resample as first written, gathering each
     corner row again for each product; float32 output."""

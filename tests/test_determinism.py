@@ -3,8 +3,10 @@ neither the BLAS threads nor the rows of each GEMM block; and the memory a
 dense forward's blocks hold.
 
 The digests were recorded with the per-tap conv loop that im2col replaced
-(numpy 2.4, OpenBLAS 0.3.31, x86-64). A changed digest means some output bit
-moved; changing the bits on purpose needs its own argument, not a new digest.
+(numpy 2.4, OpenBLAS 0.3.31, x86-64), and the decode and upscale digests
+with the whole-frame grayscale and a resize that built its tables on every
+call. A changed digest means some output bit moved; changing the bits on
+purpose needs its own argument, not a new digest.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from atarisal import cli, models, tensor_ops as T
+from atarisal import cli, models, preprocessing as P, saliency as S, tensor_ops as T
 
 from conftest import fake_blas, write_recording
 
@@ -85,6 +87,23 @@ def test_eval_csv_bytes_are_pinned(tmp_path, capsys, recording_32, argv):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert digests(out) == GOLDEN[argv]
+
+
+def sha256(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_observation_bytes_are_pinned(recording_32):
+    frames_dir, _ = recording_32
+    obs = P.build_observations(P.load_frames(str(frames_dir)))
+    assert [(o.shape, o.dtype) for o in obs] == [((84, 84, 4), np.float32)] * 2
+    assert sha256(obs) == "f194ee20acb250eb291f83a66e1459bff22bd1c58a55bf22c5540c11cc38c6a2"
+
+
+def test_upscale_bytes_are_pinned():
+    up = S.upscale_to_frame(np.random.default_rng(7).random((84, 84)).astype(np.float32))
+    assert up.shape == (210, 160) and up.dtype == np.float32
+    assert sha256([up]) == "3f2150d8cff2a3a0adee640a760edf7d307585c33ceffc5f127f2282f1f062b6"
 
 
 def test_eval_csv_bytes_do_not_depend_on_blas_threads(tmp_path):

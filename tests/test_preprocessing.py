@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,22 @@ def solid_frame(r, g, b):
     return frame
 
 
+def unread_rows():
+    """The frame rows no output row of the 210 -> 84 half-pixel resize
+    reads: neither the floor of its source coordinate nor the row below."""
+    y0 = np.floor(np.clip((np.arange(84) + 0.5) * (210 / 84) - 0.5, 0, 209)).astype(int)
+    return sorted(set(range(210)) - set(y0) - set(np.minimum(y0 + 1, 209)))
+
+
+def whole_frame_observation(frames):
+    """The first observation by the whole-frame formulas: each retained frame
+    grayscaled and resized whole, each pair merged by max, scaled by 1/255."""
+    kept = [oracles.bilinear_resize(oracles.grayscale(frames[4 * g + o]), 84, 84)
+            for g in range(4) for o in (2, 3)]
+    stack = np.stack([np.maximum(a, b) for a, b in zip(kept[::2], kept[1::2])], axis=-1)
+    return (stack.astype(np.float64) / 255.0).astype(np.float32)
+
+
 # -- grayscale ---------------------------------------------------------------------
 
 def test_grayscale_white_black_red():
@@ -29,7 +48,34 @@ def test_grayscale_keeps_float_precision():
     assert g[0, 0] == pytest.approx(0.299, abs=1e-6)  # not re-quantized to u8
 
 
+@given(seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.uint8, np.int64, np.float32, np.float64]))
+@settings(max_examples=40, deadline=None)
+def test_grayscale_bytes_equal_the_whole_frame_float64_formula(seed, dtype):
+    # each product is made in float64, whatever the frame's dtype: a float32
+    # frame multiplied in float32 would round differently
+    rng = np.random.default_rng(seed)
+    if dtype == np.uint8:
+        frame = rng.integers(0, 256, (210, 160, 3), dtype=np.uint8)
+    elif dtype == np.int64:
+        frame = rng.integers(-2**62, 2**62, (210, 160, 3), dtype=np.int64)
+    else:
+        frame = (rng.standard_normal((210, 160, 3)) * 10.0 ** rng.uniform(-3, 6)).astype(dtype)
+    got = P.grayscale(frame)
+    want = oracles.grayscale(frame)
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 # -- resize ------------------------------------------------------------------------
+
+def test_resize_plan_reads_168_rows_and_is_shared_read_only():
+    plan = P._resize_plan(210, 160, 84, 84)
+    assert len(unread_rows()) == 42
+    assert plan.rows.tolist() == sorted(set(range(210)) - set(unread_rows()))
+    assert P._resize_plan(210, 160, 84, 84) is plan
+    assert not any(array.flags.writeable for array in plan)
+
 
 def test_resize_constant_is_exact():
     out = P.bilinear_resize(np.full((210, 160), 37.5, np.float32), 84, 84)
@@ -110,6 +156,31 @@ def test_incomplete_tail_is_never_indexed():
     frames, _ = make_frames(16, seed=3)
     assert np.array_equal(P.build_observations(frames + [None] * 15)[0],
                           P.build_observations(frames)[0])
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "all 0", "all 255", "unread rows differ"]))
+@settings(max_examples=30, deadline=None)
+def test_observation_bytes_equal_the_whole_frame_decode(seed, kind):
+    # only the 168 rows the resize reads are grayscaled; a value on any of the
+    # other 42 rows may not reach the observation
+    rng = np.random.default_rng(seed)
+    if kind == "all 0":
+        frames = [np.zeros((210, 160, 3), np.uint8)] * 16
+    elif kind == "all 255":
+        frames = [np.full((210, 160, 3), 255, np.uint8)] * 16
+    else:
+        frames = list(rng.integers(0, 256, (16, 210, 160, 3), dtype=np.uint8))
+    if kind == "unread rows differ":
+        for frame in frames:
+            frame[:] = rng.integers(0, 128)
+            frame[unread_rows()] = rng.integers(128, 256, (42, 160, 3))
+    got = P.build_observations(frames)
+    want = whole_frame_observation(frames)
+    assert len(got) == 1 and got[0].dtype == want.dtype
+    assert got[0].tobytes() == want.tobytes()
+    if kind == "unread rows differ":  # constant frames give constant channels
+        assert all(np.unique(want[..., c]).size == 1 for c in range(4))
 
 
 def test_build_observations_rejects_a_frame_of_another_size():
@@ -475,6 +546,24 @@ def test_ppm_header_comments_are_skipped(tmp_path):
     assert img.ravel().tolist() == list(payload)
 
 
+def test_ppm_header_token_is_capped(tmp_path):
+    # a token of PPM_TOKEN_MAX bytes is read; a longer one, here 1 MB, is
+    # refused as soon as it passes the cap
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    width = b"0" * (P.PPM_TOKEN_MAX - 3) + b"160"
+    (frames_dir / "w.ppm").write_bytes(b"P6\n" + width + b" 210\n255\n" + bytes(P.FRAME_BYTES))
+    assert len(P.load_frames(str(frames_dir))) == 1
+    (frames_dir / "w.ppm").write_bytes(b"P6\n0" + width + b" 210\n255\n" + bytes(P.FRAME_BYTES))
+    with pytest.raises(DataFormatError, match=r"w\.ppm: malformed PPM header"):
+        P.load_frames(str(frames_dir))
+    (frames_dir / "w.ppm").write_bytes(b"P6\n" + b"1" * 2**20 + b" 210\n255\n" + bytes(4))
+    started = time.perf_counter()
+    with pytest.raises(DataFormatError, match=r"w\.ppm: malformed PPM header"):
+        P.load_frames(str(frames_dir))
+    assert time.perf_counter() - started < 1.0
+
+
 def test_ppm_wrong_maxval(tmp_path):
     (tmp_path / "m.ppm").write_bytes(b"P6\n160 210\n65535\n" + b"\x00" * 2 * P.FRAME_BYTES)
     with pytest.raises(DataFormatError, match="maxval"):
@@ -561,6 +650,32 @@ def test_load_frames_reads_each_frame_when_indexed(tmp_path, suffix):
     assert np.array_equal(loaded[3], frames[3])
     with pytest.raises(DataFormatError, match=f"truncated {kind} payload"):
         loaded[4]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+@pytest.mark.parametrize("suffix", ["", ".rgb"], ids=["ppm", "rgb"])
+def test_frame_files_close_every_descriptor(tmp_path, suffix):
+    # each read opens its file and closes it, also when the read comes up short
+    frames, _ = make_frames(4, seed=19)
+    if suffix:
+        path = tmp_path / "frames.rgb"
+        P.save_raw_rgb(str(path), frames)
+        last, kind = path, "raw RGB"
+    else:
+        path = tmp_path / "frames"
+        path.mkdir()
+        for i, frame in enumerate(frames):
+            P.save_ppm(str(path / f"frame_{i:05d}.ppm"), frame)
+        last, kind = path / "frame_00003.ppm", "PPM"
+    loaded = P.load_frames(str(path))
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(64):
+        assert np.array_equal(loaded[i % 4], frames[i % 4])
+    assert len(os.listdir("/proc/self/fd")) == before
+    last.write_bytes(last.read_bytes()[:-1])
+    with pytest.raises(DataFormatError, match=f"truncated {kind} payload"):
+        loaded[3]
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_frame_files_slice_reads_nothing_until_indexed(tmp_path):
