@@ -12,6 +12,12 @@ build_plan makes both activation swaps, softplus2 and the identity at each
 read point when final_relu is False, so its layer specs are what the forward
 runs. Training is out of scope: weights come from build_model's initializer
 or a weight file.
+
+The forward runs the block only down to its deepest read point, since no
+map reads a layer past it, and runs each attention module's convs as one
+row-streamed `tensor_ops.conv_chain`: every ATTENTION_LAYERS kind is stride
+1 and keeps its input's size, so only the module's last, small map is ever
+whole, and its post step and normalize_output see that map.
 """
 
 import math
@@ -54,7 +60,8 @@ BLOCK_LAYERS: dict[str, tuple[ConvSpec, ...]] = {
 # reduction. post = "direct": the last conv's activation already is the
 # 1-channel map. post = "softmax-mean": per-channel spatial softmax, then
 # mean over channels, which keeps the map summing to 1. With softplus2,
-# build_plan swaps a final softplus for softplus2.
+# build_plan swaps a final softplus for softplus2. Every layer is stride 1
+# and keeps its input's size, as tensor_ops.conv_chain requires.
 ATTENTION_LAYERS: dict[str, tuple[tuple[ConvSpec, ...], str]] = {
     "fls": ((ConvSpec(256, 3, 1, 1, "relu"), ConvSpec(1, 3, 1, 1, "softplus")), "direct"),
     "fls-1x1": ((ConvSpec(256, 1, 1, 0, "relu"), ConvSpec(1, 1, 1, 0, "softplus")), "direct"),
@@ -285,9 +292,7 @@ class Model:
                 for lp in self.plan.conv_layers}
 
     def _attention_map(self, ap: AttentionPlan, x: np.ndarray) -> np.ndarray:
-        a = x
-        for lp in ap.layers:
-            a = T.conv2d(a, self.kernels[lp.name], activation=lp.spec.activation)
+        a = T.conv_chain(x, [(self.kernels[lp.name], lp.spec.activation) for lp in ap.layers])
         if ap.post == "softmax-mean":
             a = T.spatial_softmax(a)
             c = a.shape[2]
@@ -302,7 +307,8 @@ class Model:
 
     def forward(self, obs: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """Evaluate one 84x84x4 observation with values in [0, 1]; return its
-        (placement tag, H x W x 1 attention map) pairs in read-point order."""
+        (placement tag, H x W x 1 attention map) pairs in read-point order.
+        Block layers past the deepest read point are not run."""
         kernels = self.kernels  # a non-finite weight is reported before a bad observation
         x = np.asarray(obs)
         if x.shape != (INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS):
@@ -317,9 +323,10 @@ class Model:
             x = np.pad(x, ((1, 1), (1, 1), (0, 0)))
 
         by_layer = {ap.after_layer: ap for ap in self.plan.attentions}
+        deepest = max(by_layer, default=0)  # no map reads a block layer past it
         n = len(self.plan.block_layers)
         maps: list[tuple[str, np.ndarray]] = []
-        for i, lp in enumerate(self.plan.block_layers, start=1):
+        for i, lp in enumerate(self.plan.block_layers[:deepest], start=1):
             ap = by_layer.get(i)
             x = T.conv2d(x, kernels[lp.name], activation=lp.spec.activation)
             if i == n and self.plan.config.l2_norm_features:
@@ -327,7 +334,7 @@ class Model:
             if ap is not None:
                 alpha = self._attention_map(ap, x)
                 maps.append((ap.tag, alpha))
-                if i < n:  # only a later block layer reads the gated map
+                if i < deepest:  # only a later block layer reads the gated map
                     x = x * alpha  # broadcast: one gate value scales all channels
 
         return maps

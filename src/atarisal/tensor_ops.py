@@ -13,18 +13,27 @@ identity, in table order.
 conv2d is im2col (Chellapilla, Puri & Simard, IWFHR 2006): the zero-padded
 input is viewed as (H', W', kh, kw, Cin) patches and multiplied by the
 kernel's (kh*kw*Cin, Cout) float64 matrix, one GEMM per block of output rows.
-A block's patch matrix is capped at PATCH_BLOCK_BYTES (at least one output
-row), which bounds memory and keeps each GEMM operand cache-sized. No layer
-pads its whole input: a block pads only the input rows it reads, into a
-zeroed band of (rows - 1) * stride + kh padded rows, and applies the
-layer's activation to its own output rows.
+A block's patch matrix and its float64 accumulator are each capped at
+PATCH_BLOCK_BYTES (at least one output row; `block_rows`), which bounds
+memory and keeps each GEMM operand cache-sized. No layer pads its whole
+input: a block pads only the input rows it reads, into a zeroed band of
+(rows - 1) * stride + kh padded rows, and applies the layer's activation to
+its own output rows. A call may ask for a range of output rows only, given
+the input rows they read.
+
+conv_chain runs stride-1, size-keeping layers (an attention module) as one
+row-streamed chain, the fused layers of Alwani et al. (MICRO 2016) with
+the line buffers of Halide (Ragan-Kelley et al., PLDI 2013): each layer
+but the last keeps only the rows the next one's band reads, and every band
+goes through conv2d.
 
 `block_threads()` owns the thread policy, and the CLI runs every command
 under it: OpenBLAS runs on one thread, and a layer of several blocks shares
 them among as many threads as OpenBLAS had, n: the calling one and n - 1
 that the layer starts and joins before it returns. The cap then applies per
 worker, each of which holds one band, one patch buffer and one float64
-accumulator.
+accumulator. A chain of several bands instead gives each of the n its own
+share of the rows to stream.
 The blocks and their products are the same whatever n is, so the output
 bytes are too.
 """
@@ -35,10 +44,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -104,6 +112,9 @@ def _share_blocks(work: Callable[[int], None], workers: int) -> None:
     started here, each under this thread's numpy error state, which threads
     do not inherit. Returns once every thread has ended, raising the first
     error."""
+    if workers == 1:
+        work(0)
+        return
     errors: list[Optional[BaseException]] = [None] * workers
     errstate = np.geterr()
 
@@ -174,13 +185,27 @@ def block_threads():
         functions[0](workers)
 
 
-def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -> np.ndarray:
+def block_rows(out_width: int, depth: int, out_channels: int) -> int:
+    """Output rows per GEMM block of a conv whose patch rows are depth wide:
+    as many as keep the float64 patch block and the float64 accumulator
+    each within PATCH_BLOCK_BYTES, and at least one."""
+    return max(1, PATCH_BLOCK_BYTES // (out_width * max(depth, out_channels) * 8))
+
+
+def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity",
+           rows: Optional[tuple[int, int]] = None) -> np.ndarray:
     """Cross-correlate x (H, W, Cin) with kernel, then apply activation
     -> (H', W', Cout).
 
     No kernel flip; zero padding; H' = floor((H + 2p - k) / s) + 1. The
     activation is one of ACTIVATIONS, applied to each block's output rows
     as apply_activation would apply it to the whole output.
+
+    rows = (first, stop) computes only output rows first, ..., stop - 1,
+    with the same bytes as those rows of the whole output. x then holds the
+    input from row max(0, first * s - p), the first row they read, on; it
+    may end before the last row they read only where the input ends, and
+    rows past its end are zero padding, as they are below the whole input.
     """
     x = _check_feature_map(x)
     h, w, c = x.shape
@@ -188,15 +213,23 @@ def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -
     _require(c == cin, f"input has {c} channels, kernel expects {cin}")
     act = None if activation == "identity" else _activation(activation)[0]
     s, p = kernel.stride, kernel.padding
-    ho = conv_output_size(h, kh, s, p)
     wo = conv_output_size(w, kw, s, p)
+    if rows is None:
+        first, stop = 0, conv_output_size(h, kh, s, p)
+    else:
+        first, stop = rows
+        _require(0 <= first < stop, f"output rows {rows} are not a non-empty range")
+    x_top = max(0, first * s - p)  # the input row that x's row 0 holds
+    ho = stop - first
     _require(ho >= 1 and wo >= 1,
              f"non-positive conv output size {ho}x{wo} for input {h}x{w}")
+    _require(stop <= conv_output_size(x_top + h, kh, s, p),
+             f"output rows {rows} read past the {h} input rows given")
 
     depth = kh * kw * c
-    rows = min(ho, max(1, PATCH_BLOCK_BYTES // (wo * depth * 8)))  # float64 patch rows
-    band_rows = (rows - 1) * s + kh  # the padded input rows one block reads
-    starts = range(0, ho, rows)
+    n_rows = min(ho, block_rows(wo, depth, cout))
+    band_rows = (n_rows - 1) * s + kh  # the padded input rows one block reads
+    starts = range(0, ho, n_rows)
     workers = min(len(starts), _WORKERS.get())
     gemm_weights = kernel.gemm_weights
     bias = None if kernel.bias is None else kernel.bias.astype(np.float64)
@@ -208,18 +241,20 @@ def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -
         # buffer and an accumulator; made on this thread so that no worker
         # thread allocates (and grows a malloc arena of its own)
         band = np.zeros((band_rows, w + 2 * p, c), dtype=x.dtype)
-        windows = sliding_window_view(band, (kh, kw), axis=(0, 1))[::s, ::s].transpose(0, 1, 3, 4, 2)
-        return (band, windows, np.empty((rows * wo, depth), np.float64),
-                np.empty((rows * wo, cout), np.float64))
+        b0, b1, b2 = band.strides
+        windows = np.ndarray((n_rows, wo, kh, kw, c), band.dtype, band, 0,
+                             (s * b0, s * b1, b0, b1, b2))
+        return (band, windows, np.empty((n_rows * wo, depth), np.float64),
+                np.empty((n_rows * wo, cout), np.float64))
 
     buffers = [scratch() for _ in range(workers)]
 
     def work(i):  # blocks starts[i::workers]
         band, windows, patch, acc = buffers[i]
         for r in starts[i::workers]:
-            n = min(rows, ho - r)
+            n = min(n_rows, ho - r)
             m = (n - 1) * s + kh
-            top = r * s - p  # the input row of band row 0
+            top = (first + r) * s - p - x_top  # the row of x in band row 0
             a = min(max(-top, 0), m)  # band rows [a, b) hold input rows, the rest are padding
             b = min(max(h - top, a), m)
             band[:a, p:p + w] = 0
@@ -236,6 +271,74 @@ def conv2d(x: np.ndarray, kernel: ConvKernel, *, activation: str = "identity") -
                 block_out[...] = act(block_out)
 
     _share_blocks(work, workers)
+    return out
+
+
+def conv_chain(x: np.ndarray, layers: Sequence[tuple[ConvKernel, str]]) -> np.ndarray:
+    """conv2d through each (kernel, activation) of layers in turn, streamed
+    by rows, so that no layer's output but the last is ever whole. Each
+    layer is stride 1 and keeps its input's size.
+
+    The last layer makes its rows one band at a time. A band is as many
+    rows as the largest GEMM block of any layer, so each band call runs
+    whole blocks. Each earlier layer writes its rows into a line buffer
+    that holds only the rows the next layer's band reads: the kh - 1 rows
+    that two bands share shift to the top of the buffer once per band, and
+    a conv2d call with an output-row range makes the rest.
+
+    With n block workers and more than one band, each worker streams its
+    own 1/n of the rows through its own line buffers, its convs serial, so
+    no thread starts per band; the rows that two workers' first bands read
+    across a seam are made by both. Every call makes its rows as the whole
+    layer would, so the bytes are those of conv2d run layer by layer on
+    whole maps.
+    """
+    x = _check_feature_map(x)
+    h, w, _ = x.shape
+    band = 1
+    for kernel, _ in layers:
+        cout, cin, kh, kw = kernel.weights.shape
+        _require(kernel.stride == 1 and kh == kw == 2 * kernel.padding + 1,
+                 "a conv chain layer must be stride 1 and keep its input's size")
+        band = max(band, min(h, block_rows(w, kh * kw * cin, cout)))
+    *inner, (last, last_activation) = layers
+    pads = [kernel.padding for kernel, _ in layers]
+    # ahead[j]: how far below a band's last row layer j's rows must reach
+    ahead = [sum(pads[j + 1:]) for j in range(len(inner))]
+    segments = min(_WORKERS.get(), -(-h // band))
+    out = np.empty((h, w, last.weights.shape[0]), x.dtype)
+
+    def stream(first, stop):  # the last layer's rows [first, stop)
+        buffers = [np.empty((min(h, band + 2 * a), w, kernel.weights.shape[0]), x.dtype)
+                   for (kernel, _), a in zip(inner, ahead)]
+        tops = [max(0, first - a) for a in ahead]  # the layer row in each buffer's row 0
+        done = list(tops)  # the layer rows made so far
+        for r0 in range(first, stop, band):
+            r1 = min(stop, r0 + band)
+            source = x[max(0, (done[0] if inner else r0) - pads[0]):]
+            for j, (kernel, activation) in enumerate(inner):
+                buffer, end = buffers[j], min(h, r1 + ahead[j])
+                keep = max(0, (done[j + 1] if j + 1 < len(inner) else r0) - pads[j + 1])
+                buffer[:done[j] - keep] = buffer[keep - tops[j]:done[j] - tops[j]]
+                tops[j] = keep
+                if end > done[j]:
+                    buffer[done[j] - keep:end - keep] = conv2d(
+                        source, kernel, activation=activation, rows=(done[j], end))
+                    done[j] = end
+                source = buffer[:end - keep]
+            out[r0:r1] = conv2d(source, last, activation=last_activation, rows=(r0, r1))
+
+    def work(i):  # worker i's rows, its convs serial
+        token = _WORKERS.set(1)
+        try:
+            stream(h * i // segments, h * (i + 1) // segments)
+        finally:
+            _WORKERS.reset(token)
+
+    if segments == 1:
+        stream(0, h)
+    else:
+        _share_blocks(work, segments)
     return out
 
 

@@ -906,17 +906,19 @@ OBS = np.random.default_rng(8).random((84, 84, 4)).astype(np.float32)
 
 
 @pytest.mark.parametrize("config,worker_counts", [
-    *((models.PRESETS[name], [3] * 5 if name == "dense-fls" else []) for name in sorted(models.PRESETS)),
+    *((models.PRESETS[name], [3] * 4 if name == "dense-fls" else []) for name in sorted(models.PRESETS)),
     (models.ModelConfig(attention="fls", placement="each-conv"), [3, 2]),
-    (models.ModelConfig(block="dense", readout="sum-pool"), [3] * 3),
+    (models.ModelConfig(block="dense", readout="sum-pool"), []),
 ], ids=[*sorted(models.PRESETS), "sparse-fls-each-conv", "dense-no-attention"])
 def test_small_forwards_run_on_one_blas_thread(monkeypatch, config, worker_counts):
     # every forward, small or large, runs on one BLAS thread; the count found
-    # is the block-worker count and is put back afterwards. Dense layers have
-    # 12-84 row blocks and share them among all 3 workers; of the sparse
-    # layers only each-conv's attn1.conv2 (10 blocks, on 3 workers) and
-    # attn2.conv2 (2 blocks, on 2) have more than one block, and every other
-    # runs serially
+    # is the block-worker count and is put back afterwards. Dense block
+    # layers have 12-84 row blocks and share them among all 3 workers, and
+    # dense-fls's attention module streams a third of its rows on each; of
+    # the sparse layers only each-conv's attn1.conv2 (10 blocks, on 3
+    # workers) and attn2.conv2 (2 blocks, on 2) have more than one block,
+    # and every other runs serially. A model with no attention module reads
+    # no layer, so its forward runs none
     calls, state = fake_blas(monkeypatch, 3)
     shared = count_shared_runs(monkeypatch)
     model = models.build_model(config, 0)
@@ -1028,9 +1030,9 @@ def test_every_command_puts_the_blas_count_back(tmp_path, capsys, monkeypatch, r
 
 @pytest.mark.parametrize("command", ["eval", "saliency"])
 def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording_32, command):
-    # each dense-fls layer shares its blocks with a thread that it starts and
-    # joins itself, so no block thread is alive between forwards or after
-    # the command
+    # each dense-fls block layer, and its attention module's streamed rows,
+    # are shared with a thread that it starts and joins itself, so no block
+    # thread is alive between forwards or after the command
     fake_blas(monkeypatch, 2)
     shared = count_shared_runs(monkeypatch)
     forward = models.Model.forward
@@ -1049,7 +1051,7 @@ def test_no_thread_outlives_the_command(tmp_path, capsys, monkeypatch, recording
                    "--out", str(tmp_path / "run"))
     assert rc == 0
     assert len(during) == 2 and all(threads == before for threads in during)
-    assert shared == [2] * 5 * len(during)
+    assert shared == [2] * 4 * len(during)
     assert set(threading.enumerate()) == before
 
 

@@ -1,6 +1,6 @@
 """Output bytes: pinned eval digests, and conv2d and eval bytes that depend on
-neither the BLAS threads nor the rows of each GEMM block; and the memory a
-dense forward's blocks hold.
+neither the BLAS threads nor the rows of each GEMM block, and a streamed
+attention module's bytes; and the memory a dense forward's blocks hold.
 
 The digests were recorded with the per-tap conv loop that im2col replaced
 (numpy 2.4, OpenBLAS 0.3.31, x86-64), and the decode and upscale digests
@@ -50,6 +50,17 @@ GOLDEN = {
     ("--preset", "sparse-fls", "--placement", "each-conv", "--no-final-relu"): {
         "frames_rec0.csv": "b82e3e0effe659f99678577a5e00de7b9dfe129e73f50f63ced06ffee42226ed",
         "summary.csv": "40570eb30232aa99771d9e5677384dc5695cca81461fe21731fb2b0ae8e31376",
+    },
+    # the forward now stops at block.conv1, the only layer this placement reads
+    ("--preset", "sparse-fls", "--placement", "first-conv"): {
+        "frames_rec0.csv": "3f68207e13530aeed7381437e12f3dba357713d66b23cda5e02fea2fb441d93b",
+        "summary.csv": "659bb9fd37e9b3204b4ae25d9847a97a91dfc1af0bf600b3a94124fe727a3e07",
+    },
+    # its 84x84x512 elu map is now streamed through a line buffer; sum-pool
+    # keeps the fc, which no forward reads, at 64 inputs, not 451,584
+    ("--block", "dense", "--attention", "rs", "--readout", "sum-pool"): {
+        "frames_rec0.csv": "9f017b546bda8ee599d3e3e155512801f4576951eaf0762d2ba1e7a27a94088b",
+        "summary.csv": "55aec2adde327c634043523eaea123460e9bb881f16862306d2200b04d70a4c6",
     },
     ("--preset", "rs-ppo"): {
         "frames_rec0.csv": "057cfe171132112da54b9b45178a0d9a86b563a4416024c6259fff064045bfa2",
@@ -167,20 +178,25 @@ def test_conv2d_bytes_do_not_depend_on_the_blas_threads():
     models.PRESETS["dense-fls"],
     models.preset_config("sparse-fls", placement="each-conv"),
     models.PRESETS["rs-ppo"],
-], ids=["dense-fls", "sparse-fls-each-conv", "rs-ppo"])
+    models.ModelConfig(block="dense", attention="rs", readout="sum-pool"),
+], ids=["dense-fls", "sparse-fls-each-conv", "rs-ppo", "dense-rs"])
 def test_conv_layer_bytes_do_not_depend_on_the_block_rows(monkeypatch, config):
     # each block's GEMM multiplies its own rows of the patch matrix, so a
     # block size may change only if no output bit depends on how many rows
     # a product has: from 4 MiB and the 1 MiB default down to one output row
     # per block (5,000 bytes holds less than two rows of every layer's patch
-    # matrix) and up to one block per layer
+    # matrix) and up to one block per layer. An attention module's band
+    # calls follow its block rows, so each layer's rows, joined in order,
+    # are compared
     obs = np.random.default_rng(3).random((84, 84, 4)).astype(np.float32)
     model = models.build_model(config, 0)
-    conv2d, layers = T.conv2d, []
+    names = {id(kernel): name for name, kernel in model.kernels.items()}
+    conv2d, row_bytes, layers = T.conv2d, [], {}
 
     def recorded(x, kernel, **kwargs):
         out = conv2d(x, kernel, **kwargs)
-        layers.append((out.shape[1] * kernel.gemm_weights.shape[0] * 8, out.tobytes()))
+        row_bytes.append(out.shape[1] * kernel.gemm_weights.shape[0] * 8)
+        layers.setdefault(names[id(kernel)], []).append(out.tobytes())
         return out
 
     monkeypatch.setattr(T, "conv2d", recorded)
@@ -189,8 +205,8 @@ def test_conv_layer_bytes_do_not_depend_on_the_block_rows(monkeypatch, config):
         monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", block_bytes)
         layers.clear()
         model.forward(obs)
-        outputs[block_bytes] = [out for _, out in layers]
-    assert all(5000 < 2 * row_bytes for row_bytes, _ in layers)
+        outputs[block_bytes] = {name: b"".join(rows) for name, rows in layers.items()}
+    assert all(5000 < 2 * n for n in row_bytes)
     assert all(out == outputs[4 * 2**20] for out in outputs.values())
 
 
@@ -254,14 +270,16 @@ def forward_peak_bound(plan, workers):
     """The most one forward of plan may hold at once, in bytes: at each conv,
     its float32 input and output, the block output an attention module reads
     beside its own input, and each worker's padded band, float64 patch block,
-    float64 accumulator and activated float32 rows."""
+    float64 accumulator and activated float32 rows, in blocks whose patch
+    and accumulator each fit the cap. Each attention layer counts as if its
+    input and output were whole maps."""
     shapes = dict(plan.trace)
 
     def conv(lp, in_shape, out_shape, held):
         (h, w, c), (ho, wo, cout) = in_shape, out_shape
         k, s, p = lp.spec.kernel, lp.spec.stride, lp.spec.padding
         depth = k * k * c
-        rows = min(ho, max(1, T.PATCH_BLOCK_BYTES // (wo * depth * 8)))
+        rows = min(ho, max(1, T.PATCH_BLOCK_BYTES // (wo * max(depth, cout) * 8)))
         worker = (((rows - 1) * s + k) * (w + 2 * p) * c * 4 + rows * wo * depth * 8
                   + rows * wo * cout * (8 + 4))
         return held + 4 * (h * w * c + ho * wo * cout) + workers * worker
@@ -279,12 +297,7 @@ def forward_peak_bound(plan, workers):
     return max(bounds)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_dense_forward_peak_memory_is_its_maps_and_blocks(monkeypatch, workers):
-    # at 2 workers this bound is 12.1 MiB, and a whole-layer pad (7.6 MB at
-    # attn.conv2) or a whole-map activation temporary (7.2 MB at attn.conv1)
-    # breaks it by far more than the 1 MiB of interpreter slack
-    model = models.build_model(models.PRESETS["dense-fls"], 0)
+def traced_forward_peak(monkeypatch, model, workers):
     obs = np.random.default_rng(3).random((84, 84, 4)).astype(np.float32)
     model.forward(obs)  # builds the kernels and their float64 weights
     fake_blas(monkeypatch, workers)
@@ -295,4 +308,66 @@ def test_dense_forward_peak_memory_is_its_maps_and_blocks(monkeypatch, workers):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_forward_peak_memory_is_its_maps_and_blocks(monkeypatch, workers):
+    # at 2 workers this bound is 12.1 MiB, and a whole-layer pad (7.6 MB at
+    # attn.conv2) or a whole-map activation temporary (7.2 MB at attn.conv1)
+    # breaks it by far more than the 1 MiB of interpreter slack
+    model = models.build_model(models.PRESETS["dense-fls"], 0)
+    peak = traced_forward_peak(monkeypatch, model, workers)
     assert peak <= forward_peak_bound(model.plan, workers) + 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_fls_forward_never_holds_its_attention_map(monkeypatch, workers):
+    # the attention module streams attn.conv1's rows through a line buffer,
+    # so the peak stays under the whole-map bound less that conv's 7.2 MB
+    # output, which the whole-map attention conv held (12.1 MiB against this
+    # 6.2 MiB at 2 workers)
+    model = models.build_model(models.PRESETS["dense-fls"], 0)
+    peak = traced_forward_peak(monkeypatch, model, workers)
+    assert peak <= forward_peak_bound(model.plan, workers) + 2**20 - 84 * 84 * 256 * 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_rs_forward_peak_memory_is_its_maps_and_blocks(monkeypatch, workers):
+    # rs widens 64 channels to 512 in a 1x1 conv: blocks sized by the patch
+    # alone were 24 rows with a 7.9 MiB float64 accumulator per worker (51.9
+    # MiB at 2 workers); sized by the accumulator too they are 3 rows
+    config = models.ModelConfig(block="dense", attention="rs", readout="sum-pool")
+    model = models.build_model(config, 0)
+    peak = traced_forward_peak(monkeypatch, model, workers)
+    assert peak <= forward_peak_bound(model.plan, workers) + 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_bytes", [5000, 65536, 2**20, 10**9])
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(models.ATTENTION_KINDS),
+       side=st.integers(1, 24), c=st.integers(1, 8))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_conv_chain_bytes_equal_its_layers_on_whole_maps(monkeypatch, workers, block_bytes, seed,
+                                                         kind, side, c):
+    # an attention module streamed through line buffers, in bands of any
+    # height and on any number of workers, gives the bytes of conv2d run
+    # layer by layer on whole maps, at the default cap and serially
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((side, side, c)).astype(np.float32)
+    layers, in_c = [], c
+    for spec in models.ATTENTION_LAYERS[kind][0]:
+        shape = (spec.out_channels, in_c, spec.kernel, spec.kernel)
+        layers.append((T.ConvKernel(rng.standard_normal(shape).astype(np.float32) / 8,
+                                    rng.standard_normal(spec.out_channels).astype(np.float32),
+                                    spec.stride, spec.padding), spec.activation))
+        in_c = spec.out_channels
+    want = x
+    for kernel, activation in layers:
+        want = T.conv2d(want, kernel, activation=activation)
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", block_bytes)
+    fake_blas(monkeypatch, workers)
+    with T.block_threads():
+        got = T.conv_chain(x, layers)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

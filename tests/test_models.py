@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from atarisal import models, weights_io
+from atarisal import models, tensor_ops as T, weights_io
 from atarisal.errors import ConfigurationError, EvaluationError
 
 RNG = np.random.default_rng(42)
@@ -141,6 +141,31 @@ def test_attention_of_one_is_multiplicative_identity():
     (tag, want), = block.forward(OBS)
     assert tag == "block"
     assert maps["conv3"].dtype == want.dtype and maps["conv3"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", models.BLOCK_KINDS)
+@pytest.mark.parametrize("overrides,ran", [
+    ({"attention": "fls", "placement": "first-conv"}, {"block.conv1", "attn.conv1", "attn.conv2"}),
+    ({"attention": "fls"}, {"block.conv1", "block.conv2", "block.conv3",
+                            "attn.conv1", "attn.conv2"}),
+    ({}, set()),
+], ids=["first-conv", "block", "no-attention"])
+def test_forward_stops_at_the_deepest_read_point(monkeypatch, block, overrides, ran):
+    # no map reads a block layer past the last attention module's read
+    # point, so a first-conv forward runs block.conv1 and its attention
+    # convs only, and a model with no attention module runs no conv
+    config = models.ModelConfig(block=block, readout="sum-pool", **overrides)
+    model = models.build_model(config, 0)
+    names = {id(kernel): name for name, kernel in model.kernels.items()}
+    conv2d, seen = T.conv2d, set()
+
+    def recorded(x, kernel, **kwargs):
+        seen.add(names[id(kernel)])
+        return conv2d(x, kernel, **kwargs)
+
+    monkeypatch.setattr(T, "conv2d", recorded)
+    model.forward(OBS)
+    assert seen == ran
 
 
 def test_forward_deterministic():

@@ -85,6 +85,99 @@ def test_conv2d_oracle_property(seed, h, cin, cout, k, s, p):
     np.testing.assert_allclose(T.conv2d(x, kern), want, rtol=1e-5, atol=1e-5)
 
 
+@given(seed=seeds, h=st.integers(1, 12), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       k=st.integers(1, 4), s=st.integers(1, 3), p=st.integers(0, 2), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_conv2d_output_rows_are_those_of_the_whole_output(seed, h, cin, cout, k, s, p, data):
+    # rows=(first, stop) reads x from the first input row those output rows
+    # read; x may stop at the last row they read, or run on to the end
+    if h + 2 * p < k:
+        p = k
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((h, h, cin)).astype(np.float32)
+    kern = random_kernel(rng, cin, cout, k, stride=s, padding=p)
+    whole = T.conv2d(x, kern, activation="softplus")
+    first = data.draw(st.integers(0, whole.shape[0] - 1))
+    stop = data.draw(st.integers(first + 1, whole.shape[0]))
+    top = max(0, first * s - p)
+    end = data.draw(st.sampled_from([min(h, (stop - 1) * s - p + k), h]))
+    if (stop - 1) * s - p >= end:  # the last rows read only padding: x must reach the end
+        end = h
+    got = T.conv2d(x[top:end], kern, activation="softplus", rows=(first, stop))
+    assert got.tobytes() == whole[first:stop].tobytes()
+
+
+@pytest.mark.parametrize("rows,given", [((2, 2), 8), ((-1, 2), 8), ((0, 8), 3)],
+                         ids=["empty", "negative", "past-the-rows-given"])
+def test_conv2d_rejects_bad_output_rows(rows, given):
+    rng = np.random.default_rng(0)
+    x = rng.random((8, 8, 1)).astype(np.float32)
+    with pytest.raises(ConfigurationError, match="output rows"):
+        T.conv2d(x[:given], random_kernel(rng, 1, 1, 3, padding=1), rows=rows)
+
+
+def test_block_rows_bound_the_patch_and_the_accumulator():
+    # each of a block's float64 patch rows and accumulator rows fits the cap:
+    # the dense attention convs, and rs's 64 -> 512 1x1 conv, whose
+    # accumulator, not its patch, sets 3 rows
+    assert T.block_rows(84, 3 * 3 * 64, 256) == 2
+    assert T.block_rows(84, 3 * 3 * 256, 1) == 1
+    assert T.block_rows(84, 64, 512) == 3
+    assert T.block_rows(84, 512, 2) == 3
+
+
+def test_conv_chain_rejects_a_layer_that_changes_the_map_size():
+    rng = np.random.default_rng(0)
+    x = rng.random((8, 8, 2)).astype(np.float32)
+    for kern in (random_kernel(rng, 2, 2, 3), random_kernel(rng, 2, 2, 1, stride=2)):
+        with pytest.raises(ConfigurationError, match="keep its input's size"):
+            T.conv_chain(x, [(kern, "relu"), (random_kernel(rng, 2, 1, 1), "identity")])
+
+
+def test_conv_chain_bytes_do_not_depend_on_the_workers(monkeypatch):
+    # 5 workers each stream their share of a 41-row map in 2-row bands into
+    # one output, switching often; every seam's shared rows are made twice
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 30 * 36 * 8 * 2)
+    rng = np.random.default_rng(6)
+    x = rng.random((41, 30, 4)).astype(np.float32)
+    layers = [(random_kernel(rng, 4, 16, 3, padding=1), "relu"),
+              (random_kernel(rng, 16, 2, 3, padding=1), "softplus")]
+    serial = T.conv_chain(x, layers)
+    runs = count_shared_runs(monkeypatch)
+    fake_blas(monkeypatch, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with T.block_threads():
+            pooled = T.conv_chain(x, layers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [5]
+    assert pooled.tobytes() == serial.tobytes()
+
+
+def test_conv_chain_workers_run_under_the_callers_errstate(monkeypatch):
+    # one-row bands on 2 workers, whose second half overflows float32: the
+    # second worker streams those rows under the caller's errstate and hands
+    # its error to the caller once it has ended
+    monkeypatch.setattr(T, "PATCH_BLOCK_BYTES", 64)
+    x = np.ones((8, 4, 2), np.float32)
+    x[4:] = 1e30
+    layers = [(T.ConvKernel(np.full((2, 2, 1, 1), 1e30, np.float32)), "identity"),
+              (T.ConvKernel(np.ones((1, 2, 1, 1), np.float32)), "identity")]
+    runs = count_shared_runs(monkeypatch)
+    fake_blas(monkeypatch, 2)
+    before = set(threading.enumerate())
+    with T.block_threads():
+        with np.errstate(over="ignore"):
+            out = T.conv_chain(x, layers)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            T.conv_chain(x, layers)
+    assert set(threading.enumerate()) == before
+    assert runs == [2, 2]
+    assert np.isinf(out[4:]).all() and np.isfinite(out[:4]).all()
+
+
 def test_conv2d_channel_mismatch():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
